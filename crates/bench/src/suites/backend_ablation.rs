@@ -74,19 +74,35 @@ impl Run {
     }
 }
 
-/// Process CPU time (user + system) from procfs; `None` where there is no
-/// `/proc` (the suite then reports utilization 0.0 instead of guessing).
+/// Process CPU time (user + system, all threads) at nanosecond resolution;
+/// `None` off 64-bit Linux (the suite then reports utilization 0.0 instead of
+/// guessing). procfs's 10 ms ticks are too coarse here: a fast
+/// configuration's run can be shorter than one tick.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
 fn proc_cpu_time() -> Option<Duration> {
-    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
-    // The comm field (2) may contain spaces; fields are reliable only
-    // after its closing paren. utime/stime are fields 14/15 (1-based),
-    // i.e. 11 and 12 tokens past the state field, in USER_HZ ticks
-    // (100 on every Linux ABI this can run on).
-    let rest = stat.rsplit_once(')')?.1;
-    let mut it = rest.split_whitespace();
-    let utime: u64 = it.nth(11)?.parse().ok()?;
-    let stime: u64 = it.next()?.parse().ok()?;
-    Some(Duration::from_millis((utime + stime) * 10))
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: i64,
+        tv_nsec: i64,
+    }
+    extern "C" {
+        fn clock_gettime(clock: i32, tp: *mut Timespec) -> i32;
+    }
+    const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+    let mut ts = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    // SAFETY: `ts` is a valid, writable `struct timespec` (two 64-bit
+    // fields on 64-bit Linux), and the clock id is one the kernel always
+    // supports.
+    let rc = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) };
+    (rc == 0).then(|| Duration::new(ts.tv_sec as u64, ts.tv_nsec as u32))
+}
+
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+fn proc_cpu_time() -> Option<Duration> {
+    None
 }
 
 /// Repetitions per configuration: tail percentiles from one 5-slide pass

@@ -134,14 +134,10 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
                         r_minus.push(qid);
                     }
                 }
+                // The ball held every core in range: no adopter means noise.
                 if let Some(rec) = self.points.get_mut(r) {
                     if rec.in_window {
                         rec.adopter = my_adopter;
-                        if my_adopter.is_none() {
-                            // No core in range right now; a neo-core scan may
-                            // still adopt it, otherwise it is noise.
-                            self.needs_adoption.insert(r);
-                        }
                     }
                 }
             }
@@ -486,5 +482,160 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
                 });
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The adoption pass only searches where an adopter can exist. These
+    //! crafted windows pin `SlideStats::adoption_searches` for every case
+    //! the pass skips or keeps (DESIGN.md §3, "Border adoption").
+
+    use crate::config::DiscConfig;
+    use crate::engine::Disc;
+    use crate::label::PointLabel;
+    use disc_geom::{Point, PointId};
+    use disc_window::SlideBatch;
+
+    fn batch(incoming: &[(u64, f64)], outgoing: &[(u64, f64)]) -> SlideBatch<2> {
+        let rows = |r: &[(u64, f64)]| {
+            r.iter()
+                .map(|&(i, x)| (PointId(i), Point::new([x, 0.0])))
+                .collect()
+        };
+        SlideBatch {
+            incoming: rows(incoming),
+            outgoing: rows(outgoing),
+        }
+    }
+
+    fn adopter(disc: &Disc<2>, id: u64) -> Option<PointId> {
+        disc.points.at(PointId(id)).adopter
+    }
+
+    #[test]
+    fn noise_touched_every_slide_costs_no_search() {
+        // Point 0 stays noise while a lone neighbour comes and goes on
+        // alternating sides of it: it is touched every slide, and so is
+        // every fresh neighbour, yet no core is ever in range of either.
+        let mut disc: Disc<2> = Disc::new(DiscConfig::new(1.0, 3));
+        let s = disc.apply(&batch(&[(0, 0.0), (1, 0.9)], &[]));
+        assert_eq!(s.adoption_searches, 0);
+        let mut prev = (1, 0.9);
+        for id in 2..12u64 {
+            let x = if id % 2 == 0 { -0.9 } else { 0.9 };
+            let s = disc.apply(&batch(&[(id, x)], &[prev]));
+            assert_eq!(disc.points.at(PointId(0)).n_eps, 2);
+            assert_eq!(s.adoption_searches, 0, "slide adding {id}");
+            assert_eq!(disc.label_of(PointId(0)), Some(PointLabel::Noise));
+            disc.check_invariants();
+            prev = (id, x);
+        }
+    }
+
+    #[test]
+    fn border_whose_adopter_departs_is_searched_and_readopted() {
+        // A block of eight cores (τ = 5); border 9 reaches the three
+        // rightmost, 6 < 7 < 8, and leans on 6.
+        let mut disc: Disc<2> = Disc::new(DiscConfig::new(1.0, 5));
+        let block = [
+            (1, 0.0),
+            (2, 0.02),
+            (3, 0.04),
+            (4, 0.06),
+            (5, 0.08),
+            (6, 0.15),
+            (7, 0.2),
+            (8, 0.25),
+        ];
+        let mut first: Vec<(u64, f64)> = block.to_vec();
+        first.push((9, 1.14));
+        let s = disc.apply(&batch(&first, &[]));
+        assert_eq!(s.adoption_searches, 0, "the neo-core phase adopts 9");
+        assert_eq!(adopter(&disc, 9), Some(PointId(6)));
+
+        // 6 leaves; the block stays core. One search re-adopts 9, and the
+        // smallest remaining core in range wins.
+        let s = disc.apply(&batch(&[], &[(6, 0.15)]));
+        assert_eq!(s.adoption_searches, 1);
+        assert_eq!(adopter(&disc, 9), Some(PointId(7)));
+        assert!(matches!(
+            disc.label_of(PointId(9)),
+            Some(PointLabel::Border(_))
+        ));
+        disc.check_invariants();
+    }
+
+    #[test]
+    fn ex_core_with_no_core_in_range_becomes_noise_without_search() {
+        let mut disc: Disc<2> = Disc::new(DiscConfig::new(1.0, 3));
+        disc.apply(&batch(&[(0, 0.0), (1, 0.5), (2, 1.0)], &[]));
+        assert!(disc.is_core(PointId(1)) && disc.is_core(PointId(2)));
+        // 0 leaves: 1 and 2 drop to n_ε = 2 and no core is left anywhere.
+        let s = disc.apply(&batch(&[], &[(0, 0.0)]));
+        assert_eq!(s.ex_cores, 3);
+        assert_eq!(s.adoption_searches, 0);
+        assert_eq!(disc.label_of(PointId(1)), Some(PointLabel::Noise));
+        assert_eq!(disc.label_of(PointId(2)), Some(PointLabel::Noise));
+        disc.check_invariants();
+    }
+
+    #[test]
+    fn old_noise_is_adopted_by_a_neo_core_without_search() {
+        // Point 0 is noise, then four newcomers form a cluster two of whose
+        // cores (4 < 5) reach it; τ = 4 keeps 0 itself a non-core.
+        let mut disc: Disc<2> = Disc::new(DiscConfig::new(1.0, 4));
+        disc.apply(&batch(&[(0, 0.0)], &[]));
+        assert_eq!(disc.label_of(PointId(0)), Some(PointLabel::Noise));
+        let s = disc.apply(&batch(&[(4, 1.0), (5, 0.95), (6, 1.2), (7, 1.4)], &[]));
+        assert_eq!(s.neo_cores, 4);
+        assert_eq!(s.adoption_searches, 0);
+        assert_eq!(adopter(&disc, 0), Some(PointId(4)));
+        assert!(matches!(
+            disc.label_of(PointId(0)),
+            Some(PointLabel::Border(_))
+        ));
+        disc.check_invariants();
+    }
+
+    #[test]
+    fn per_point_path_searches_unadopted_newcomers() {
+        use disc_metrics::{assert_dbscan_equivalent, Labeling};
+
+        // Core 0 (τ = 4) loses two neighbours and regains two in the same
+        // stride. Newcomer 10 is scanned first, while 0 is one short of τ:
+        // the per-point path cannot adopt it mid-scan and must search; the
+        // batched path decides on settled counts and needs no search.
+        let fill = batch(&[(0, 0.0), (1, -0.2), (2, -0.4), (3, -0.6)], &[]);
+        let slide = batch(
+            &[(10, 0.9), (11, -0.3), (12, -0.5)],
+            &[(1, -0.2), (2, -0.4)],
+        );
+        let mut searches = Vec::new();
+        let mut labels = Vec::new();
+        for cfg in [
+            DiscConfig::new(1.0, 4),
+            DiscConfig::new(1.0, 4).without_bulk_slide(),
+        ] {
+            let mut disc: Disc<2> = Disc::new(cfg);
+            disc.apply(&fill);
+            let s = disc.apply(&slide);
+            assert!(disc.points.at(PointId(0)).core_in_both(4));
+            assert_eq!(adopter(&disc, 10), Some(PointId(0)));
+            disc.check_invariants();
+            searches.push(s.adoption_searches);
+            labels.push(disc.assignments());
+        }
+        assert_eq!(searches, vec![0, 1]);
+        let points: Vec<(PointId, Point<2>)> = [0.0, -0.6, 0.9, -0.3, -0.5]
+            .iter()
+            .zip([0, 3, 10, 11, 12])
+            .map(|(&x, id)| (PointId(id), Point::new([x, 0.0])))
+            .collect();
+        let side = |assignment| Labeling {
+            points: &points,
+            assignment,
+        };
+        assert_dbscan_equivalent(&side(&labels[0]), &side(&labels[1]), 1.0, 4);
     }
 }

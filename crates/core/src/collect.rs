@@ -32,8 +32,8 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
     /// paper's Alg. 1 read literally) and the batched path (bulk R-tree
     /// mutations plus one multi-center ε-ball traversal per phase). The
     /// [`DiscConfig::enable_bulk_slide`](crate::DiscConfig) toggle selects
-    /// between them; both produce identical counts, adoptions-or-
-    /// needs-adoption outcomes, and classifications.
+    /// between them; both produce identical counts and classifications, but
+    /// only the per-point path queues newcomers for the adoption pass.
     pub(crate) fn collect(&mut self, batch: &SlideBatch<D>) -> CollectOutcome {
         let tau = self.cfg.tau;
         let mut out = CollectOutcome::default();
@@ -72,17 +72,14 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
         // alone, so sequential and parallel slides emit identical output.
         let mut touched: Vec<PointId> = self.touched.iter().copied().collect();
         touched.sort_unstable();
+        // Unadopted non-cores are not queued: only a neo-core can be in range
+        // of one, and it adopts it (invariant I, DESIGN.md §3).
         for id in &touched {
             let rec = self.points.at(*id);
             if rec.is_ex_core(tau) {
                 out.ex_cores.push(*id);
             } else if rec.is_neo_core(tau) {
                 out.neo_cores.push(*id);
-            } else if !rec.is_core(tau) && rec.adopter.is_none() {
-                // Fresh non-core without an opportunistic adopter, or a
-                // point that dropped out of core range: let the adoption
-                // pass decide between border and noise.
-                self.needs_adoption.insert(*id);
             }
         }
         if self.prov_on {
@@ -200,6 +197,10 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
             fresh.adopter = adopter;
             self.points.insert(*id, fresh);
             self.touched.insert(*id);
+            if adopter.is_none() {
+                // A neighbour may reach τ later in this stride: search for it.
+                self.needs_adoption.insert(*id);
+            }
         }
     }
 
@@ -302,11 +303,11 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
     /// every neighbourhood. A pair of Δin points shows up twice (once from
     /// each center), so the count is applied on one orientation only —
     /// preserving the count-each-pair-once invariant the per-point path gets
-    /// from its insert-then-scan ordering. Opportunistic adopters are taken
-    /// from established neighbours that meet τ when observed: counts only
-    /// grow during this phase, so such a neighbour is a core of the final
-    /// window; newcomers the traversal cannot vouch for fall through to the
-    /// adoption pass, which resolves them with final counts.
+    /// from its insert-then-scan ordering. Opportunistic adopters are chosen
+    /// after the traversal, on settled counts: the smallest-id established
+    /// neighbour that is a final core. A newcomer without one can only have
+    /// neo-cores in range, which adopt it in the neo-core phase, so it is
+    /// never queued for the adoption pass.
     fn insert_batched(&mut self, batch: &SlideBatch<D>) {
         if batch.incoming.is_empty() {
             return;

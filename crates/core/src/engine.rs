@@ -87,8 +87,12 @@ pub struct Disc<const D: usize, B: SpatialBackend<D> = RTree<D>> {
     pub(crate) tree: B,
     /// Union-find over cluster ids; the canonical id is the root.
     pub(crate) clusters: Dsu,
-    /// Non-core points whose adopter was invalidated this slide; resolved
-    /// by the final adoption pass.
+    /// Non-cores the final adoption pass must search for a core: borders
+    /// whose adopter left the window or lost core status this slide, and —
+    /// on the per-point slide path only — newcomers without an
+    /// opportunistic adopter. Any other unadopted non-core has either no
+    /// core in range or a neo-core that adopts it in the neo-core phase
+    /// (DESIGN.md §3, "Border adoption"), so it is never queued.
     pub(crate) needs_adoption: FxHashSet<PointId>,
     /// Points whose `n_ε` changed this slide (candidate ex-/neo-cores).
     pub(crate) touched: FxHashSet<PointId>,
@@ -567,7 +571,7 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
                 (id, label.as_i64())
             })
             .collect();
-        out.sort_unstable_by_key(|(id, _)| *id);
+        into_id_order(&mut out, |(id, _)| *id);
         out
     }
 
@@ -583,7 +587,7 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
                 (id, rec.point, label.as_i64())
             })
             .collect();
-        rows.sort_unstable_by_key(|(id, _, _)| *id);
+        into_id_order(&mut rows, |(id, _, _)| *id);
         rows.into_iter().map(|(_, p, l)| (p, l)).collect()
     }
 
@@ -641,9 +645,31 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
                         rec.point.within(&arec.point, eps),
                         "adopter of {id} is out of range"
                     );
+                } else {
+                    // Invariant I, which lets the adoption pass skip stale
+                    // noise: an unadopted non-core has no core in range.
+                    let mut ball: Vec<PointId> = Vec::new();
+                    self.tree
+                        .for_each_in_ball(&pos, eps, |qid, _| ball.push(qid));
+                    let core = ball.into_iter().find(|&q| self.is_core(q));
+                    assert!(core.is_none(), "noise {id} has core {core:?} in range");
                 }
             }
         }
+    }
+}
+
+/// Puts rows read out in ring-slot order into arrival-id order. Under a
+/// count window the live ids span less than the store's capacity, so slot
+/// order is id order rotated at the wrap: rotating at the smallest id
+/// sorts it in O(n). Any other layout (a time window whose id span exceeds
+/// the capacity) fails the sortedness check and is sorted.
+fn into_id_order<T>(rows: &mut [T], id: impl Fn(&T) -> PointId) {
+    if let Some(first) = (0..rows.len()).min_by_key(|&i| id(&rows[i])) {
+        rows.rotate_left(first);
+    }
+    if !rows.windows(2).all(|w| id(&w[0]) < id(&w[1])) {
+        rows.sort_unstable_by_key(id);
     }
 }
 
@@ -737,6 +763,30 @@ mod tests {
         // Snapshot rows follow the same id order: row 0 = id 1 at (0.5, 0).
         assert_eq!(snap[0].0, Point::new([0.5, 0.0]));
         assert_eq!(snap[0].1, a[0].1);
+    }
+
+    #[test]
+    fn read_out_is_id_ordered_across_the_ring_wrap_and_sparse_spans() {
+        // The store starts with 1024 slots. Ids 1020..1030 wrap the ring
+        // (slot order 1024..1030, 1020..1023); adding 2 and 5000 makes the
+        // live span exceed the capacity, so rotation alone cannot sort.
+        let mut disc: Disc<2> = Disc::new(DiscConfig::new(1.0, 2));
+        let wrapped: Vec<(u64, [f64; 2])> = (1020..1030).map(|i| (i, [i as f64, 0.0])).collect();
+        disc.apply(&batch(&wrapped, &[]));
+        let ids = |d: &Disc<2>| {
+            d.assignments()
+                .iter()
+                .map(|(id, _)| id.0)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(ids(&disc), (1020..1030).collect::<Vec<_>>());
+        disc.apply(&batch(&[(2, [2.0, 0.0]), (5000, [5000.0, 0.0])], &[]));
+        let mut want: Vec<u64> = (1020..1030).collect();
+        want.insert(0, 2);
+        want.push(5000);
+        assert_eq!(ids(&disc), want);
+        let xs: Vec<f64> = disc.snapshot().iter().map(|(p, _)| p[0]).collect();
+        assert_eq!(xs, want.iter().map(|&i| i as f64).collect::<Vec<_>>());
     }
 
     #[test]

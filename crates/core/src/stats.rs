@@ -30,7 +30,9 @@ pub struct SlideStats {
     pub merges: usize,
     /// New clusters that emerged.
     pub emerged: usize,
-    /// Border points that needed a fallback adoption search.
+    /// ε-ball searches run by the final adoption pass: one per border
+    /// whose adopter left the window or became an ex-core, plus (per-point
+    /// slide path only) one per newcomer without an opportunistic adopter.
     pub adoption_searches: usize,
     /// Connectivity-check instances run (MS-BFS, Alg. 3).
     pub msbfs_instances: usize,
