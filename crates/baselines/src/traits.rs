@@ -19,6 +19,14 @@ pub trait WindowClusterer<const D: usize> {
     /// the paper measures them.
     fn apply(&mut self, batch: &SlideBatch<D>);
 
+    /// [`apply`](WindowClusterer::apply), but a batch the method cannot
+    /// take is reported instead of panicking, with the state unchanged.
+    /// Methods that validate nothing apply unconditionally (the default).
+    fn try_apply(&mut self, batch: &SlideBatch<D>) -> Result<(), String> {
+        self.apply(batch);
+        Ok(())
+    }
+
     /// Cluster assignment of every current-window point, sorted by arrival
     /// id; `-1` is noise. For decaying methods the "window" is whatever
     /// point set the driver last told them about via `assign_window`.
@@ -54,6 +62,12 @@ pub trait WindowClusterer<const D: usize> {
     fn drain_spans(&mut self) -> Vec<disc_telemetry::SpanRecord> {
         Vec::new()
     }
+
+    /// The method's state as a checkpointable image, or `None` for methods
+    /// that cannot be checkpointed (the default).
+    fn export_state(&self) -> Option<disc_core::EngineState<D>> {
+        None
+    }
 }
 
 impl<const D: usize, B: SpatialBackend<D>> WindowClusterer<D> for Disc<D, B> {
@@ -69,6 +83,12 @@ impl<const D: usize, B: SpatialBackend<D>> WindowClusterer<D> for Disc<D, B> {
 
     fn apply(&mut self, batch: &SlideBatch<D>) {
         Disc::apply(self, batch);
+    }
+
+    fn try_apply(&mut self, batch: &SlideBatch<D>) -> Result<(), String> {
+        Disc::try_apply(self, batch)
+            .map(|_| ())
+            .map_err(|e| e.to_string())
     }
 
     fn assignments(&self) -> Vec<(PointId, i64)> {
@@ -97,6 +117,10 @@ impl<const D: usize, B: SpatialBackend<D>> WindowClusterer<D> for Disc<D, B> {
 
     fn drain_spans(&mut self) -> Vec<disc_telemetry::SpanRecord> {
         Disc::drain_spans(self)
+    }
+
+    fn export_state(&self) -> Option<disc_core::EngineState<D>> {
+        Some(Disc::export_state(self))
     }
 }
 

@@ -1,16 +1,11 @@
 //! CLI command implementations.
 
+use crate::pipeline::{build_engine, drive, refuse_dropped_flags, Durable, Origin, Run};
 use crate::Opts;
-use disc_baselines::{Dbscan, ExtraN, IncDbscan, RhoDbscan, WindowClusterer};
-use disc_core::{kdistance, Disc, DiscConfig, IndexBackend};
-use disc_index::{CurveIndex, GridIndex};
-use disc_telemetry::{
-    chrome_trace_json, folded_stacks, JsonlProvenanceSink, JsonlSink, MemoryFootprint, PromServer,
-    ProvenanceEvent, ProvenanceKind, ProvenanceSink, Recorder, Registry, SpanRecord,
-};
+use disc_core::{kdistance, DiscConfig, IndexBackend};
+use disc_telemetry::{ProvenanceEvent, ProvenanceKind, Registry};
 use disc_window::{csv, datasets, Record, SlidingWindow};
 use std::path::Path;
-use std::sync::Arc;
 
 /// A command that is generic over the point dimension.
 pub trait DimCommand {
@@ -56,247 +51,46 @@ pub(crate) fn load<const D: usize>(opts: &Opts) -> Result<Vec<Record<D>>, String
     Ok(records)
 }
 
-/// `disc cluster` — stream a CSV through a sliding window.
+/// `disc cluster` — stream a CSV through a sliding window, durably under
+/// `--checkpoint-dir`.
 pub struct ClusterCmd;
 
 impl DimCommand for ClusterCmd {
     fn run<const D: usize>(&self, opts: &Opts) -> Result<(), String> {
-        // Durability flags switch to the concrete-engine loop in `durable`:
-        // checkpoints and WAL replay need `Disc`'s state export, which the
-        // `dyn WindowClusterer` facade deliberately hides.
-        if opts.checkpoint_dir.is_some() || opts.wal.is_some() {
-            let backend = IndexBackend::parse(&opts.index).ok_or_else(|| {
-                format!("unknown --index {:?} (rtree, grid, or curve)", opts.index)
-            })?;
-            return match backend {
-                IndexBackend::RTree => crate::durable::run_durable::<D, disc_index::RTree<D>>(opts),
-                IndexBackend::Grid => crate::durable::run_durable::<D, GridIndex<D>>(opts),
-                IndexBackend::Curve => crate::durable::run_durable::<D, CurveIndex<D>>(opts),
-            };
-        }
+        let index = opts.index.as_deref().unwrap_or("rtree");
+        let backend = IndexBackend::parse(index)
+            .ok_or_else(|| format!("unknown --index {index:?} (rtree, grid, or curve)"))?;
+        refuse_dropped_flags(opts)?;
         let eps = opts.eps.ok_or("--eps is required")?;
         let tau = opts.tau.ok_or("--tau is required")?;
         let window = opts.window.ok_or("--window is required")?;
         let stride = opts.stride.ok_or("--stride is required")?;
-        let (records, mut ingest) = crate::ingest::load_stream::<D>(opts, window, stride, false)?;
+        if stride == 0 || stride > window {
+            return Err(format!(
+                "--stride {stride} must be in 1..=--window {window}"
+            ));
+        }
+        let workers = effective_workers(opts);
+        let fresh = Origin::Fresh(eps, tau, window, stride);
+        let (engine, _) = build_engine::<D>(backend, fresh, opts, workers)?;
+        let (records, ingest) = crate::ingest::load_stream::<D>(opts, window, stride, false)?;
         if window > records.len() {
             return Err(format!(
                 "window {window} exceeds the stream ({} points)",
                 records.len()
             ));
         }
-
-        let backend = IndexBackend::parse(&opts.index)
-            .ok_or_else(|| format!("unknown --index {:?} (rtree, grid, or curve)", opts.index))?;
-        let workers = effective_workers(opts);
-        let mut method: Box<dyn WindowClusterer<D>> = match (opts.method.as_str(), backend) {
-            ("disc", IndexBackend::RTree) => Box::new(Disc::new(
-                DiscConfig::new(eps, tau)
-                    .with_backend(backend)
-                    .with_threads(workers),
-            )),
-            ("disc", IndexBackend::Grid) => Box::new(Disc::<D, GridIndex<D>>::with_index(
-                DiscConfig::new(eps, tau)
-                    .with_backend(backend)
-                    .with_threads(workers),
-            )),
-            ("disc", IndexBackend::Curve) => Box::new(Disc::<D, CurveIndex<D>>::with_index(
-                DiscConfig::new(eps, tau)
-                    .with_backend(backend)
-                    .with_threads(workers),
-            )),
-            ("incdbscan", _) => Box::new(IncDbscan::new(eps, tau)),
-            ("extran", IndexBackend::RTree) => Box::new(ExtraN::new(eps, tau, window, stride)),
-            ("extran", IndexBackend::Grid) => Box::new(ExtraN::<D, GridIndex<D>>::with_backend(
-                eps, tau, window, stride,
-            )),
-            ("extran", IndexBackend::Curve) => Box::new(ExtraN::<D, CurveIndex<D>>::with_backend(
-                eps, tau, window, stride,
-            )),
-            ("dbscan", IndexBackend::RTree) => Box::new(Dbscan::new(eps, tau)),
-            ("dbscan", IndexBackend::Grid) => {
-                Box::new(Dbscan::<D, GridIndex<D>>::with_backend(eps, tau))
-            }
-            ("dbscan", IndexBackend::Curve) => {
-                Box::new(Dbscan::<D, CurveIndex<D>>::with_backend(eps, tau))
-            }
-            ("rho2", _) => Box::new(RhoDbscan::new(eps, tau, opts.rho)),
-            (other, _) => return Err(format!("unknown --method {other:?}")),
+        let run = Run {
+            engine,
+            window: SlidingWindow::new(records, window, stride),
+            durable: Durable::from_opts(opts, false)?,
+            ingest,
+            recovery: None,
+            eps,
+            tau,
+            workers,
         };
-
-        // Telemetry: one shared registry feeds the JSONL sink, the scrape
-        // endpoint, the provenance stream and the periodic summary alike.
-        let mut health = crate::health::Health::<D>::from_opts(opts, eps, tau)?;
-        let mut registry = match &opts.metrics_out {
-            Some(path) => {
-                let sink = JsonlSink::create(path)
-                    .map_err(|e| format!("--metrics-out {}: {e}", path.display()))?;
-                Registry::with_sink(Box::new(sink))
-            }
-            None => Registry::new(),
-        };
-        let prov_sink: Option<Box<dyn ProvenanceSink>> = match &opts.provenance_out {
-            Some(path) => {
-                let sink = JsonlProvenanceSink::create(path)
-                    .map_err(|e| format!("--provenance-out {}: {e}", path.display()))?;
-                Some(Box::new(sink))
-            }
-            None => None,
-        };
-        // The health driver tees the provenance stream through its
-        // lifecycle fold before (optionally) reaching the JSONL export.
-        match (&health, prov_sink) {
-            (Some(h), inner) => registry = registry.with_provenance(h.provenance_tee(inner)),
-            (None, Some(sink)) => registry = registry.with_provenance(sink),
-            (None, None) => {}
-        }
-        let registry: Arc<Registry> = Arc::new(registry);
-        let prom = match &opts.prom_addr {
-            Some(addr) => {
-                let server = PromServer::spawn(addr, registry.clone())
-                    .map_err(|e| format!("--prom-addr {addr}: {e}"))?;
-                if !opts.quiet {
-                    eprintln!(
-                        "serving Prometheus metrics on http://{}/metrics",
-                        server.local_addr()
-                    );
-                }
-                Some(server)
-            }
-            None => None,
-        };
-        method.set_recorder(registry.clone());
-        let tracing = opts.trace_out.is_some() || opts.folded_out.is_some();
-        if tracing {
-            method.enable_tracing();
-        }
-        let mut spans: Vec<SpanRecord> = Vec::new();
-        // Drained per slide (ids stay unique across drains) so the span
-        // buffer never grows beyond one slide between collections.
-        let drain = |method: &mut Box<dyn WindowClusterer<D>>, spans: &mut Vec<SpanRecord>| {
-            if tracing {
-                spans.extend(method.drain_spans());
-            }
-        };
-
-        let mut w = SlidingWindow::new(records, window, stride);
-        // The raw window buffer is CLI state, not engine state: its gauge
-        // row is published here, next to the engine's own components.
-        let publish_window = |w: &SlidingWindow<D>| {
-            for (component, bytes) in w.footprint().flatten() {
-                registry.gauge_set_labeled("disc_mem_bytes", "component", &component, bytes as f64);
-            }
-        };
-        let start = std::time::Instant::now();
-        let fill = w.fill();
-        method.apply(&fill);
-        publish_window(&w);
-        drain(&mut method, &mut spans);
-        if let Some(ing) = &mut ingest {
-            ing.on_slide(1, &registry)?;
-        }
-        if let Some(h) = &mut health {
-            h.observe(1, &method.assignments(), &w, &fill, &registry)?;
-        }
-        let mut slides = 0u64;
-        if opts.stats_every == 1 {
-            stats_summary(&registry, 1, workers, health.as_ref().map(|h| h.summary()));
-        }
-        while let Some(batch) = w.advance() {
-            method.apply(&batch);
-            publish_window(&w);
-            drain(&mut method, &mut spans);
-            slides += 1;
-            if let Some(ing) = &mut ingest {
-                ing.on_slide(slides + 1, &registry)?;
-            }
-            if let Some(h) = &mut health {
-                h.observe(slides + 1, &method.assignments(), &w, &batch, &registry)?;
-            }
-            // The fill counts as slide 1, so the human cadence is 1-based.
-            if opts.stats_every > 0 && (slides + 1).is_multiple_of(opts.stats_every) {
-                stats_summary(
-                    &registry,
-                    slides + 1,
-                    workers,
-                    health.as_ref().map(|h| h.summary()),
-                );
-            }
-            if !opts.quiet {
-                let clusters: std::collections::HashSet<i64> = method
-                    .assignments()
-                    .into_iter()
-                    .map(|(_, l)| l)
-                    .filter(|&l| l >= 0)
-                    .collect();
-                eprintln!("slide {slides}: {} clusters", clusters.len());
-            }
-        }
-        let elapsed = start.elapsed();
-        registry.flush();
-        if let Some(server) = &prom {
-            server.shutdown();
-        }
-
-        let assignments = method.assignments();
-        let clusters: std::collections::HashSet<i64> = assignments
-            .iter()
-            .map(|(_, l)| *l)
-            .filter(|&l| l >= 0)
-            .collect();
-        let noise = assignments.iter().filter(|(_, l)| *l < 0).count();
-        println!(
-            "{}: {} slides, {} window points, {} clusters, {} noise, {:?} total, {} range searches",
-            method.name(),
-            slides,
-            assignments.len(),
-            clusters.len(),
-            noise,
-            elapsed,
-            method.range_searches()
-        );
-
-        if let Some(out) = &opts.out {
-            let pos: disc_geom::FxHashMap<disc_geom::PointId, disc_geom::Point<D>> =
-                w.current().collect();
-            let rows: Vec<(disc_geom::Point<D>, i64)> =
-                assignments.iter().map(|(id, l)| (pos[id], *l)).collect();
-            csv::write_snapshot(out, &rows).map_err(|e| format!("{}: {e}", out.display()))?;
-            println!("wrote {}", out.display());
-        }
-        if let Some(path) = &opts.metrics_out {
-            println!("wrote per-slide metrics to {}", path.display());
-        }
-        if let Some(path) = &opts.trace_out {
-            std::fs::write(path, chrome_trace_json(&spans))
-                .map_err(|e| format!("--trace-out {}: {e}", path.display()))?;
-            println!(
-                "wrote {} spans to {} (load in chrome://tracing)",
-                spans.len(),
-                path.display()
-            );
-        }
-        if let Some(path) = &opts.folded_out {
-            std::fs::write(path, folded_stacks(&spans))
-                .map_err(|e| format!("--folded-out {}: {e}", path.display()))?;
-            println!("wrote folded stacks to {}", path.display());
-        }
-        if let Some(path) = &opts.provenance_out {
-            println!(
-                "wrote {} provenance events to {}",
-                registry.provenance_emitted(),
-                path.display()
-            );
-        }
-        if let Some(ing) = &mut ingest {
-            ing.finish(opts.quiet)?;
-        }
-        // Last, so a fatal alert still leaves every output (snapshot,
-        // traces, JSONL streams) complete on disk for CI to inspect.
-        if let Some(h) = &mut health {
-            h.finish(&registry)?;
-        }
-        Ok(())
+        drive(opts, run)
     }
 }
 

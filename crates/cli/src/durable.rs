@@ -1,246 +1,14 @@
-//! Durable CLI paths: `disc cluster --checkpoint-dir/--wal`,
-//! `disc resume`, and `disc diffsnap`.
-//!
-//! Unlike the plain clustering path (which erases the engine behind
-//! `Box<dyn WindowClusterer>`), durability needs the concrete `Disc<D, B>`
-//! to export and restore state, so these commands run their own
-//! slide loop: WAL-append *before* apply, checkpoint every
-//! `--checkpoint-every` slides plus once at the end, and checkpoint /
-//! recovery telemetry into the shared registry.
+//! `disc resume` and `disc diffsnap`: continuing a durable run from its
+//! checkpoint + WAL through the shared slide pipeline, and certifying the
+//! result against an uninterrupted run.
 
-use crate::cmd::DimCommand;
+use crate::cmd::{effective_workers, DimCommand};
+use crate::pipeline::{build_engine, drive, refuse_dropped_flags, Durable, Origin, Run};
 use crate::Opts;
-use disc_core::{backend_of, Disc, DiscConfig, IndexBackend};
-use disc_index::{CurveIndex, GridIndex, RTree, SpatialBackend};
-use disc_persist::{
-    checkpoint_path, latest_checkpoint_seq, load_checkpoint, metrics, recover_engine,
-    save_checkpoint, Checkpoint, DriverState, FsyncPolicy, WalWriter,
-};
-use disc_telemetry::{JsonlSink, Registry};
+use disc_persist::{checkpoint_path, latest_checkpoint_seq, load_checkpoint};
 use disc_window::{csv, SlidingWindow};
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
-
-/// The durable registry, pre-`Arc` so the caller can still attach the
-/// health driver's provenance tee before sharing it with the engine.
-fn registry_from(opts: &Opts) -> Result<Registry, String> {
-    Ok(match &opts.metrics_out {
-        Some(path) => {
-            let sink = JsonlSink::create(path)
-                .map_err(|e| format!("--metrics-out {}: {e}", path.display()))?;
-            Registry::with_sink(Box::new(sink))
-        }
-        None => Registry::new(),
-    })
-}
-
-/// Publishes the raw window buffer's gauge row — the one stateful piece
-/// the durable loop owns directly rather than through the engine.
-fn publish_window_gauge<const D: usize>(registry: &Registry, w: &SlidingWindow<D>) {
-    use disc_telemetry::{MemoryFootprint, Recorder};
-    for (component, bytes) in w.footprint().flatten() {
-        registry.gauge_set_labeled("disc_mem_bytes", "component", &component, bytes as f64);
-    }
-}
-
-fn fsync_policy(opts: &Opts) -> Result<FsyncPolicy, String> {
-    FsyncPolicy::parse(&opts.fsync).ok_or_else(|| {
-        format!(
-            "--fsync {:?}: expected always, never, or every=N",
-            opts.fsync
-        )
-    })
-}
-
-/// Writes one checkpoint (engine image + driver position) and publishes
-/// its size and duration.
-fn write_checkpoint<const D: usize, B: SpatialBackend<D>>(
-    disc: &Disc<D, B>,
-    w: &SlidingWindow<D>,
-    dir: &Path,
-    registry: &Registry,
-) -> Result<(), String> {
-    let started = std::time::Instant::now();
-    let ckpt = Checkpoint {
-        state: disc.export_state(),
-        driver: Some(DriverState {
-            window: w.window_size() as u64,
-            stride: w.stride() as u64,
-            start: w.start().expect("checkpoint before fill") as u64,
-        }),
-    };
-    let path = checkpoint_path(dir, disc.slide_seq());
-    let bytes = save_checkpoint(&path, &ckpt).map_err(|e| format!("{}: {e}", path.display()))?;
-    metrics::publish_checkpoint(registry, bytes, started.elapsed());
-    Ok(())
-}
-
-/// Appends the batch to the WAL (if any), then applies it — the ordering
-/// that makes a committed slide recoverable even if the process dies in
-/// `apply`.
-fn append_then_apply<const D: usize, B: SpatialBackend<D>>(
-    disc: &mut Disc<D, B>,
-    wal: &mut Option<WalWriter<D>>,
-    batch: &disc_window::SlideBatch<D>,
-    registry: &Registry,
-) -> Result<(), String> {
-    if let Some(wal) = wal {
-        let bytes = wal
-            .append(disc.slide_seq() + 1, batch)
-            .map_err(|e| format!("WAL append failed: {e}"))?;
-        metrics::publish_wal_append(registry, bytes, wal.len_bytes());
-    }
-    disc.try_apply(batch)
-        .map_err(|e| format!("slide {} rejected: {e}", disc.slide_seq() + 1))?;
-    Ok(())
-}
-
-/// The shared durable slide loop: drain the window driver, checkpointing
-/// every `every` slides and once more at the end, then report and
-/// optionally write the final snapshot.
-#[allow(clippy::too_many_arguments)]
-fn drain_stream<const D: usize, B: SpatialBackend<D>>(
-    mut disc: Disc<D, B>,
-    mut w: SlidingWindow<D>,
-    mut wal: Option<WalWriter<D>>,
-    dir: &Path,
-    registry: &Arc<Registry>,
-    mut health: Option<crate::health::Health<D>>,
-    mut ingest: Option<crate::ingest::IngestPipeline>,
-    opts: &Opts,
-) -> Result<(), String> {
-    let every = opts.checkpoint_every.max(1);
-    let workers = crate::cmd::effective_workers(opts);
-    let started = std::time::Instant::now();
-    while let Some(batch) = w.advance() {
-        append_then_apply(&mut disc, &mut wal, &batch, registry)?;
-        publish_window_gauge(registry, &w);
-        if disc.slide_seq().is_multiple_of(every) {
-            write_checkpoint(&disc, &w, dir, registry)?;
-        }
-        if let Some(ing) = &mut ingest {
-            ing.on_slide(disc.slide_seq(), registry)?;
-        }
-        if let Some(h) = &mut health {
-            h.observe(disc.slide_seq(), &disc.assignments(), &w, &batch, registry)?;
-        }
-        if opts.stats_every > 0 && disc.slide_seq().is_multiple_of(opts.stats_every) {
-            crate::cmd::stats_summary(
-                registry,
-                disc.slide_seq(),
-                workers,
-                health.as_ref().map(|h| h.summary()),
-            );
-        }
-        if !opts.quiet {
-            eprintln!(
-                "slide {}: {} clusters",
-                disc.slide_seq(),
-                disc.num_clusters()
-            );
-        }
-    }
-    write_checkpoint(&disc, &w, dir, registry)?;
-    if let Some(wal) = &mut wal {
-        wal.sync().map_err(|e| format!("WAL sync failed: {e}"))?;
-    }
-    registry.flush();
-
-    let (cores, borders, noise) = disc.census();
-    println!(
-        "disc: {} slides, {} window points, {} clusters, {} noise, {:?} total",
-        disc.slide_seq(),
-        cores + borders + noise,
-        disc.num_clusters(),
-        noise,
-        started.elapsed()
-    );
-    println!(
-        "checkpoints in {} (latest: slide {}), {} checkpoint bytes total",
-        dir.display(),
-        disc.slide_seq(),
-        registry.counter_value("disc_checkpoint_bytes_total"),
-    );
-    if let Some(out) = &opts.out {
-        csv::write_snapshot(out, &disc.snapshot())
-            .map_err(|e| format!("{}: {e}", out.display()))?;
-        println!("wrote {}", out.display());
-    }
-    if let Some(path) = &opts.metrics_out {
-        println!("wrote per-slide metrics to {}", path.display());
-    }
-    if let Some(ing) = &mut ingest {
-        ing.finish(opts.quiet)?;
-    }
-    // Last, so a fatal alert still leaves the snapshot and checkpoints
-    // complete on disk.
-    if let Some(h) = &mut health {
-        h.finish(registry)?;
-    }
-    Ok(())
-}
-
-/// `disc cluster --checkpoint-dir DIR [--checkpoint-every N] [--wal F]`.
-pub fn run_durable<const D: usize, B: SpatialBackend<D>>(opts: &Opts) -> Result<(), String> {
-    if opts.method != "disc" {
-        return Err(format!(
-            "--checkpoint-dir/--wal require --method disc (got {:?})",
-            opts.method
-        ));
-    }
-    let dir = opts.checkpoint_dir.as_ref().ok_or(
-        "--wal also needs --checkpoint-dir (recovery replays the WAL on top of a checkpoint)",
-    )?;
-    std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    let policy = fsync_policy(opts)?;
-    let eps = opts.eps.ok_or("--eps is required")?;
-    let tau = opts.tau.ok_or("--tau is required")?;
-    let window = opts.window.ok_or("--window is required")?;
-    let stride = opts.stride.ok_or("--stride is required")?;
-    let (records, mut ingest) = crate::ingest::load_stream::<D>(opts, window, stride, false)?;
-    if window > records.len() {
-        return Err(format!(
-            "window {window} exceeds the stream ({} points)",
-            records.len()
-        ));
-    }
-    let backend = IndexBackend::parse(&opts.index)
-        .ok_or_else(|| format!("unknown --index {:?} (rtree, grid, or curve)", opts.index))?;
-
-    let mut health = crate::health::Health::<D>::from_opts(opts, eps, tau)?;
-    let mut registry = registry_from(opts)?;
-    if let Some(h) = &health {
-        registry = registry.with_provenance(h.provenance_tee(None));
-    }
-    let registry = Arc::new(registry);
-    let mut disc: Disc<D, B> = Disc::with_index(
-        DiscConfig::new(eps, tau)
-            .with_backend(backend)
-            .with_threads(crate::cmd::effective_workers(opts)),
-    );
-    disc.set_recorder(registry.clone());
-    let mut wal = match &opts.wal {
-        Some(path) => Some(
-            WalWriter::<D>::create(path, policy).map_err(|e| format!("{}: {e}", path.display()))?,
-        ),
-        None => None,
-    };
-
-    let mut w = SlidingWindow::new(records, window, stride);
-    let fill = w.fill();
-    append_then_apply(&mut disc, &mut wal, &fill, &registry)?;
-    publish_window_gauge(&registry, &w);
-    if opts.checkpoint_every.max(1) == 1 {
-        write_checkpoint(&disc, &w, dir, &registry)?;
-    }
-    if let Some(ing) = &mut ingest {
-        ing.on_slide(disc.slide_seq(), &registry)?;
-    }
-    if let Some(h) = &mut health {
-        h.observe(disc.slide_seq(), &disc.assignments(), &w, &fill, &registry)?;
-    }
-    drain_stream(disc, w, wal, dir, &registry, health, ingest, opts)
-}
+use std::fmt::Display;
+use std::path::PathBuf;
 
 /// `disc resume --checkpoint-dir DIR [--wal F] --input F`.
 pub struct ResumeCmd;
@@ -251,80 +19,86 @@ impl DimCommand for ResumeCmd {
             .checkpoint_dir
             .as_ref()
             .ok_or("--checkpoint-dir is required")?;
+        refuse_dropped_flags(opts)?;
+        let started = std::time::Instant::now();
         let seq = latest_checkpoint_seq(dir)
             .map_err(|e| format!("{}: {e}", dir.display()))?
             .ok_or_else(|| format!("no checkpoint found in {}", dir.display()))?;
-        // Peek the checkpoint's declared backend to pick the engine
-        // instantiation; the image itself is backend-portable.
+        // Peek at the checkpoint for the run's parameters and backend;
+        // recovery proper reloads it together with the WAL tail.
         let ckpt = load_checkpoint::<D>(&checkpoint_path(dir, seq))
             .map_err(|e| format!("checkpoint {seq}: {e}"))?;
-        match backend_of(&ckpt.state) {
-            IndexBackend::RTree => resume_with::<D, RTree<D>>(opts),
-            IndexBackend::Grid => resume_with::<D, GridIndex<D>>(opts),
-            IndexBackend::Curve => resume_with::<D, CurveIndex<D>>(opts),
+        let driver = ckpt.driver.ok_or(
+            "checkpoint carries no driver position (written by a library user?); \
+             cannot resume the stream",
+        )?;
+        let cfg = ckpt.state.config;
+        let (window, stride) = (driver.window as usize, driver.stride as usize);
+        // A resume continues the checkpointed run; a flag asking for
+        // anything else would be silently dropped, so it is refused.
+        same_as_checkpoint("--eps", opts.eps, cfg.eps)?;
+        same_as_checkpoint("--tau", opts.tau, cfg.tau)?;
+        same_as_checkpoint("--window", opts.window, window)?;
+        same_as_checkpoint("--stride", opts.stride, stride)?;
+        same_as_checkpoint("--index", opts.index.as_deref(), cfg.backend.name())?;
+
+        let workers = effective_workers(opts);
+        let recovered = Origin::Recovered(dir, opts.wal.as_deref());
+        let (engine, report) = build_engine::<D>(cfg.backend, recovered, opts, workers)?;
+        let report = report.expect("recovery reports");
+        println!(
+            "recovered slide {}: checkpoint {} + {} WAL slide(s){} in {:?}",
+            report.checkpoint_seq + report.replayed,
+            report.checkpoint_seq,
+            report.replayed,
+            if report.torn_tail {
+                " (discarded a torn WAL tail)"
+            } else {
+                ""
+            },
+            started.elapsed()
+        );
+
+        // Under `--timed`, admission is re-derived over the raw stream and
+        // the journal prefix is verified bit-for-bit before the admitted
+        // records (identical to the crashed run's, by determinism) re-feed
+        // the window.
+        let (records, ingest) = crate::ingest::load_stream::<D>(opts, window, stride, true)?;
+        let start = driver.start + report.replayed * driver.stride;
+        if start as usize + window > records.len() {
+            return Err(format!(
+                "recovered window starts at record {start} but the stream has only {} points \
+                 — is --input the same stream the checkpoint was taken from?",
+                records.len()
+            ));
         }
+        let run = Run {
+            engine,
+            window: SlidingWindow::resume_at(records, window, stride, start as usize),
+            durable: Durable::from_opts(opts, true)?,
+            ingest,
+            recovery: Some(report),
+            eps: cfg.eps,
+            tau: cfg.tau,
+            workers,
+        };
+        drive(opts, run)
     }
 }
 
-fn resume_with<const D: usize, B: SpatialBackend<D>>(opts: &Opts) -> Result<(), String> {
-    let dir = opts.checkpoint_dir.as_ref().expect("checked by caller");
-    let started = std::time::Instant::now();
-    let (mut disc, driver, report) = recover_engine::<D, B>(dir, opts.wal.as_deref())
-        .map_err(|e| format!("recovery failed: {e}"))?;
-    // The audit oracle inherits the recovered engine's own thresholds.
-    let health = crate::health::Health::<D>::from_opts(opts, disc.config().eps, disc.config().tau)?;
-    let mut registry = registry_from(opts)?;
-    if let Some(h) = &health {
-        registry = registry.with_provenance(h.provenance_tee(None));
+/// Refuses `flag` when given with a value other than the checkpoint's.
+fn same_as_checkpoint<T: PartialEq + Display>(
+    flag: &str,
+    given: Option<T>,
+    saved: T,
+) -> Result<(), String> {
+    match given {
+        Some(v) if v != saved => Err(format!(
+            "{flag} {v} differs from the checkpoint's {saved}; \
+             disc resume continues the checkpointed run"
+        )),
+        _ => Ok(()),
     }
-    let registry = Arc::new(registry);
-    // Worker width is deliberately not part of the checkpoint image, so a
-    // run checkpointed on one machine can resume at another's width.
-    disc.set_threads(crate::cmd::effective_workers(opts));
-    disc.set_recorder(registry.clone());
-    metrics::publish_recovery(&*registry, &report);
-    println!(
-        "recovered slide {}: checkpoint {} + {} WAL slide(s){} in {:?}",
-        disc.slide_seq(),
-        report.checkpoint_seq,
-        report.replayed,
-        if report.torn_tail {
-            " (discarded a torn WAL tail)"
-        } else {
-            ""
-        },
-        started.elapsed()
-    );
-    let driver = driver.ok_or(
-        "checkpoint carries no driver position (written by a library user?); \
-         cannot resume the stream",
-    )?;
-
-    let (window, stride) = (driver.window as usize, driver.stride as usize);
-    // Under `--timed`, admission is re-derived over the raw stream and the
-    // journal prefix is verified bit-for-bit before the admitted records
-    // (identical to the crashed run's, by determinism) re-feed the window.
-    let (records, ingest) = crate::ingest::load_stream::<D>(opts, window, stride, true)?;
-    let start = driver.start + report.replayed * driver.stride;
-    if start as usize + window > records.len() {
-        return Err(format!(
-            "recovered window starts at record {start} but the stream has only {} points \
-             — is --input the same stream the checkpoint was taken from?",
-            records.len()
-        ));
-    }
-    let w = SlidingWindow::resume_at(records, window, stride, start as usize);
-
-    let wal = match &opts.wal {
-        Some(path) => {
-            let policy = fsync_policy(opts)?;
-            let (writer, _) = WalWriter::<D>::open_append(path, policy)
-                .map_err(|e| format!("{}: {e}", path.display()))?;
-            Some(writer)
-        }
-        None => None,
-    };
-    drain_stream(disc, w, wal, dir, &registry, health, ingest, opts)
 }
 
 /// `disc diffsnap --a F --b F [--dim D]` — canonical snapshot comparison.

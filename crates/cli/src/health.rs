@@ -54,13 +54,16 @@ fn stride_sample<T: Copy>(items: &[T], cap: usize) -> Vec<T> {
     items.iter().copied().step_by(step).collect()
 }
 
-struct JsonlWriter {
+/// A buffered JSONL file sink (`--health-out`, `--alerts-out`,
+/// `--ingest-out`) whose errors name its file.
+#[derive(Debug)]
+pub(crate) struct JsonlWriter {
     out: std::io::BufWriter<std::fs::File>,
-    path: std::path::PathBuf,
+    pub(crate) path: std::path::PathBuf,
 }
 
 impl JsonlWriter {
-    fn create(path: &Path) -> Result<Self, String> {
+    pub(crate) fn create(path: &Path) -> Result<Self, String> {
         let file = std::fs::File::create(path).map_err(|e| format!("{}: {e}", path.display()))?;
         Ok(JsonlWriter {
             out: std::io::BufWriter::new(file),
@@ -68,11 +71,11 @@ impl JsonlWriter {
         })
     }
 
-    fn line(&mut self, line: &str) -> Result<(), String> {
+    pub(crate) fn line(&mut self, line: &str) -> Result<(), String> {
         writeln!(self.out, "{line}").map_err(|e| format!("{}: {e}", self.path.display()))
     }
 
-    fn flush(&mut self) -> Result<(), String> {
+    pub(crate) fn flush(&mut self) -> Result<(), String> {
         self.out
             .flush()
             .map_err(|e| format!("{}: {e}", self.path.display()))

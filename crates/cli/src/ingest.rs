@@ -20,12 +20,12 @@
 //! journaled prefix with [`disc_persist::verify_replay`] before extending
 //! it.
 
+use crate::health::JsonlWriter;
 use crate::Opts;
 use disc_persist::{FsyncPolicy, IngestJournalWriter};
 use disc_telemetry::{lag_ppm, IngestEvent, Recorder, Registry};
 use disc_window::reorder::IngestStats;
 use disc_window::{csv, AdmissionConfig, Decision, Ingest, LatePolicy, Record};
-use std::io::Write;
 use std::path::PathBuf;
 
 /// The parsed ingest flag family.
@@ -177,25 +177,13 @@ pub fn load_stream<const D: usize>(
             }
             let journal = match &io.journal {
                 Some(path) => {
-                    let policy = FsyncPolicy::parse(&opts.fsync).ok_or_else(|| {
-                        format!(
-                            "--fsync {:?}: expected always, never, or every=N",
-                            opts.fsync
-                        )
-                    })?;
+                    let policy = crate::pipeline::fsync_policy(opts)?;
                     let appended = write_journal(path, policy, &decisions, resume)?;
                     Some((path.clone(), appended))
                 }
                 None => None,
             };
-            let out = match &io.out {
-                Some(path) => {
-                    let file = std::fs::File::create(path)
-                        .map_err(|e| format!("--ingest-out {}: {e}", path.display()))?;
-                    Some((std::io::BufWriter::new(file), path.clone()))
-                }
-                None => None,
-            };
+            let out = io.out.as_deref().map(JsonlWriter::create).transpose()?;
             let pipeline = IngestPipeline {
                 snaps,
                 final_snap,
@@ -244,7 +232,7 @@ pub struct IngestPipeline {
     snaps: Vec<Snap>,
     final_snap: Snap,
     published: IngestStats,
-    out: Option<(std::io::BufWriter<std::fs::File>, PathBuf)>,
+    out: Option<JsonlWriter>,
     dead: usize,
     journal: Option<(PathBuf, u64)>,
     decisions: u64,
@@ -288,7 +276,7 @@ impl IngestPipeline {
         if snap.watermark.is_finite() {
             registry.gauge_set("disc_ingest_watermark", snap.watermark);
         }
-        if let Some((w, path)) = &mut self.out {
+        if let Some(out) = &mut self.out {
             let ev = IngestEvent {
                 slide,
                 records: s.pushed,
@@ -304,17 +292,15 @@ impl IngestPipeline {
                 watermark_lag_ppm: lag_ppm(snap.lag),
                 shedding: snap.shedding as u64,
             };
-            writeln!(w, "{}", ev.to_jsonl())
-                .map_err(|e| format!("--ingest-out {}: {e}", path.display()))?;
+            out.line(&ev.to_jsonl())?;
         }
         Ok(())
     }
 
     /// Flushes the JSONL sink and prints the admission summary.
     pub fn finish(&mut self, quiet: bool) -> Result<(), String> {
-        if let Some((w, path)) = &mut self.out {
-            w.flush()
-                .map_err(|e| format!("--ingest-out {}: {e}", path.display()))?;
+        if let Some(out) = &mut self.out {
+            out.flush()?;
         }
         if quiet {
             return Ok(());
@@ -342,8 +328,8 @@ impl IngestPipeline {
                 appended
             );
         }
-        if let Some((_, path)) = &self.out {
-            println!("wrote per-slide ingest events to {}", path.display());
+        if let Some(out) = &self.out {
+            println!("wrote per-slide ingest events to {}", out.path.display());
         }
         Ok(())
     }

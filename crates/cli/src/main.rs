@@ -18,6 +18,7 @@ mod cmd;
 mod durable;
 mod health;
 mod ingest;
+mod pipeline;
 mod top;
 
 fn main() -> ExitCode {
@@ -35,23 +36,23 @@ const USAGE: &str = "\
 usage:
   disc cluster  --input F --dim D --eps X --tau N --window W --stride S
                 [--method disc|incdbscan|extran|dbscan|rho2] [--rho X]
-                [--index rtree|grid|curve] [--threads N] [--out F] [--quiet]
+                [--index rtree|grid|curve] [--threads N] [RUN FLAGS]
+                (`disc run` is an alias for `disc cluster`)
+  disc resume   --checkpoint-dir DIR --input F [--dim D] [--threads N]
+                [RUN FLAGS]  (--eps/--tau/--window/--stride/--index, if
+                given, must equal the checkpoint's)
+  RUN FLAGS, shared by `cluster` and `resume`:
+                [--out F] [--quiet] [--stats-every N]
                 [--metrics-out F.jsonl] [--prom-addr HOST:PORT]
-                [--stats-every N]
                 [--trace-out F.json] [--folded-out F.txt]
-                [--provenance-out F.jsonl]
+                [--provenance-out F.jsonl]   (spans/provenance: disc only)
                 [--audit-every K] [--alerts RULES.toml|.json]
-                [--alerts-out F.jsonl] [--alerts-fatal]
-                [--health-out F.jsonl]
-                [--checkpoint-dir DIR] [--checkpoint-every N]
+                [--alerts-out F.jsonl] [--alerts-fatal] [--health-out F.jsonl]
+                [--checkpoint-dir DIR [--checkpoint-every N]]   (disc only)
                 [--wal F] [--fsync always|never|every=N]
                 [--timed] [--lateness X] [--reorder-cap N] [--max-skew X]
                 [--on-late drop|deadletter|upsert] [--dedup N]
                 [--shed HIGH:LOW] [--ingest-journal F] [--ingest-out F.jsonl]
-                (`disc run` is an alias for `disc cluster`)
-  disc resume   --checkpoint-dir DIR --input F [--dim D] [--wal F]
-                [--threads N] [--out F] [--quiet] [health flags as above]
-                [--timed + ingest flags as above]
   disc diffsnap --a F --b F [--dim D]
   disc explain  --trace F.jsonl [--slide N]
   disc top      --metrics F.jsonl | --prom-addr HOST:PORT
@@ -93,7 +94,9 @@ pub struct Opts {
     pub window: Option<usize>,
     pub stride: Option<usize>,
     pub method: String,
-    pub index: String,
+    /// Spatial backend (`--index`, default `rtree`); `None` when not given,
+    /// so `disc resume` can tell a request from the default.
+    pub index: Option<String>,
     /// Worker threads for the DISC slide engine (`--threads`, 0 = auto).
     /// `None` leaves the engine on its default (the `DISC_THREADS` env
     /// var, else sequential). Output is bit-identical at every width.
@@ -123,11 +126,12 @@ pub struct Opts {
     /// Directory for durable checkpoints (`--checkpoint-dir`).
     pub checkpoint_dir: Option<PathBuf>,
     /// Checkpoint cadence in slides (`--checkpoint-every`, default 1).
-    pub checkpoint_every: u64,
+    pub checkpoint_every: Option<u64>,
     /// Slide write-ahead log file (`--wal`).
     pub wal: Option<PathBuf>,
-    /// WAL fsync policy: `always`, `never`, or `every=N` (`--fsync`).
-    pub fsync: String,
+    /// WAL and ingest-journal fsync policy: `always` (the default),
+    /// `never`, or `every=N` (`--fsync`).
+    pub fsync: Option<String>,
     /// First snapshot for `disc diffsnap` (`--a`).
     pub snap_a: Option<PathBuf>,
     /// Second snapshot for `disc diffsnap` (`--b`).
@@ -190,7 +194,7 @@ impl Opts {
             window: None,
             stride: None,
             method: "disc".to_string(),
-            index: "rtree".to_string(),
+            index: None,
             threads: None,
             rho: 0.001,
             dataset: None,
@@ -207,9 +211,9 @@ impl Opts {
             trace: None,
             slide: None,
             checkpoint_dir: None,
-            checkpoint_every: 1,
+            checkpoint_every: None,
             wal: None,
-            fsync: "always".to_string(),
+            fsync: None,
             snap_a: None,
             snap_b: None,
             metrics: None,
@@ -251,7 +255,7 @@ impl Opts {
                 "--window" => o.window = Some(parse_num(flag, &value()?)?),
                 "--stride" => o.stride = Some(parse_num(flag, &value()?)?),
                 "--method" => o.method = value()?,
-                "--index" => o.index = value()?,
+                "--index" => o.index = Some(value()?),
                 "--threads" => o.threads = Some(parse_num(flag, &value()?)?),
                 "--rho" => o.rho = parse_num(flag, &value()?)?,
                 "--dataset" => o.dataset = Some(value()?),
@@ -267,9 +271,9 @@ impl Opts {
                 "--trace" => o.trace = Some(PathBuf::from(value()?)),
                 "--slide" => o.slide = Some(parse_num(flag, &value()?)?),
                 "--checkpoint-dir" => o.checkpoint_dir = Some(PathBuf::from(value()?)),
-                "--checkpoint-every" => o.checkpoint_every = parse_num(flag, &value()?)?,
+                "--checkpoint-every" => o.checkpoint_every = Some(parse_num(flag, &value()?)?),
                 "--wal" => o.wal = Some(PathBuf::from(value()?)),
-                "--fsync" => o.fsync = value()?,
+                "--fsync" => o.fsync = Some(value()?),
                 "--a" => o.snap_a = Some(PathBuf::from(value()?)),
                 "--b" => o.snap_b = Some(PathBuf::from(value()?)),
                 "--metrics" => o.metrics = Some(PathBuf::from(value()?)),
@@ -331,7 +335,7 @@ mod tests {
         let o = parse(&[]).unwrap();
         assert_eq!(o.dim, 2);
         assert_eq!(o.method, "disc");
-        assert_eq!(o.index, "rtree");
+        assert_eq!(o.index, None);
         assert_eq!(o.rho, 0.001);
         assert!(!o.quiet);
         assert!(o.input.is_none());
@@ -353,7 +357,7 @@ mod tests {
         assert_eq!(o.stride, Some(50));
         assert_eq!(o.method, "rho2");
         assert_eq!(o.rho, 0.1);
-        assert_eq!(o.index, "grid");
+        assert_eq!(o.index.as_deref(), Some("grid"));
         assert!(o.quiet);
     }
 
@@ -1229,15 +1233,15 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(o.checkpoint_dir.as_ref().unwrap().to_str(), Some("ckpts"));
-        assert_eq!(o.checkpoint_every, 5);
+        assert_eq!(o.checkpoint_every, Some(5));
         assert_eq!(o.wal.as_ref().unwrap().to_str(), Some("slides.wal"));
-        assert_eq!(o.fsync, "every=8");
+        assert_eq!(o.fsync.as_deref(), Some("every=8"));
         assert_eq!(o.snap_a.as_ref().unwrap().to_str(), Some("a.csv"));
         assert_eq!(o.snap_b.as_ref().unwrap().to_str(), Some("b.csv"));
         let o = parse(&[]).unwrap();
         assert!(o.checkpoint_dir.is_none() && o.wal.is_none());
-        assert_eq!(o.checkpoint_every, 1);
-        assert_eq!(o.fsync, "always");
+        assert_eq!(o.checkpoint_every, None);
+        assert_eq!(o.fsync, None);
     }
 
     fn run_strs(args: &[&str]) -> Result<(), String> {
