@@ -63,21 +63,24 @@ impl Dsu {
 
     /// Memoised read-only find for bulk resolution behind `&self`.
     ///
-    /// Caches the root of every slot on the walked chain, so resolving a
-    /// whole window's labels walks each parent chain once per call instead
-    /// of once per point (the compression `find` would do, without needing
-    /// `&mut self`).
+    /// Caches the root of every slot on the walked chain, the root's own
+    /// entry included, so resolving a whole window's labels walks each
+    /// parent chain once per call instead of once per point (the
+    /// compression `find` would do, without needing `&mut self`), and a
+    /// slot that is already a root is answered by the memo too.
     pub fn find_cached(&self, x: u32, cache: &mut FxHashMap<u32, u32>) -> u32 {
         if let Some(&root) = cache.get(&x) {
             return root;
         }
         let root = self.find_immutable(x);
         let mut cur = x;
-        while cur != root {
+        loop {
             cache.insert(cur, root);
+            if cur == root {
+                return root;
+            }
             cur = self.parent[cur as usize];
         }
-        root
     }
 
     /// Merges the sets of `a` and `b`; returns the surviving root.
@@ -333,6 +336,28 @@ mod tests {
                 assert_eq!(cache.get(&i), Some(&root));
             }
         }
+    }
+
+    #[test]
+    fn cached_find_memoises_roots_too() {
+        let mut d = Dsu::new();
+        let ids: Vec<u32> = (0..4).map(|_| d.alloc()).collect();
+        d.union(ids[0], ids[1]);
+        let root = d.find_immutable(ids[0]);
+        let lone = ids[3];
+        let mut cache = FxHashMap::default();
+        // A slot that is its own root gets an entry on the first lookup...
+        assert_eq!(d.find_cached(lone, &mut cache), lone);
+        assert_eq!(cache.get(&lone), Some(&lone));
+        // ...and so does the root at the end of a walked chain.
+        let child = if root == ids[0] { ids[1] } else { ids[0] };
+        assert_eq!(d.find_cached(child, &mut cache), root);
+        assert_eq!(cache.get(&root), Some(&root));
+        assert_eq!(cache.get(&child), Some(&root));
+        assert_eq!(cache.len(), 3);
+        // Looking the root up again is a memo hit and adds no entry.
+        assert_eq!(d.find_cached(root, &mut cache), root);
+        assert_eq!(cache.len(), 3);
     }
 
     #[test]

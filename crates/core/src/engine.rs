@@ -3,7 +3,7 @@
 use crate::config::DiscConfig;
 use crate::dsu::Dsu;
 use crate::label::{ClusterId, PointLabel};
-use crate::record::PointRecord;
+use crate::record::PointMeta;
 use crate::stats::SlideStats;
 use crate::store::PointStore;
 use disc_geom::{FxHashMap, FxHashSet, Point, PointId};
@@ -513,109 +513,75 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
 
     /// The label of one window point (`None` if not in the window).
     pub fn label_of(&self, id: PointId) -> Option<PointLabel> {
-        let rec = self.points.get(id)?;
-        Some(self.resolve_label(&rec))
+        let meta = self.points.meta_of(id)?;
+        Some(self.resolver().label(meta))
     }
 
-    fn resolve_label(&self, rec: &PointRecord<D>) -> PointLabel {
-        let mut cache = self.root_cache.borrow_mut();
-        self.resolve_label_with(rec, &mut |x| self.clusters.find_cached(x, &mut cache))
-    }
-
-    /// Label resolution with a pluggable root lookup, so whole-window
-    /// methods can share one memoised find per call instead of walking the
-    /// same union-find chains once per point.
-    fn resolve_label_with(
-        &self,
-        rec: &PointRecord<D>,
-        find: &mut impl FnMut(u32) -> u32,
-    ) -> PointLabel {
-        if rec.is_core(self.cfg.tau) {
-            return PointLabel::Core(ClusterId(find(rec.cid.0)));
+    /// The one label resolver behind every read path, borrowing the
+    /// memoised root cache for as long as it lives.
+    fn resolver(&self) -> LabelResolver<'_, D> {
+        LabelResolver {
+            points: &self.points,
+            clusters: &self.clusters,
+            tau: self.cfg.tau,
+            cache: self.root_cache.borrow_mut(),
         }
-        match rec.adopter {
-            Some(a) => match self.points.get(a) {
-                Some(core) => {
-                    debug_assert!(core.is_core(self.cfg.tau), "stale adopter {a}");
-                    PointLabel::Border(ClusterId(find(core.cid.0)))
-                }
-                None => PointLabel::Noise,
-            },
-            None => PointLabel::Noise,
+    }
+
+    /// Resolves every window point's label in store-slot order, reading
+    /// only the id and meta columns.
+    fn for_each_label(&self, mut f: impl FnMut(PointId, PointLabel)) {
+        let mut resolver = self.resolver();
+        for (id, meta) in self.points.iter_meta() {
+            f(id, resolver.label(meta));
         }
     }
 
     /// Labels of every window point, in unspecified order.
     pub fn labels(&self) -> Vec<(PointId, PointLabel)> {
-        let mut cache = self.root_cache.borrow_mut();
-        self.points
-            .iter()
-            .map(|(id, rec)| {
-                let label = self
-                    .resolve_label_with(&rec, &mut |x| self.clusters.find_cached(x, &mut cache));
-                (id, label)
-            })
-            .collect()
+        let mut out = Vec::with_capacity(self.points.len());
+        self.for_each_label(|id, label| out.push((id, label)));
+        out
     }
 
     /// `(id, cluster)` assignments sorted by arrival id, with `-1` for
     /// noise — the exchange format of the metrics crate and CSV dumps.
     pub fn assignments(&self) -> Vec<(PointId, i64)> {
-        let mut cache = self.root_cache.borrow_mut();
-        let mut out: Vec<(PointId, i64)> = self
-            .points
-            .iter()
-            .map(|(id, rec)| {
-                let label = self
-                    .resolve_label_with(&rec, &mut |x| self.clusters.find_cached(x, &mut cache));
-                (id, label.as_i64())
-            })
-            .collect();
+        let mut out = Vec::with_capacity(self.points.len());
+        self.for_each_label(|id, label| out.push((id, label.as_i64())));
         into_id_order(&mut out, |(id, _)| *id);
         out
     }
 
     /// `(point, cluster)` rows for snapshot dumps (Fig. 12).
     pub fn snapshot(&self) -> Vec<(Point<D>, i64)> {
-        let mut cache = self.root_cache.borrow_mut();
-        let mut rows: Vec<(PointId, Point<D>, i64)> = self
-            .points
-            .iter()
-            .map(|(id, rec)| {
-                let label = self
-                    .resolve_label_with(&rec, &mut |x| self.clusters.find_cached(x, &mut cache));
-                (id, rec.point, label.as_i64())
-            })
-            .collect();
-        into_id_order(&mut rows, |(id, _, _)| *id);
-        rows.into_iter().map(|(_, p, l)| (p, l)).collect()
+        let mut rows = Vec::with_capacity(self.points.len());
+        self.for_each_label(|id, label| rows.push((id, label.as_i64())));
+        into_id_order(&mut rows, |(id, _)| *id);
+        rows.into_iter()
+            .map(|(id, label)| (self.points.point_at(id), label))
+            .collect()
     }
 
     /// Number of distinct clusters in the current window.
     pub fn num_clusters(&self) -> usize {
-        let mut cache = self.root_cache.borrow_mut();
         let mut roots: FxHashSet<u32> = FxHashSet::default();
-        for (_, rec) in self.points.iter() {
-            if rec.is_core(self.cfg.tau) {
-                roots.insert(self.clusters.find_cached(rec.cid.0, &mut cache));
+        self.for_each_label(|_, label| {
+            if let PointLabel::Core(c) = label {
+                roots.insert(c.0);
             }
-        }
+        });
         roots.len()
     }
 
     /// Number of core / border / noise points (diagnostics).
     pub fn census(&self) -> (usize, usize, usize) {
-        let mut cache = self.root_cache.borrow_mut();
-        let mut core = 0;
-        let mut border = 0;
-        let mut noise = 0;
-        for (_, rec) in self.points.iter() {
-            match self.resolve_label_with(&rec, &mut |x| self.clusters.find_cached(x, &mut cache)) {
-                PointLabel::Core(_) => core += 1,
-                PointLabel::Border(_) => border += 1,
-                PointLabel::Noise => noise += 1,
-            }
-        }
+        let (mut core, mut border, mut noise) = (0, 0, 0);
+        self.for_each_label(|_, label| match label {
+            PointLabel::Core(_) => core += 1,
+            PointLabel::Border(_) => border += 1,
+            PointLabel::Noise => noise += 1,
+        });
         (core, border, noise)
     }
 
@@ -655,6 +621,38 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
                     assert!(core.is_none(), "noise {id} has core {core:?} in range");
                 }
             }
+        }
+    }
+}
+
+/// Resolves window labels from the meta column alone: a core's label is
+/// the DSU root of its raw cluster id, a border's is its adopter's, found
+/// with a meta-only lookup. Roots are memoised in the engine's root cache,
+/// which stays valid until the next slide.
+struct LabelResolver<'a, const D: usize> {
+    points: &'a PointStore<D>,
+    clusters: &'a Dsu,
+    tau: usize,
+    cache: std::cell::RefMut<'a, FxHashMap<u32, u32>>,
+}
+
+impl<const D: usize> LabelResolver<'_, D> {
+    #[inline]
+    fn root(&mut self, cid: ClusterId) -> ClusterId {
+        ClusterId(self.clusters.find_cached(cid.0, &mut self.cache))
+    }
+
+    #[inline]
+    fn label(&mut self, meta: &PointMeta) -> PointLabel {
+        if meta.is_core(self.tau) {
+            return PointLabel::Core(self.root(meta.cid));
+        }
+        match meta.adopter.and_then(|a| self.points.meta_of(a)) {
+            Some(core) => {
+                debug_assert!(core.is_core(self.tau), "stale adopter {:?}", meta.adopter);
+                PointLabel::Border(self.root(core.cid))
+            }
+            None => PointLabel::Noise,
         }
     }
 }
@@ -705,7 +703,117 @@ impl<const D: usize, B: SpatialBackend<D>> disc_telemetry::MemoryFootprint for D
 mod tests {
     use super::*;
     use disc_geom::Point;
-    use disc_index::GridIndex;
+    use disc_index::{CurveIndex, GridIndex};
+    use disc_window::{datasets, Record, SlidingWindow};
+
+    /// The read-out as it was computed before the column walk: full records
+    /// from `PointStore::iter`, one un-memoised `find_immutable` per point,
+    /// sorted by id. The reference every read path must equal.
+    fn reference_labels<const D: usize, B: SpatialBackend<D>>(
+        disc: &Disc<D, B>,
+    ) -> Vec<(PointId, PointLabel)> {
+        let tau = disc.cfg.tau;
+        let root = |cid: ClusterId| ClusterId(disc.clusters.find_immutable(cid.0));
+        let mut out: Vec<(PointId, PointLabel)> = disc
+            .points
+            .iter()
+            .map(|(id, rec)| {
+                let label = if rec.is_core(tau) {
+                    PointLabel::Core(root(rec.cid))
+                } else {
+                    match rec.adopter.and_then(|a| disc.points.get(a)) {
+                        Some(core) => PointLabel::Border(root(core.cid)),
+                        None => PointLabel::Noise,
+                    }
+                };
+                (id, label)
+            })
+            .collect();
+        out.sort_unstable_by_key(|&(id, _)| id);
+        out
+    }
+
+    fn assert_readout_matches_reference<const D: usize, B: SpatialBackend<D>>(
+        disc: &Disc<D, B>,
+        slide: usize,
+    ) {
+        let reference = reference_labels(disc);
+        let expected: Vec<(PointId, i64)> =
+            reference.iter().map(|&(id, l)| (id, l.as_i64())).collect();
+        assert_eq!(disc.assignments(), expected, "assignments, slide {slide}");
+        let mut labels = disc.labels();
+        labels.sort_unstable_by_key(|&(id, _)| id);
+        assert_eq!(labels, reference, "labels, slide {slide}");
+        let snapshot = disc.snapshot();
+        assert_eq!(snapshot.len(), reference.len());
+        for ((p, l), &(id, want)) in snapshot.iter().zip(&reference) {
+            assert_eq!(p.coords(), disc.points.point_at(id).coords());
+            assert_eq!(*l, want.as_i64(), "snapshot row {id}, slide {slide}");
+        }
+        let count = |f: fn(&PointLabel) -> bool| reference.iter().filter(|(_, l)| f(l)).count();
+        let census = (
+            count(|l| matches!(l, PointLabel::Core(_))),
+            count(|l| matches!(l, PointLabel::Border(_))),
+            count(|l| matches!(l, PointLabel::Noise)),
+        );
+        assert_eq!(disc.census(), census, "census, slide {slide}");
+        let roots: FxHashSet<u32> = reference
+            .iter()
+            .filter_map(|(_, l)| match l {
+                PointLabel::Core(c) => Some(c.0),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(disc.num_clusters(), roots.len(), "clusters, slide {slide}");
+        for &(id, want) in &reference {
+            assert_eq!(disc.label_of(id), Some(want));
+        }
+    }
+
+    fn readout_matches_on<const D: usize, B: SpatialBackend<D>>(
+        records: Vec<Record<D>>,
+        window: usize,
+        stride: usize,
+        eps: f64,
+        tau: usize,
+    ) {
+        let mut w = SlidingWindow::new(records, window, stride);
+        let mut disc: Disc<D, B> = Disc::with_index(DiscConfig::new(eps, tau));
+        disc.apply(&w.fill());
+        assert_readout_matches_reference(&disc, 1);
+        let mut slide = 1;
+        while let Some(batch) = w.advance() {
+            disc.apply(&batch);
+            slide += 1;
+            assert_readout_matches_reference(&disc, slide);
+        }
+    }
+
+    fn readout_matches_on_every_backend<const D: usize>(
+        records: Vec<Record<D>>,
+        window: usize,
+        stride: usize,
+        eps: f64,
+        tau: usize,
+    ) {
+        readout_matches_on::<D, RTree<D>>(records.clone(), window, stride, eps, tau);
+        readout_matches_on::<D, GridIndex<D>>(records.clone(), window, stride, eps, tau);
+        readout_matches_on::<D, CurveIndex<D>>(records, window, stride, eps, tau);
+    }
+
+    /// Every read path equals the reference on every slide of the
+    /// exactness datasets (same parameters as `tests/exactness.rs`), on all
+    /// three backends.
+    #[test]
+    fn readout_equals_reference_on_exactness_datasets() {
+        let blobs = datasets::gaussian_blobs::<2>(1200, 4, 0.6, 7);
+        readout_matches_on_every_backend(blobs, 300, 60, 1.0, 5);
+        readout_matches_on_every_backend(datasets::maze(1500, 12, 3), 400, 80, 0.6, 5);
+        readout_matches_on_every_backend(datasets::dtg_like(1500, 5), 500, 100, 0.6, 4);
+        readout_matches_on_every_backend(datasets::covid_like(1200, 11), 400, 50, 1.2, 5);
+        readout_matches_on_every_backend(datasets::iris_like(900, 13), 300, 60, 2.0, 5);
+        readout_matches_on_every_backend(datasets::geolife_like(900, 17), 300, 60, 1.0, 5);
+    }
 
     fn batch(incoming: &[(u64, [f64; 2])], outgoing: &[(u64, [f64; 2])]) -> SlideBatch<2> {
         SlideBatch {

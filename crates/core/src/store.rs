@@ -116,6 +116,14 @@ impl<const D: usize> PointStore<D> {
         }
     }
 
+    /// Meta-only read by reference; `None` if `id` is not stored. Touches
+    /// the id and meta columns only, never the coordinates.
+    #[inline]
+    pub fn meta_of(&self, id: PointId) -> Option<&PointMeta> {
+        let slot = self.slot_of(id)?;
+        Some(&self.meta[slot])
+    }
+
     /// Whether `id` is stored.
     #[inline]
     pub fn contains(&self, id: PointId) -> bool {
@@ -187,6 +195,19 @@ impl<const D: usize> PointStore<D> {
                 )
             })
         })
+    }
+
+    /// Iterates over `(id, meta)` pairs in unspecified order (the same
+    /// slot order as [`iter`](PointStore::iter)). Walks the id and meta
+    /// columns only, so a read-out that needs no coordinates streams a
+    /// fraction of the memory `iter` assembles.
+    pub fn iter_meta(&self) -> impl Iterator<Item = (PointId, &PointMeta)> + '_ {
+        self.coords
+            .ids()
+            .iter()
+            .zip(&self.meta)
+            .filter(|&(&raw, _)| raw != EMPTY_ROW)
+            .map(|(&raw, meta)| (PointId(raw), meta))
     }
 
     /// Pre-sizes the store for an expected live span.
@@ -300,6 +321,24 @@ mod tests {
         let mut ids: Vec<u64> = s.iter().map(|(id, _)| id.raw()).collect();
         ids.sort_unstable();
         assert_eq!(ids, (100..200).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn iter_meta_matches_iter_in_slot_order() {
+        let mut s: PointStore<2> = PointStore::new();
+        for i in 900..1400u64 {
+            s.insert(PointId(i), rec(i as f64));
+            s.get_mut(PointId(i)).unwrap().n_eps = i as u32;
+            if i % 3 == 0 {
+                s.remove(PointId(i - 50));
+            }
+        }
+        let full: Vec<(PointId, PointMeta)> = s.iter().map(|(id, r)| (id, r.meta())).collect();
+        let metas: Vec<(PointId, PointMeta)> = s.iter_meta().map(|(id, m)| (id, *m)).collect();
+        assert_eq!(full, metas);
+        assert_eq!(metas.len(), s.len());
+        assert_eq!(s.meta_of(PointId(1399)).map(|m| m.n_eps), Some(1399));
+        assert!(s.meta_of(PointId(5000)).is_none());
     }
 
     #[test]

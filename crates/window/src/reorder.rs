@@ -40,8 +40,9 @@
 //! `disc-persist` journal admissions and verify them on crash recovery.
 
 use crate::timewindow::TimedRecord;
+use disc_geom::FxHashSet;
 use disc_telemetry::{map_bytes, FootprintNode, MemoryFootprint, Recorder, Registry};
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// What to do with a record that arrives behind the watermark.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -259,25 +260,22 @@ impl Ord for TimeKey {
     }
 }
 
-/// Dedup key: exact bits of `(time, coords, truth)`.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-struct DedupKey {
+/// Dedup key: exact bits of `(time, coords, truth)`. Inline and `Copy`,
+/// so keying a record allocates nothing. Hashed with FxHash rather than
+/// SipHash: the set never holds more than `dedup` keys, so even crafted
+/// collisions cost at most O(`dedup`) per lookup.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+struct DedupKey<const D: usize> {
     time: u64,
-    coords: Vec<u64>,
+    coords: [u64; D],
     truth: Option<u32>,
 }
 
-impl DedupKey {
-    fn of<const D: usize>(rec: &TimedRecord<D>) -> Self {
+impl<const D: usize> DedupKey<D> {
+    fn of(rec: &TimedRecord<D>) -> Self {
         DedupKey {
             time: rec.time.to_bits(),
-            coords: rec
-                .record
-                .point
-                .as_slice()
-                .iter()
-                .map(|c| c.to_bits())
-                .collect(),
+            coords: rec.record.point.coords().map(f64::to_bits),
             truth: rec.record.truth,
         }
     }
@@ -300,8 +298,8 @@ pub struct Ingest<const D: usize> {
     ready: VecDeque<TimedRecord<D>>,
     /// Dead-lettered late records, in arrival order.
     dead: Vec<TimedRecord<D>>,
-    dedup_ring: VecDeque<DedupKey>,
-    dedup_set: HashSet<DedupKey>,
+    dedup_ring: VecDeque<DedupKey<D>>,
+    dedup_set: FxHashSet<DedupKey<D>>,
     /// Newest observed event time (the watermark clock).
     max_time: f64,
     shedding: bool,
@@ -325,7 +323,7 @@ impl<const D: usize> Ingest<D> {
             ready: VecDeque::new(),
             dead: Vec::new(),
             dedup_ring: VecDeque::new(),
-            dedup_set: HashSet::new(),
+            dedup_set: FxHashSet::default(),
             max_time: f64::NEG_INFINITY,
             shedding: false,
             stats: IngestStats::default(),
@@ -400,7 +398,7 @@ impl<const D: usize> Ingest<D> {
                 self.stats.deduped += 1;
                 return Decision::Duplicate;
             }
-            self.dedup_ring.push_back(key.clone());
+            self.dedup_ring.push_back(key);
             self.dedup_set.insert(key);
             if self.dedup_ring.len() > self.cfg.dedup {
                 let old = self.dedup_ring.pop_front().expect("non-empty ring");
@@ -558,7 +556,7 @@ impl<const D: usize> MemoryFootprint for Ingest<D> {
         let buf = self.buf.len() * (entry + 16);
         let ready = self.ready.capacity() * std::mem::size_of::<TimedRecord<D>>();
         let dead = self.dead.capacity() * std::mem::size_of::<TimedRecord<D>>();
-        let key = std::mem::size_of::<DedupKey>() + D * 8;
+        let key = std::mem::size_of::<DedupKey<D>>();
         let dedup = self.dedup_ring.capacity() * key + map_bytes(self.dedup_set.capacity(), key);
         FootprintNode::branch(
             "ingest",
@@ -685,6 +683,110 @@ mod tests {
         // its reappearance is admitted (reordered: it is behind 2.0).
         assert_eq!(ing.push(rec(1.0, 5.0)), Decision::AdmitReordered);
         assert_eq!(ing.stats().deduped, 1);
+    }
+
+    fn rec3(time: f64, coords: [f64; 3], truth: Option<u32>) -> TimedRecord<3> {
+        TimedRecord {
+            time,
+            record: Record {
+                point: Point::new(coords),
+                truth,
+            },
+        }
+    }
+
+    #[test]
+    fn dedup_keys_on_exact_bits_at_three_dimensions() {
+        let cfg = AdmissionConfig {
+            lateness: 10.0,
+            dedup: 16,
+            ..AdmissionConfig::default()
+        };
+        let mut ing = Ingest::new(cfg);
+        let base = rec3(1.0, [0.5, -2.0, 7.25], Some(3));
+        assert_eq!(ing.push(base), Decision::Admit);
+        // An exact repeat is a duplicate.
+        assert_eq!(ing.push(base), Decision::Duplicate);
+        // Differing only in the ground-truth label: distinct.
+        assert!(ing.push(rec3(1.0, [0.5, -2.0, 7.25], Some(4))).admitted());
+        assert!(ing.push(rec3(1.0, [0.5, -2.0, 7.25], None)).admitted());
+        // Differing in one coordinate's last place: distinct.
+        let nudged = f64::from_bits(7.25f64.to_bits() + 1);
+        assert!(ing.push(rec3(1.0, [0.5, -2.0, nudged], Some(3))).admitted());
+        // 0.0 and -0.0 compare equal as floats but differ in bits: distinct,
+        // in every coordinate and in time.
+        assert!(ing.push(rec3(2.0, [0.0, 0.0, 0.0], None)).admitted());
+        assert!(ing.push(rec3(2.0, [-0.0, 0.0, 0.0], None)).admitted());
+        assert!(ing.push(rec3(2.0, [0.0, -0.0, 0.0], None)).admitted());
+        assert!(ing.push(rec3(2.0, [0.0, 0.0, -0.0], None)).admitted());
+        assert!(ing.push(rec3(0.0, [1.0, 1.0, 1.0], None)).admitted());
+        assert!(ing.push(rec3(-0.0, [1.0, 1.0, 1.0], None)).admitted());
+        // ...while each of them repeated exactly is caught.
+        assert_eq!(
+            ing.push(rec3(2.0, [0.0, -0.0, 0.0], None)),
+            Decision::Duplicate
+        );
+        assert_eq!(
+            ing.push(rec3(-0.0, [1.0, 1.0, 1.0], None)),
+            Decision::Duplicate
+        );
+        assert_eq!(ing.stats().deduped, 3);
+    }
+
+    #[test]
+    fn dedup_evicts_exactly_at_ring_capacity() {
+        const RING: usize = 4;
+        let cfg = AdmissionConfig {
+            lateness: 100.0,
+            dedup: RING,
+            ..AdmissionConfig::default()
+        };
+        let mut ing = Ingest::new(cfg);
+        let key = |i: usize| rec3(50.0, [i as f64, 0.0, 0.0], None);
+        for i in 0..RING {
+            assert!(ing.push(key(i)).admitted());
+        }
+        // The ring holds exactly `RING` keys: all of them still dedup.
+        for i in 0..RING {
+            assert_eq!(ing.push(key(i)), Decision::Duplicate, "key {i}");
+        }
+        // Duplicates are not admitted, so they did not enter the ring; one
+        // more admitted key evicts the oldest and only the oldest.
+        assert!(ing.push(key(RING)).admitted());
+        assert!(ing.push(key(0)).admitted());
+        // Re-admitting key 0 evicted key 1, so key 1 is admitted again;
+        // key RING is still held.
+        assert!(ing.push(key(1)).admitted());
+        assert_eq!(ing.push(key(RING)), Decision::Duplicate);
+        assert_eq!(ing.stats().deduped, RING as u64 + 1);
+    }
+
+    #[test]
+    fn dedup_footprint_counts_inline_keys() {
+        // A key is the time bits, D coordinate bit patterns and the truth
+        // label, held inline: no heap bytes beyond the key itself.
+        assert_eq!(std::mem::size_of::<DedupKey<3>>(), 8 + 3 * 8 + 8);
+        let cfg = AdmissionConfig {
+            lateness: 0.0,
+            dedup: 32,
+            ..AdmissionConfig::default()
+        };
+        let mut ing = Ingest::new(cfg);
+        for t in 0..100 {
+            ing.push(rec3(t as f64, [t as f64, 1.0, 2.0], None));
+        }
+        while ing.pop().is_some() {}
+        let key = std::mem::size_of::<DedupKey<3>>();
+        let expected = ing.dedup_ring.capacity() * key + map_bytes(ing.dedup_set.capacity(), key);
+        let dedup = ing
+            .footprint()
+            .children
+            .iter()
+            .find(|c| c.label == "dedup")
+            .map(|c| c.bytes as usize)
+            .expect("dedup component");
+        assert_eq!(dedup, expected);
+        assert!(dedup >= 32 * key);
     }
 
     #[test]
