@@ -46,8 +46,8 @@ pub struct BenchRow {
     /// one core fully used). 0.0 when the platform could not report it.
     /// Informational — latency is what the gate judges.
     pub cpu_util: f64,
-    /// Stride-eviction cost (ns per evicted point). Informational, and
-    /// absent from summaries written before the curve backend (0.0 then).
+    /// Stride-eviction cost (ns per evicted point). Informational; 0.0 in
+    /// summaries written before the column existed.
     pub evict_ns_per_point: f64,
     /// Peak accounted engine footprint over the run (bytes). Informational;
     /// 0.0 in summaries written before byte accounting.
@@ -407,25 +407,6 @@ mod tests {
         keys.sort();
         keys.dedup();
         assert_eq!(keys.len(), rows.len());
-        // The curve backend's reason to exist: on the committed baseline's
-        // window=8000/stride=1600 rows, its stride-teardown eviction must
-        // undercut both other backends. Re-measure with
-        // `cargo run --release -p disc-bench --bin experiments -- backend`
-        // before committing a baseline that breaks this.
-        let evict_of = |backend: &str| {
-            rows.iter()
-                .find(|r| {
-                    r.backend == backend && r.window == 8000 && r.stride == 1600 && r.threads == 1
-                })
-                .map(|r| r.evict_ns_per_point)
-                .expect("acceptance row missing from baseline")
-        };
-        let (rtree, grid, curve) = (evict_of("rtree"), evict_of("grid"), evict_of("curve"));
-        assert!(
-            curve > 0.0 && curve < grid && curve < rtree,
-            "curve teardown must evict cheapest at window=8000/stride=1600: \
-             curve={curve}ns grid={grid}ns rtree={rtree}ns"
-        );
     }
 
     #[test]
@@ -544,9 +525,9 @@ mod tests {
         );
     }
 
-    /// A backend column that is entirely new to the fresh run (the curve
-    /// rollout shape) collapses into one hint line; a stray new row of a
-    /// known backend still reports per-row.
+    /// A backend column that is entirely new to the fresh run (the shape
+    /// of a backend's rollout) collapses into one hint line; a stray new
+    /// row of a known backend still reports per-row.
     #[test]
     fn whole_new_backend_column_hints_once_not_per_row() {
         let base = vec![
@@ -556,9 +537,9 @@ mod tests {
         let fresh = vec![
             row("rtree", 400, 1000.0, 2000.0),
             row("grid", 400, 1.0, 2.0),
-            row("curve", 400, 1.0, 2.0),
-            row("curve", 800, 1.0, 2.0),
-            row("curve", 1600, 1.0, 2.0),
+            row("kdtree", 400, 1.0, 2.0),
+            row("kdtree", 800, 1.0, 2.0),
+            row("kdtree", 1600, 1.0, 2.0),
         ];
         let report = compare(&base, &fresh, 0.25);
         assert!(report.passed(), "new rows never fail the gate");
@@ -566,7 +547,7 @@ mod tests {
             report.added.is_empty(),
             "column rows collapse into the hint"
         );
-        assert_eq!(report.new_backends, vec![("curve".to_string(), 3)]);
+        assert_eq!(report.new_backends, vec![("kdtree".to_string(), 3)]);
         let text = report.render();
         assert_eq!(
             text.matches("refresh the baseline").count(),
@@ -574,7 +555,7 @@ mod tests {
             "hint must print once, not per row: {text}"
         );
         assert!(
-            text.contains("new backend \"curve\": 3 fresh row(s)"),
+            text.contains("new backend \"kdtree\": 3 fresh row(s)"),
             "{text}"
         );
     }

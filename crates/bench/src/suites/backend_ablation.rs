@@ -16,7 +16,7 @@ use crate::suites::SEED;
 use crate::Scale;
 use disc_core::{Disc, DiscConfig, SlideStats};
 use disc_geom::PointId;
-use disc_index::{CurveIndex, GridIndex, SpatialBackend};
+use disc_index::{GridIndex, SpatialBackend};
 use disc_telemetry::{HistSnapshot, LogHistogram, MemoryFootprint};
 use disc_window::{datasets, Record, SlidingWindow};
 use std::io::Write;
@@ -50,8 +50,7 @@ struct Run {
     visits_per_slide: f64,
     /// Stride-eviction cost (ns per evicted point): tearing the oldest
     /// stride out of a `window`-sized index, measured in isolation so the
-    /// number reflects the backend's bulk-remove path alone — the curve
-    /// backend's teardown-vs-per-node-delete claim lives here.
+    /// number reflects the backend's bulk-remove path alone.
     evict_ns_per_point: f64,
     /// Largest accounted engine footprint observed at any slide boundary
     /// across the repetitions (the `MemoryFootprint` estimate, bytes).
@@ -243,7 +242,7 @@ fn drive<const D: usize, B: SpatialBackend<D>>(
 /// what the parallel slide engine buys on this host.
 const THREAD_WIDTHS: [usize; 3] = [1, 2, 4];
 
-/// Drives all three backends over the five window/stride configurations at
+/// Drives both backends over the five window/stride configurations at
 /// each worker width. The eviction microbenchmark is width-independent
 /// (bulk_remove is sequential on every backend), so it runs once per
 /// (backend, config) and is stamped onto each width's row.
@@ -260,7 +259,6 @@ fn measure_configs(scale: Scale) -> Vec<Run> {
         let evict = [
             evict_cost_ns::<2, disc_index::RTree<2>>(&recs, prof.eps, window, stride),
             evict_cost_ns::<2, GridIndex<2>>(&recs, prof.eps, window, stride),
-            evict_cost_ns::<2, CurveIndex<2>>(&recs, prof.eps, window, stride),
         ];
         for threads in THREAD_WIDTHS {
             runs.push(Run {
@@ -272,12 +270,6 @@ fn measure_configs(scale: Scale) -> Vec<Run> {
             runs.push(Run {
                 evict_ns_per_point: evict[1],
                 ..drive::<2, GridIndex<2>>(
-                    &recs, prof.eps, prof.tau, window, stride, threads, slides,
-                )
-            });
-            runs.push(Run {
-                evict_ns_per_point: evict[2],
-                ..drive::<2, CurveIndex<2>>(
                     &recs, prof.eps, prof.tau, window, stride, threads, slides,
                 )
             });
@@ -295,7 +287,7 @@ pub fn fresh_summary(scale: Scale) -> String {
 /// Runs the backend ablation across window/stride sizes.
 pub fn run(scale: Scale) -> Table {
     let mut t = Table::new(
-        "Extension: R-tree vs grid vs curve backend (DTG)",
+        "Extension: R-tree vs grid backend (DTG)",
         &[
             "backend", "window", "stride", "thr", "cpu", "slide", "p50", "p99", "collect",
             "cluster", "adoption", "searches", "visits", "evict/pt", "peak mem", "B/pt",
@@ -438,7 +430,7 @@ mod tests {
 
     /// Dev-loop profiling of the acceptance row (window=8000, stride=1600);
     /// run with `--ignored --nocapture` in release to iterate on eviction
-    /// cost without re-measuring the full 45-row suite.
+    /// cost without re-measuring the full 30-row suite.
     #[test]
     #[ignore]
     fn evict_profile_acceptance_row() {
@@ -446,21 +438,16 @@ mod tests {
         for _ in 0..3 {
             let r = evict_cost_ns::<2, disc_index::RTree<2>>(&recs, 0.45, 8000, 1600);
             let g = evict_cost_ns::<2, GridIndex<2>>(&recs, 0.45, 8000, 1600);
-            let c = evict_cost_ns::<2, CurveIndex<2>>(&recs, 0.45, 8000, 1600);
-            eprintln!("rtree={r:.1}ns grid={g:.1}ns curve={c:.1}ns");
+            eprintln!("rtree={r:.1}ns grid={g:.1}ns");
         }
     }
 
     #[test]
     fn small_scale_run_measures_all_backends() {
         let t = run(Scale(0.1));
-        assert_eq!(t.rows.len(), 45, "5 configs x 3 backends x 3 widths");
+        assert_eq!(t.rows.len(), 30, "5 configs x 2 backends x 3 widths");
         let backends: Vec<&str> = t.rows.iter().map(|r| r[0].as_str()).collect();
-        assert!(
-            backends.contains(&"rtree")
-                && backends.contains(&"grid")
-                && backends.contains(&"curve")
-        );
+        assert!(backends.contains(&"rtree") && backends.contains(&"grid"));
         let widths: Vec<&str> = t.rows.iter().map(|r| r[3].as_str()).collect();
         assert!(widths.contains(&"1") && widths.contains(&"2") && widths.contains(&"4"));
         let json = std::fs::read_to_string("out/backend_ablation.json").unwrap();
@@ -476,7 +463,7 @@ mod tests {
         let runs = vec![
             drive::<2, disc_index::RTree<2>>(&recs, 0.5, 4, 500, 100, 1, 4),
             drive::<2, GridIndex<2>>(&recs, 0.5, 4, 500, 100, 2, 4),
-            drive::<2, CurveIndex<2>>(&recs, 0.5, 4, 500, 100, 4, 4),
+            drive::<2, GridIndex<2>>(&recs, 0.5, 4, 500, 100, 4, 4),
         ];
         let path = std::env::temp_dir().join("disc_bench_summary_test.json");
         write_bench_summary_to(&runs, &path).unwrap();
@@ -487,8 +474,7 @@ mod tests {
             3
         );
         assert_eq!(summary.matches("\"backend\": \"rtree\"").count(), 1);
-        assert_eq!(summary.matches("\"backend\": \"grid\"").count(), 1);
-        assert_eq!(summary.matches("\"backend\": \"curve\"").count(), 1);
+        assert_eq!(summary.matches("\"backend\": \"grid\"").count(), 2);
         assert_eq!(summary.matches("\"threads\": 1").count(), 1);
         assert_eq!(summary.matches("\"threads\": 2").count(), 1);
         assert_eq!(summary.matches("\"threads\": 4").count(), 1);
@@ -537,7 +523,7 @@ mod tests {
     fn fresh_summary_round_trips_through_the_compare_parser() {
         let text = fresh_summary(Scale(0.05));
         let rows = crate::compare::parse_rows(&text).unwrap();
-        assert_eq!(rows.len(), 45, "5 configs x 3 backends x 3 widths");
+        assert_eq!(rows.len(), 30, "5 configs x 2 backends x 3 widths");
         for r in &rows {
             assert!(r.p50_us > 0.0);
             assert!(r.p50_us <= r.p99_us + 1e-6);

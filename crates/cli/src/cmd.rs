@@ -59,7 +59,7 @@ impl DimCommand for ClusterCmd {
     fn run<const D: usize>(&self, opts: &Opts) -> Result<(), String> {
         let index = opts.index.as_deref().unwrap_or("rtree");
         let backend = IndexBackend::parse(index)
-            .ok_or_else(|| format!("unknown --index {index:?} (rtree, grid, or curve)"))?;
+            .ok_or_else(|| format!("unknown --index {index:?} (rtree or grid)"))?;
         refuse_dropped_flags(opts)?;
         let eps = opts.eps.ok_or("--eps is required")?;
         let tau = opts.tau.ok_or("--tau is required")?;

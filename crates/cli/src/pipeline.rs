@@ -14,7 +14,7 @@ use crate::ingest::IngestPipeline;
 use crate::Opts;
 use disc_baselines::{Dbscan, ExtraN, IncDbscan, RhoDbscan, WindowClusterer};
 use disc_core::{Disc, DiscConfig, IndexBackend};
-use disc_index::{CurveIndex, GridIndex, RTree, SpatialBackend};
+use disc_index::{GridIndex, RTree, SpatialBackend};
 use disc_persist::{
     checkpoint_path, metrics, recover_engine, save_checkpoint, Checkpoint, DriverState,
     FsyncPolicy, RecoveryReport, WalWriter,
@@ -84,7 +84,6 @@ pub(crate) fn build_engine<const D: usize>(
     match backend {
         IndexBackend::RTree => build_on::<D, RTree<D>>(backend, origin, opts, workers),
         IndexBackend::Grid => build_on::<D, GridIndex<D>>(backend, origin, opts, workers),
-        IndexBackend::Curve => build_on::<D, CurveIndex<D>>(backend, origin, opts, workers),
     }
 }
 
@@ -335,13 +334,15 @@ pub(crate) fn drive<const D: usize>(opts: &Opts, run: Run<D>) -> Result<(), Stri
 
     let assignments = engine.assignments();
     println!(
-        "{}: {seq} slides, {} window points, {} clusters, {} noise, {elapsed:?} total, \
-         {} range searches",
-        engine.name(),
-        assignments.len(),
-        disc_metrics::cluster_count(&assignments),
-        assignments.iter().filter(|(_, l)| *l < 0).count(),
-        engine.range_searches()
+        "{}",
+        summary_line(
+            engine.name(),
+            seq,
+            &assignments,
+            elapsed,
+            engine.range_searches(),
+            run.recovery.map(|r| r.checkpoint_seq),
+        )
     );
     if let Some(d) = &durable {
         println!(
@@ -391,6 +392,31 @@ pub(crate) fn drive<const D: usize>(opts: &Opts, run: Run<D>) -> Result<(), Stri
         h.finish(&registry)?;
     }
     Ok(())
+}
+
+/// The run's closing summary. `seq` counts every slide of the run, while a
+/// recovered engine counts range searches only from its checkpoint on (WAL
+/// replay included), so a resumed run names that span as
+/// `since checkpoint K`; plain and durable runs count both from slide 1.
+fn summary_line(
+    engine: &str,
+    seq: u64,
+    assignments: &[(disc_geom::PointId, i64)],
+    elapsed: std::time::Duration,
+    range_searches: u64,
+    resumed_from: Option<u64>,
+) -> String {
+    let mut line = format!(
+        "{engine}: {seq} slides, {} window points, {} clusters, {} noise, {elapsed:?} total, \
+         {range_searches} range searches",
+        assignments.len(),
+        disc_metrics::cluster_count(assignments),
+        assignments.iter().filter(|(_, l)| *l < 0).count(),
+    );
+    if let Some(checkpoint) = resumed_from {
+        line.push_str(&format!(" since checkpoint {checkpoint}"));
+    }
+    line
 }
 
 #[cfg(test)]
@@ -656,5 +682,52 @@ mod tests {
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A resumed engine counts range searches from its checkpoint on, WAL
+    /// replay included: the restored engine starts at zero and the count
+    /// covers only the slides after the checkpoint. The resumed summary
+    /// names that span; the plain and durable summaries keep their format.
+    #[test]
+    fn resumed_summary_names_the_span_its_range_searches_cover() {
+        use disc_baselines::WindowClusterer;
+        use disc_core::{Disc, DiscConfig};
+        use disc_geom::PointId;
+        use disc_window::{datasets, SlidingWindow};
+        use std::time::Duration;
+
+        let recs = datasets::gaussian_blobs::<2>(900, 4, 0.6, 7);
+        let mut w = SlidingWindow::new(recs, 300, 60);
+        let mut full: Disc<2> = Disc::new(DiscConfig::new(1.0, 5));
+        full.apply(&w.fill());
+        full.apply(&w.advance().unwrap());
+        let checkpoint = full.export_state();
+        let at_checkpoint = full.range_searches();
+        let restored = Disc::<2>::from_state(checkpoint.clone()).unwrap();
+        assert_eq!(restored.range_searches(), 0, "restoring searches nothing");
+        let tail: Vec<_> = std::iter::from_fn(|| w.advance()).collect();
+        for batch in &tail {
+            full.apply(batch);
+        }
+        let (resumed, replayed) = Disc::<2>::recover(checkpoint, tail).unwrap();
+        assert_eq!(replayed, 9);
+        // Replay re-does the tail's searches (up to traversal order, which
+        // the rebuilt index may change), never the checkpoint's prefix.
+        let after = full.range_searches() - at_checkpoint;
+        assert!(resumed.range_searches() > 0);
+        assert!(resumed.range_searches().abs_diff(after) * 100 < after);
+
+        let labels = [(PointId(1), 0), (PointId(2), 0), (PointId(3), -1)];
+        let ms = Duration::from_millis(3);
+        assert_eq!(
+            super::summary_line("disc", 9, &labels, ms, 42, None),
+            "disc: 9 slides, 3 window points, 1 clusters, 1 noise, 3ms total, \
+             42 range searches"
+        );
+        assert_eq!(
+            super::summary_line("disc", 9, &labels, ms, 42, Some(2)),
+            "disc: 9 slides, 3 window points, 1 clusters, 1 noise, 3ms total, \
+             42 range searches since checkpoint 2"
+        );
     }
 }

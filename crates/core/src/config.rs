@@ -15,18 +15,14 @@ pub enum IndexBackend {
     RTree,
     /// The ε-aligned uniform grid ([`disc_index::GridIndex`]).
     Grid,
-    /// The Morton-curve-sorted flat array ([`disc_index::CurveIndex`]).
-    Curve,
 }
 
 impl IndexBackend {
-    /// Short name matching `SpatialBackend::NAME` (`"rtree"`, `"grid"`,
-    /// `"curve"`).
+    /// Short name matching `SpatialBackend::NAME` (`"rtree"`, `"grid"`).
     pub fn name(self) -> &'static str {
         match self {
             IndexBackend::RTree => "rtree",
             IndexBackend::Grid => "grid",
-            IndexBackend::Curve => "curve",
         }
     }
 
@@ -35,14 +31,12 @@ impl IndexBackend {
         match s {
             "rtree" => Some(IndexBackend::RTree),
             "grid" => Some(IndexBackend::Grid),
-            "curve" => Some(IndexBackend::Curve),
             _ => None,
         }
     }
 
     /// Every selectable backend, in the order docs/benches list them.
-    pub const ALL: [IndexBackend; 3] =
-        [IndexBackend::RTree, IndexBackend::Grid, IndexBackend::Curve];
+    pub const ALL: [IndexBackend; 2] = [IndexBackend::RTree, IndexBackend::Grid];
 }
 
 impl std::fmt::Display for IndexBackend {
@@ -196,8 +190,9 @@ mod tests {
             assert_eq!(IndexBackend::parse(b.name()), Some(b));
             assert_eq!(b.to_string(), b.name());
         }
-        assert_eq!(IndexBackend::ALL.len(), 3);
+        assert_eq!(IndexBackend::ALL.len(), 2);
         assert_eq!(IndexBackend::parse("kdtree"), None);
+        assert_eq!(IndexBackend::parse("curve"), None);
     }
 
     #[test]

@@ -309,7 +309,7 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
         &self.cfg
     }
 
-    /// The backend's short name (`"rtree"`, `"grid"`, `"curve"`).
+    /// The backend's short name (`"rtree"`, `"grid"`).
     pub fn backend_name(&self) -> &'static str {
         B::NAME
     }
@@ -703,7 +703,7 @@ impl<const D: usize, B: SpatialBackend<D>> disc_telemetry::MemoryFootprint for D
 mod tests {
     use super::*;
     use disc_geom::Point;
-    use disc_index::{CurveIndex, GridIndex};
+    use disc_index::GridIndex;
     use disc_window::{datasets, Record, SlidingWindow};
 
     /// The read-out as it was computed before the column walk: full records
@@ -797,13 +797,12 @@ mod tests {
         tau: usize,
     ) {
         readout_matches_on::<D, RTree<D>>(records.clone(), window, stride, eps, tau);
-        readout_matches_on::<D, GridIndex<D>>(records.clone(), window, stride, eps, tau);
-        readout_matches_on::<D, CurveIndex<D>>(records, window, stride, eps, tau);
+        readout_matches_on::<D, GridIndex<D>>(records, window, stride, eps, tau);
     }
 
     /// Every read path equals the reference on every slide of the
-    /// exactness datasets (same parameters as `tests/exactness.rs`), on all
-    /// three backends.
+    /// exactness datasets (same parameters as `tests/exactness.rs`), on both
+    /// backends.
     #[test]
     fn readout_equals_reference_on_exactness_datasets() {
         let blobs = datasets::gaussian_blobs::<2>(1200, 4, 0.6, 7);
@@ -1303,23 +1302,5 @@ mod tests {
         assert_eq!(rtree.assignments(), grid.assignments());
         assert_eq!(rtree.num_clusters(), grid.num_clusters());
         grid.check_invariants();
-    }
-
-    #[test]
-    fn curve_backend_clusters_like_the_default() {
-        let pts: Vec<(u64, [f64; 2])> = (0..12)
-            .map(|i| (i, [(i % 4) as f64 * 0.5, (i / 4) as f64 * 0.5]))
-            .chain((20..24).map(|i| (i, [50.0 + (i % 4) as f64 * 0.5, 0.0])))
-            .collect();
-        let b = batch(&pts, &[]);
-        let mut rtree: Disc<2> = Disc::new(DiscConfig::new(1.0, 3));
-        let mut curve: Disc<2, disc_index::CurveIndex<2>> =
-            Disc::with_index(DiscConfig::new(1.0, 3));
-        assert_eq!(curve.backend_name(), "curve");
-        rtree.apply(&b);
-        curve.apply(&b);
-        assert_eq!(rtree.assignments(), curve.assignments());
-        assert_eq!(rtree.num_clusters(), curve.num_clusters());
-        curve.check_invariants();
     }
 }

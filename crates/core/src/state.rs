@@ -270,7 +270,7 @@ pub fn backend_of<const D: usize>(state: &EngineState<D>) -> IndexBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use disc_index::{CurveIndex, GridIndex, RTree};
+    use disc_index::{GridIndex, RTree};
 
     fn stream(n: u64) -> Vec<(PointId, Point<2>)> {
         (0..n)
@@ -324,11 +324,6 @@ mod tests {
     #[test]
     fn export_restores_identically_on_grid() {
         roundtrip::<GridIndex<2>>();
-    }
-
-    #[test]
-    fn export_restores_identically_on_curve() {
-        roundtrip::<CurveIndex<2>>();
     }
 
     #[test]

@@ -25,8 +25,7 @@ use disc_geom::{Point, PointId};
 /// Dense id-indexed storage for the window's [`PointRecord`]s.
 #[derive(Clone, Debug)]
 pub struct PointStore<const D: usize> {
-    /// Coordinate + id columns; `ids[slot] == EMPTY_ROW` marks a free slot
-    /// (the tick column carries the raw id for diagnostics).
+    /// Coordinate + id columns; `ids[slot] == EMPTY_ROW` marks a free slot.
     coords: SoaColumns<D>,
     /// Algorithmic state, parallel to the coordinate rows.
     meta: Vec<PointMeta>,
@@ -138,7 +137,7 @@ impl<const D: usize> PointStore<D> {
             let slot = self.slot(id);
             let occupant = self.coords.id_at(slot);
             if occupant == EMPTY_ROW {
-                self.coords.set_row(slot, id.raw(), id.raw(), &rec.point);
+                self.coords.set_row(slot, id.raw(), &rec.point);
                 self.meta[slot] = rec.meta();
                 self.len += 1;
                 return;
@@ -176,7 +175,7 @@ impl<const D: usize> PointStore<D> {
                 "live span exceeds doubled capacity"
             );
             let p = self.coords.point_at(slot);
-            coords.set_row(new_slot, raw, raw, &p);
+            coords.set_row(new_slot, raw, &p);
             meta[new_slot] = self.meta[slot];
         }
         self.coords = coords;

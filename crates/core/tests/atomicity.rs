@@ -5,7 +5,7 @@
 
 use disc_core::{Disc, DiscConfig, SlideError};
 use disc_geom::{Point, PointId};
-use disc_index::{CurveIndex, GridIndex, RTree, SpatialBackend};
+use disc_index::{GridIndex, RTree, SpatialBackend};
 use disc_window::{datasets, SlideBatch, SlidingWindow};
 use proptest::prelude::*;
 
@@ -113,11 +113,6 @@ proptest! {
     fn rejected_slides_leave_no_trace_on_grid(seed in 0u64..2000, kind in 0usize..3) {
         assert_rejection_is_atomic::<2, GridIndex<2>>(seed, kind);
     }
-
-    #[test]
-    fn rejected_slides_leave_no_trace_on_curve(seed in 0u64..2000, kind in 0usize..3) {
-        assert_rejection_is_atomic::<2, CurveIndex<2>>(seed, kind);
-    }
 }
 
 /// All three rejection kinds, deterministically, in 3-d as well.
@@ -126,6 +121,5 @@ fn all_rejection_kinds_are_atomic_in_3d() {
     for kind in 0..3 {
         assert_rejection_is_atomic::<3, RTree<3>>(99, kind);
         assert_rejection_is_atomic::<3, GridIndex<3>>(99, kind);
-        assert_rejection_is_atomic::<3, CurveIndex<3>>(99, kind);
     }
 }

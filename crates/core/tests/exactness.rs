@@ -6,7 +6,7 @@
 
 use disc_core::{Disc, DiscConfig, PointLabel};
 use disc_geom::{Point, PointId};
-use disc_index::{CurveIndex, GridIndex, SpatialBackend};
+use disc_index::{GridIndex, SpatialBackend};
 use disc_window::{datasets, Record, SlidingWindow};
 use proptest::prelude::*;
 
@@ -293,6 +293,12 @@ fn grid_backend_covid_stream_is_exact_with_heavy_noise() {
 }
 
 #[test]
+fn grid_backend_geolife_3d_stream_is_exact() {
+    let recs = datasets::geolife_like(900, 17);
+    run_stream_on::<3, GridIndex<3>>(recs, 300, 60, 1.0, 5, |c| c);
+}
+
+#[test]
 fn grid_backend_iris_4d_stream_is_exact() {
     let recs = datasets::iris_like(900, 13);
     run_stream_on::<4, GridIndex<4>>(recs, 300, 60, 2.0, 5, |c| c);
@@ -336,89 +342,6 @@ fn grid_and_rtree_backends_agree_exactly() {
                 Some(batch) => {
                     rtree.apply(&batch);
                     grid.apply(&batch);
-                }
-                None => break,
-            }
-        }
-    }
-}
-
-/// The curve backend must satisfy the same oracle lockstep as the R-tree
-/// across the five datasets, including 3D and 4D instantiations.
-#[test]
-fn curve_backend_blobs_stream_is_exact() {
-    let recs = datasets::gaussian_blobs::<2>(1200, 4, 0.6, 7);
-    run_stream_on::<2, CurveIndex<2>>(recs, 300, 60, 1.0, 5, |c| c);
-}
-
-#[test]
-fn curve_backend_maze_stream_is_exact() {
-    let recs = datasets::maze(1500, 12, 3);
-    run_stream_on::<2, CurveIndex<2>>(recs, 400, 80, 0.6, 5, |c| c);
-}
-
-#[test]
-fn curve_backend_covid_stream_is_exact_with_heavy_noise() {
-    let recs = datasets::covid_like(1200, 11);
-    run_stream_on::<2, CurveIndex<2>>(recs, 400, 50, 1.2, 5, |c| c);
-}
-
-#[test]
-fn curve_backend_geolife_3d_stream_is_exact() {
-    let recs = datasets::geolife_like(900, 17);
-    run_stream_on::<3, CurveIndex<3>>(recs, 300, 60, 1.0, 5, |c| c);
-}
-
-#[test]
-fn curve_backend_iris_4d_stream_is_exact() {
-    let recs = datasets::iris_like(900, 13);
-    run_stream_on::<4, CurveIndex<4>>(recs, 300, 60, 2.0, 5, |c| c);
-}
-
-#[test]
-fn curve_backend_exact_without_any_optimisation() {
-    let recs = datasets::maze(1000, 10, 31);
-    run_stream_on::<2, CurveIndex<2>>(recs, 300, 60, 0.6, 5, |c| {
-        c.without_msbfs().without_epoch_probe().without_bulk_slide()
-    });
-}
-
-/// Three-way backend agreement on a fixed mixed workload, slide by slide
-/// (ids included), with the curve engine also checked against the oracle.
-#[test]
-fn curve_grid_and_rtree_backends_agree_exactly() {
-    for (window, stride) in [(300, 30), (300, 150), (200, 200)] {
-        let mut recs = datasets::gaussian_blobs::<2>(900, 3, 0.8, 59);
-        let noise = datasets::uniform::<2>(150, 25.0, 61);
-        for (i, n) in noise.into_iter().enumerate() {
-            recs.insert((i * 5) % recs.len(), n);
-        }
-        let mut w = SlidingWindow::new(recs, window, stride);
-        let mut rtree: Disc<2> = Disc::new(DiscConfig::new(0.9, 4));
-        let mut grid: Disc<2, GridIndex<2>> = Disc::with_index(DiscConfig::new(0.9, 4));
-        let mut curve: Disc<2, CurveIndex<2>> = Disc::with_index(DiscConfig::new(0.9, 4));
-        let fill = w.fill();
-        rtree.apply(&fill);
-        grid.apply(&fill);
-        curve.apply(&fill);
-        loop {
-            assert_eq!(
-                rtree.assignments(),
-                curve.assignments(),
-                "rtree/curve diverged at window={window} stride={stride}"
-            );
-            assert_eq!(
-                grid.assignments(),
-                curve.assignments(),
-                "grid/curve diverged at window={window} stride={stride}"
-            );
-            let snapshot: Vec<(PointId, Point<2>)> = w.current().collect();
-            assert_equivalent(&curve, &snapshot);
-            match w.advance() {
-                Some(batch) => {
-                    rtree.apply(&batch);
-                    grid.apply(&batch);
-                    curve.apply(&batch);
                 }
                 None => break,
             }
@@ -500,40 +423,24 @@ proptest! {
         let mut w = SlidingWindow::new(recs, window, stride);
         let mut rtree: Disc<2> = Disc::new(DiscConfig::new(eps, tau));
         let mut grid: Disc<2, GridIndex<2>> = Disc::with_index(DiscConfig::new(eps, tau));
-        let mut curve: Disc<2, CurveIndex<2>> = Disc::with_index(DiscConfig::new(eps, tau));
         let fill = w.fill();
         let sa = rtree.apply(&fill);
         let sb = grid.apply(&fill);
-        let sc = curve.apply(&fill);
         prop_assert_eq!(sa.ex_cores, sb.ex_cores);
         prop_assert_eq!(sa.neo_cores, sb.neo_cores);
-        prop_assert_eq!(sa.ex_cores, sc.ex_cores);
-        prop_assert_eq!(sa.neo_cores, sc.neo_cores);
         prop_assert_eq!(
             canonical(&rtree.assignments()),
             canonical(&grid.assignments())
         );
-        prop_assert_eq!(
-            canonical(&rtree.assignments()),
-            canonical(&curve.assignments())
-        );
         while let Some(batch) = w.advance() {
             let sa = rtree.apply(&batch);
             let sb = grid.apply(&batch);
-            let sc = curve.apply(&batch);
             prop_assert_eq!(sa.ex_cores, sb.ex_cores, "ex-cores diverged (seed {})", seed);
             prop_assert_eq!(sa.neo_cores, sb.neo_cores, "neo-cores diverged (seed {})", seed);
-            prop_assert_eq!(sa.ex_cores, sc.ex_cores, "curve ex-cores diverged (seed {})", seed);
-            prop_assert_eq!(sa.neo_cores, sc.neo_cores, "curve neo-cores diverged (seed {})", seed);
             prop_assert_eq!(
                 canonical(&rtree.assignments()),
                 canonical(&grid.assignments()),
                 "partitions diverged (seed {})", seed
-            );
-            prop_assert_eq!(
-                canonical(&rtree.assignments()),
-                canonical(&curve.assignments()),
-                "curve partition diverged (seed {})", seed
             );
         }
     }

@@ -21,7 +21,7 @@
 //! *answers* (and every mutation) must still coincide.
 
 use disc_core::{Disc, DiscConfig, SlideStats};
-use disc_index::{CurveIndex, GridIndex, RTree, SpatialBackend};
+use disc_index::{GridIndex, RTree, SpatialBackend};
 use disc_telemetry::{MemoryProvenanceSink, ProvenanceEvent, ProvenanceSink, Registry};
 use disc_window::{datasets, Record, SlidingWindow};
 use proptest::prelude::*;
@@ -127,7 +127,7 @@ fn lockstep<const D: usize, B: SpatialBackend<D>>(
     assert!(slide > 3, "{tag}: stream too short to exercise evolution");
 }
 
-/// All three backends, all widths, one dataset.
+/// Both backends, all widths, one dataset.
 fn lockstep_both<const D: usize>(
     records: Vec<Record<D>>,
     window: usize,
@@ -147,22 +147,13 @@ fn lockstep_both<const D: usize>(
         &format!("{tag}/rtree"),
     );
     lockstep::<D, GridIndex<D>>(
-        records.clone(),
-        window,
-        stride,
-        eps,
-        tau,
-        &widths,
-        &format!("{tag}/grid"),
-    );
-    lockstep::<D, CurveIndex<D>>(
         records,
         window,
         stride,
         eps,
         tau,
         &widths,
-        &format!("{tag}/curve"),
+        &format!("{tag}/grid"),
     );
 }
 
@@ -253,10 +244,7 @@ proptest! {
             recs.clone(), window, stride, eps, tau, &widths, "prop/rtree",
         );
         lockstep::<2, GridIndex<2>>(
-            recs.clone(), window, stride, eps, tau, &widths, "prop/grid",
-        );
-        lockstep::<2, CurveIndex<2>>(
-            recs, window, stride, eps, tau, &widths, "prop/curve",
+            recs, window, stride, eps, tau, &widths, "prop/grid",
         );
     }
 }

@@ -1,39 +1,11 @@
-//! Struct-of-arrays point storage and batched distance kernels.
+//! Struct-of-arrays point storage.
 //!
 //! The AoS `Point<D>` layout interleaves dimensions, so a scan that only
-//! needs squared distances strides through memory `D` doubles at a time and
-//! the autovectorizer has to gather. This module stores each dimension in
-//! its own contiguous `Vec<f64>` (plus id and tick columns) and provides
-//! batched kernels over those columns:
-//!
-//! * [`dist2_batch`] — squared distances of a contiguous row range to one
-//!   center;
-//! * [`eps_mask_block`] / [`eps_filter_mask`] — the ε-filter, returning hit
-//!   bitmasks (one bit per row), written as a 4-wide manually unrolled loop
-//!   so the accumulators vectorize;
-//! * [`morton_key`] and friends — the space-filling-curve key used by the
-//!   curve-ordered backend.
-//!
-//! ## Exactness
-//!
-//! Every kernel performs the *per-point* arithmetic in exactly the order of
-//! [`Point::dist2`] (accumulate `diff * diff` dimension by dimension), so a
-//! kernel answer is bit-identical to the scalar one; the unrolling is across
-//! points, never within one point's accumulation. [`eps_mask_block_scalar`]
-//! is the deliberately plain reference the fast path is tested against
-//! (including under `-Ctarget-cpu=native` in CI).
-//!
-//! ## Why Morton and not Hilbert
-//!
-//! Both curves give the locality the curve backend needs (an ε-box decomposes
-//! into O(log) contiguous key ranges). Morton wins on every axis we care
-//! about here: the key is a pure bit-interleave (a handful of shifts per
-//! point, trivially inverted for corner-distance rejection), and range
-//! decomposition is a prefix-tree walk with exact per-node boxes. Hilbert's
-//! better worst-case range count costs state-machine encode/decode per point
-//! and a far hairier box-to-ranges routine; since every candidate run is
-//! corner-rejected and exact-filtered anyway, the extra ranges Morton may
-//! produce only cost a few binary searches.
+//! needs one coordinate strides through memory `D` doubles at a time. This
+//! module stores each dimension in its own contiguous `Vec<f64>` plus a
+//! parallel id column. Rows are addressed positionally; the engine's window
+//! store (`disc-core`) uses them as `id mod capacity` slots, with the id
+//! column doubling as the occupancy map ([`EMPTY_ROW`] marks a free slot).
 
 use crate::point::Point;
 
@@ -41,15 +13,11 @@ use crate::point::Point;
 pub const EMPTY_ROW: u64 = u64::MAX;
 
 /// Struct-of-arrays storage for `D`-dimensional points: one contiguous
-/// coordinate column per dimension plus parallel id and arrival-tick
-/// columns. Rows are addressed positionally; higher layers decide what a
-/// row index means (sorted rank for the curve backend, `id mod capacity`
-/// slot for the engine's window store).
+/// coordinate column per dimension plus a parallel id column.
 #[derive(Clone, Debug)]
 pub struct PointStore<const D: usize> {
     cols: [Vec<f64>; D],
     ids: Vec<u64>,
-    ticks: Vec<u64>,
 }
 
 impl<const D: usize> Default for PointStore<D> {
@@ -64,20 +32,10 @@ impl<const D: usize> PointStore<D> {
         PointStore {
             cols: std::array::from_fn(|_| Vec::new()),
             ids: Vec::new(),
-            ticks: Vec::new(),
         }
     }
 
-    /// An empty store with room for `n` rows in every column.
-    pub fn with_capacity(n: usize) -> Self {
-        PointStore {
-            cols: std::array::from_fn(|_| Vec::with_capacity(n)),
-            ids: Vec::with_capacity(n),
-            ticks: Vec::with_capacity(n),
-        }
-    }
-
-    /// Number of rows (including [`EMPTY_ROW`] slots in slot-addressed use).
+    /// Number of rows (including [`EMPTY_ROW`] slots).
     pub fn len(&self) -> usize {
         self.ids.len()
     }
@@ -90,62 +48,15 @@ impl<const D: usize> PointStore<D> {
     /// Heap bytes held across all columns (capacity accounting).
     pub fn heap_bytes(&self) -> usize {
         let f64s: usize = self.cols.iter().map(Vec::capacity).sum();
-        (f64s + self.ids.capacity() + self.ticks.capacity()) * std::mem::size_of::<u64>()
-    }
-
-    /// Reserves room for `n` additional rows.
-    pub fn reserve(&mut self, n: usize) {
-        for c in &mut self.cols {
-            c.reserve(n);
-        }
-        self.ids.reserve(n);
-        self.ticks.reserve(n);
-    }
-
-    /// Appends a row; returns its index.
-    pub fn push(&mut self, id: u64, tick: u64, p: &Point<D>) -> usize {
-        for (d, c) in self.cols.iter_mut().enumerate() {
-            c.push(p[d]);
-        }
-        self.ids.push(id);
-        self.ticks.push(tick);
-        self.ids.len() - 1
-    }
-
-    /// Inserts a row at `row`, shifting later rows right (O(len - row)).
-    pub fn insert_row(&mut self, row: usize, id: u64, tick: u64, p: &Point<D>) {
-        for (d, c) in self.cols.iter_mut().enumerate() {
-            c.insert(row, p[d]);
-        }
-        self.ids.insert(row, id);
-        self.ticks.insert(row, tick);
-    }
-
-    /// Removes the row at `row`, shifting later rows left (O(len - row)).
-    pub fn remove_row(&mut self, row: usize) -> (u64, u64, Point<D>) {
-        let p = self.point_at(row);
-        for c in &mut self.cols {
-            c.remove(row);
-        }
-        (self.ids.remove(row), self.ticks.remove(row), p)
+        (f64s + self.ids.capacity()) * std::mem::size_of::<u64>()
     }
 
     /// Overwrites the row at `row`.
-    pub fn set_row(&mut self, row: usize, id: u64, tick: u64, p: &Point<D>) {
+    pub fn set_row(&mut self, row: usize, id: u64, p: &Point<D>) {
         for (d, c) in self.cols.iter_mut().enumerate() {
             c[row] = p[d];
         }
         self.ids[row] = id;
-        self.ticks[row] = tick;
-    }
-
-    /// Copies row `src` over row `dst` within the store.
-    pub fn copy_row_within(&mut self, src: usize, dst: usize) {
-        for c in &mut self.cols {
-            c[dst] = c[src];
-        }
-        self.ids[dst] = self.ids[src];
-        self.ticks[dst] = self.ticks[src];
     }
 
     /// Grows (or shrinks) to exactly `n` rows; new rows are [`EMPTY_ROW`]
@@ -155,28 +66,12 @@ impl<const D: usize> PointStore<D> {
             c.resize(n, 0.0);
         }
         self.ids.resize(n, EMPTY_ROW);
-        self.ticks.resize(n, 0);
-    }
-
-    /// Drops all rows past `n`.
-    pub fn truncate(&mut self, n: usize) {
-        for c in &mut self.cols {
-            c.truncate(n);
-        }
-        self.ids.truncate(n);
-        self.ticks.truncate(n);
     }
 
     /// Raw id of a row ([`EMPTY_ROW`] marks a free slot).
     #[inline]
     pub fn id_at(&self, row: usize) -> u64 {
         self.ids[row]
-    }
-
-    /// Arrival tick of a row.
-    #[inline]
-    pub fn tick_at(&self, row: usize) -> u64 {
-        self.ticks[row]
     }
 
     /// Marks a row free ([`EMPTY_ROW`]).
@@ -195,422 +90,11 @@ impl<const D: usize> PointStore<D> {
     pub fn ids(&self) -> &[u64] {
         &self.ids
     }
-
-    /// The tick column.
-    pub fn ticks(&self) -> &[u64] {
-        &self.ticks
-    }
-
-    /// One coordinate column.
-    pub fn col(&self, d: usize) -> &[f64] {
-        &self.cols[d]
-    }
-
-    /// All coordinate columns as slices, kernel-ready.
-    #[inline]
-    pub fn col_slices(&self) -> [&[f64]; D] {
-        std::array::from_fn(|d| self.cols[d].as_slice())
-    }
-
-    /// Compacts the store in place, keeping exactly the rows where
-    /// `keep[row]` holds, preserving order. Every survivor moves at most
-    /// once per column — O(len), independent of how the dropped rows are
-    /// distributed (the teardown-tree idea applied to flat columns).
-    pub fn compact_retain(&mut self, keep: &[bool]) {
-        assert_eq!(keep.len(), self.len(), "mask length mismatch");
-        let mut w = 0usize;
-        for (r, &k) in keep.iter().enumerate() {
-            if k {
-                if w != r {
-                    self.copy_row_within(r, w);
-                }
-                w += 1;
-            }
-        }
-        self.truncate(w);
-    }
-
-    /// Compacts the store in place, keeping exactly the half-open row
-    /// ranges in `runs` (sorted, disjoint, in order), preserving order.
-    /// The run-chunked sibling of [`compact_retain`](Self::compact_retain):
-    /// each surviving run moves with one `copy_within` (memmove) per
-    /// column instead of a branch per row, which is what makes stride
-    /// teardown on a windowed stream cheap — scattered evictions still
-    /// leave survivor runs several rows long.
-    pub fn compact_runs(&mut self, runs: &[(usize, usize)]) {
-        let n = self.len();
-        let mut w = 0usize;
-        for &(s, e) in runs {
-            assert!(
-                s >= w && s <= e && e <= n,
-                "runs must be sorted and in bounds"
-            );
-            if w != s {
-                for c in &mut self.cols {
-                    c.copy_within(s..e, w);
-                }
-                self.ids.copy_within(s..e, w);
-                self.ticks.copy_within(s..e, w);
-            }
-            w += e - s;
-        }
-        self.truncate(w);
-    }
 }
 
 impl<const D: usize> disc_telemetry::MemoryFootprint for PointStore<D> {
     fn footprint(&self) -> disc_telemetry::FootprintNode {
         disc_telemetry::FootprintNode::leaf("soa", self.heap_bytes())
-    }
-}
-
-/// Squared distances from `center` to rows `[0, out.len())` of `cols`,
-/// written into `out`. Per-row arithmetic matches [`Point::dist2`] exactly.
-pub fn dist2_batch<const D: usize>(cols: &[&[f64]; D], center: &Point<D>, out: &mut [f64]) {
-    let n = out.len();
-    for c in cols {
-        assert!(c.len() >= n, "column shorter than output");
-    }
-    for (i, slot) in out.iter_mut().enumerate() {
-        let mut acc = 0.0;
-        for (d, c) in cols.iter().enumerate() {
-            let diff = c[i] - center[d];
-            acc += diff * diff;
-        }
-        *slot = acc;
-    }
-}
-
-/// ε-filter over rows `[start, start + n)` (`n <= 64`): bit `i` of the
-/// returned mask is set iff row `start + i` lies within `sqrt(eps2)` of
-/// `center` (inclusive, matching `N_ε`).
-///
-/// The main loop is manually unrolled 4 wide — four independent accumulators
-/// across *points*, each still summing its dimensions in scalar order, so
-/// answers are bit-identical to [`eps_mask_block_scalar`] while the
-/// accumulator quartet vectorizes.
-#[inline]
-pub fn eps_mask_block<const D: usize>(
-    cols: &[&[f64]; D],
-    start: usize,
-    n: usize,
-    center: &Point<D>,
-    eps2: f64,
-) -> u64 {
-    debug_assert!(n <= 64, "a mask block covers at most 64 rows");
-    let mut mask = 0u64;
-    let mut i = 0usize;
-    while i + 4 <= n {
-        let mut acc = [0.0f64; 4];
-        for (d, c) in cols.iter().enumerate() {
-            let cd = center[d];
-            let lane = &c[start + i..start + i + 4];
-            for (l, a) in acc.iter_mut().enumerate() {
-                let diff = lane[l] - cd;
-                *a += diff * diff;
-            }
-        }
-        for (l, a) in acc.iter().enumerate() {
-            mask |= ((*a <= eps2) as u64) << (i + l);
-        }
-        i += 4;
-    }
-    while i < n {
-        let mut acc = 0.0;
-        for (d, c) in cols.iter().enumerate() {
-            let diff = c[start + i] - center[d];
-            acc += diff * diff;
-        }
-        mask |= ((acc <= eps2) as u64) << i;
-        i += 1;
-    }
-    mask
-}
-
-/// Plain-loop reference for [`eps_mask_block`]; the CI native-CPU smoke job
-/// asserts the two produce identical masks on the same inputs.
-pub fn eps_mask_block_scalar<const D: usize>(
-    cols: &[&[f64]; D],
-    start: usize,
-    n: usize,
-    center: &Point<D>,
-    eps2: f64,
-) -> u64 {
-    debug_assert!(n <= 64);
-    let mut mask = 0u64;
-    for i in 0..n {
-        let mut acc = 0.0;
-        for (d, c) in cols.iter().enumerate() {
-            let diff = c[start + i] - center[d];
-            acc += diff * diff;
-        }
-        mask |= ((acc <= eps2) as u64) << i;
-    }
-    mask
-}
-
-/// Full-column ε-filter: clears `out` and fills it with one mask word per
-/// 64-row block (rows `[0, n)`); returns the number of hits.
-pub fn eps_filter_mask<const D: usize>(
-    cols: &[&[f64]; D],
-    n: usize,
-    center: &Point<D>,
-    eps2: f64,
-    out: &mut Vec<u64>,
-) -> usize {
-    out.clear();
-    let mut hits = 0usize;
-    let mut start = 0usize;
-    while start < n {
-        let block = (n - start).min(64);
-        let m = eps_mask_block(cols, start, block, center, eps2);
-        hits += m.count_ones() as usize;
-        out.push(m);
-        start += block;
-    }
-    hits
-}
-
-// ---------------------------------------------------------------------
-// Morton (Z-order) keys
-// ---------------------------------------------------------------------
-
-/// Bits per dimension of the Morton key for dimension `d`: 31/21/16 for
-/// D = 2/3/4 (all of `B*D <= 64`, and `B <= 31` keeps the biased cell
-/// coordinate comfortably inside `u32`).
-pub const fn morton_bits(d: usize) -> u32 {
-    let b = 64 / d;
-    if b > 31 {
-        31
-    } else {
-        b as u32
-    }
-}
-
-/// Maps one coordinate to its biased cell index: `floor(x / cell)` shifted
-/// by `2^(B-1)` so negative coordinates sort correctly, then clamped to
-/// `[0, 2^B - 1]`. Clamping is monotone, so box containment survives it;
-/// boundary cells stand for a half-unbounded region and are exempted from
-/// corner-distance rejection by the curve backend.
-#[inline]
-pub fn morton_cell_coord(x: f64, inv_cell: f64, bits: u32) -> u32 {
-    let bias = 1i64 << (bits - 1);
-    let max = (1i64 << bits) - 1;
-    let v = x * inv_cell;
-    // `floor()` is a libm call on baseline x86-64 (no `roundsd` without
-    // SSE4.1), and this sits on the key_of hot path — so floor via
-    // truncating cast plus sign correction wherever the cast is exact.
-    // |v| < 2^53 keeps `t as f64` lossless, so `t > v` detects exactly the
-    // negative-fraction case; outside that range (and for NaN, whose
-    // comparison is false) defer to the old `floor()` path, which the
-    // final clamp saturates identically.
-    let i = if v.abs() < 9.0e15 {
-        let t = v as i64;
-        t - ((t as f64 > v) as i64) + bias
-    } else {
-        v.floor() as i64 + bias
-    };
-    i.clamp(0, max) as u32
-}
-
-/// Biased cell coordinates of `p` for cell width `1.0 / inv_cell`.
-#[inline]
-pub fn morton_cells<const D: usize>(p: &Point<D>, inv_cell: f64) -> [u32; D] {
-    let bits = morton_bits(D);
-    std::array::from_fn(|d| morton_cell_coord(p[d], inv_cell, bits))
-}
-
-/// Spreads the low [`morton_bits`]`(D)` bits of `x` so that source bit `b`
-/// lands at bit `b * D` — the per-dimension half of Morton interleaving.
-/// Magic-mask doubling for the dimensions the backends ship (a handful of
-/// shift/or/and steps); the bit-at-a-time loop remains as the fallback for
-/// any other `D`.
-#[inline]
-fn morton_spread<const D: usize>(x: u32) -> u64 {
-    let mut x = (x & low_mask(morton_bits(D))) as u64;
-    match D {
-        2 => {
-            x = (x | (x << 16)) & 0x0000_ffff_0000_ffff;
-            x = (x | (x << 8)) & 0x00ff_00ff_00ff_00ff;
-            x = (x | (x << 4)) & 0x0f0f_0f0f_0f0f_0f0f;
-            x = (x | (x << 2)) & 0x3333_3333_3333_3333;
-            x = (x | (x << 1)) & 0x5555_5555_5555_5555;
-        }
-        3 => {
-            x = (x | (x << 32)) & 0x001f_0000_0000_ffff;
-            x = (x | (x << 16)) & 0x001f_0000_ff00_00ff;
-            x = (x | (x << 8)) & 0x100f_00f0_0f00_f00f;
-            x = (x | (x << 4)) & 0x10c3_0c30_c30c_30c3;
-            x = (x | (x << 2)) & 0x1249_2492_4924_9249;
-        }
-        4 => {
-            x = (x | (x << 24)) & 0x0000_00ff_0000_00ff;
-            x = (x | (x << 12)) & 0x000f_000f_000f_000f;
-            x = (x | (x << 6)) & 0x0303_0303_0303_0303;
-            x = (x | (x << 3)) & 0x1111_1111_1111_1111;
-        }
-        _ => {
-            let bits = morton_bits(D);
-            let mut out = 0u64;
-            for b in 0..bits {
-                out |= ((x >> b) & 1) << (b as usize * D);
-            }
-            x = out;
-        }
-    }
-    x
-}
-
-/// Inverse of [`morton_spread`]: gathers every `D`-th bit of `x` (starting
-/// at bit 0) back into a dense coordinate.
-#[inline]
-fn morton_compress<const D: usize>(x: u64) -> u32 {
-    let mut x = x;
-    match D {
-        2 => {
-            x &= 0x5555_5555_5555_5555;
-            x = (x | (x >> 1)) & 0x3333_3333_3333_3333;
-            x = (x | (x >> 2)) & 0x0f0f_0f0f_0f0f_0f0f;
-            x = (x | (x >> 4)) & 0x00ff_00ff_00ff_00ff;
-            x = (x | (x >> 8)) & 0x0000_ffff_0000_ffff;
-            x = (x | (x >> 16)) & 0x0000_0000_ffff_ffff;
-        }
-        3 => {
-            x &= 0x1249_2492_4924_9249;
-            x = (x | (x >> 2)) & 0x10c3_0c30_c30c_30c3;
-            x = (x | (x >> 4)) & 0x100f_00f0_0f00_f00f;
-            x = (x | (x >> 8)) & 0x001f_0000_ff00_00ff;
-            x = (x | (x >> 16)) & 0x001f_0000_0000_ffff;
-            x = (x | (x >> 32)) & 0x001f_ffff;
-        }
-        4 => {
-            x &= 0x1111_1111_1111_1111;
-            x = (x | (x >> 3)) & 0x0303_0303_0303_0303;
-            x = (x | (x >> 6)) & 0x000f_000f_000f_000f;
-            x = (x | (x >> 12)) & 0x0000_00ff_0000_00ff;
-            x = (x | (x >> 24)) & 0x0000_0000_0000_ffff;
-        }
-        _ => {
-            let bits = morton_bits(D);
-            let mut out = 0u64;
-            for b in 0..bits {
-                out |= ((x >> (b as usize * D)) & 1) << b;
-            }
-            x = out;
-        }
-    }
-    (x as u32) & low_mask(morton_bits(D))
-}
-
-/// The low `bits` bits set (`bits <= 31` per [`morton_bits`]).
-#[inline]
-const fn low_mask(bits: u32) -> u32 {
-    (1u32 << bits) - 1
-}
-
-/// Interleaves biased cell coordinates into a Morton key: bit `b` of
-/// `cell[d]` lands at key bit `b * D + d`.
-#[inline]
-pub fn morton_encode<const D: usize>(cell: &[u32; D]) -> u64 {
-    let mut key = 0u64;
-    for (d, &c) in cell.iter().enumerate() {
-        key |= morton_spread::<D>(c) << d;
-    }
-    key
-}
-
-/// Inverse of [`morton_encode`].
-#[inline]
-pub fn morton_decode<const D: usize>(key: u64) -> [u32; D] {
-    std::array::from_fn(|d| morton_compress::<D>(key >> d))
-}
-
-/// Morton key of point `p` for cell width `1.0 / inv_cell`.
-#[inline]
-pub fn morton_key<const D: usize>(p: &Point<D>, inv_cell: f64) -> u64 {
-    morton_encode(&morton_cells(p, inv_cell))
-}
-
-/// Decomposes the inclusive cell box `[lo, hi]` into sorted, disjoint,
-/// inclusive Morton-key ranges covering exactly the box (prefix-tree
-/// descent: disjoint nodes are skipped, contained nodes emit their whole
-/// key range, straddling nodes split — the "large-range splitting" that
-/// keeps the count O(log) per straddled boundary). If more than
-/// `max_ranges` ranges would be emitted the remaining straddlers emit
-/// their full node range instead — an over-cover, safe because callers
-/// corner-reject and exact-filter every candidate anyway. Adjacent output
-/// ranges are merged.
-pub fn morton_ranges<const D: usize>(
-    lo: &[u32; D],
-    hi: &[u32; D],
-    max_ranges: usize,
-    out: &mut Vec<(u64, u64)>,
-) {
-    out.clear();
-    let bits = morton_bits(D);
-    morton_ranges_rec(lo, hi, 0u64, bits, &[0u32; D], max_ranges, out);
-    // Merge ranges that touch: the descent emits them in ascending order.
-    let mut w = 0usize;
-    for r in 0..out.len() {
-        if w > 0 && out[w - 1].1.saturating_add(1) >= out[r].0 {
-            out[w - 1].1 = out[w - 1].1.max(out[r].1);
-        } else {
-            out[w] = out[r];
-            w += 1;
-        }
-    }
-    out.truncate(w);
-}
-
-fn morton_ranges_rec<const D: usize>(
-    lo: &[u32; D],
-    hi: &[u32; D],
-    prefix: u64,
-    level: u32,
-    node_lo: &[u32; D],
-    max_ranges: usize,
-    out: &mut Vec<(u64, u64)>,
-) {
-    let span_bits = level as usize * D;
-    let node_range = |prefix: u64| -> (u64, u64) {
-        if span_bits >= 64 {
-            (0, u64::MAX)
-        } else {
-            let start = prefix << span_bits;
-            (start, start + ((1u64 << span_bits) - 1))
-        }
-    };
-    // The node covers [node_lo[d], node_lo[d] + 2^level - 1] per dimension.
-    let side = if level >= 32 { u64::MAX } else { 1u64 << level };
-    let mut contained = true;
-    for d in 0..D {
-        let nlo = node_lo[d] as u64;
-        let nhi = nlo + (side - 1).min(u32::MAX as u64);
-        if nhi < lo[d] as u64 || nlo > hi[d] as u64 {
-            return; // disjoint from the query box
-        }
-        if nlo < lo[d] as u64 || nhi > hi[d] as u64 {
-            contained = false;
-        }
-    }
-    if contained || level == 0 || out.len() >= max_ranges {
-        // Fully inside, a single cell, or out of budget (over-cover).
-        out.push(node_range(prefix));
-        return;
-    }
-    let child_level = level - 1;
-    for c in 0..(1u32 << D) {
-        let child_lo: [u32; D] =
-            std::array::from_fn(|d| node_lo[d] + (((c >> d) & 1) << child_level));
-        morton_ranges_rec(
-            lo,
-            hi,
-            (prefix << D) | c as u64,
-            child_level,
-            &child_lo,
-            max_ranges,
-            out,
-        );
     }
 }
 
@@ -621,262 +105,36 @@ mod tests {
     #[test]
     fn heap_bytes_counts_every_column_capacity() {
         use disc_telemetry::MemoryFootprint;
-        let mut s: PointStore<3> = PointStore::with_capacity(100);
-        // 3 coord columns + ids + ticks, all 8-byte elements.
-        assert_eq!(s.heap_bytes(), 100 * 8 * 5);
-        for i in 0..10u64 {
-            s.push(i, 0, &Point::new([i as f64, 0.0, 0.0]));
+        let mut s: PointStore<3> = PointStore::new();
+        s.resize_rows(100);
+        // 3 coord columns + ids, all 8-byte elements.
+        assert_eq!(s.heap_bytes(), 100 * 8 * 4);
+        for i in 0..10 {
+            s.set_row(i, i as u64, &Point::new([i as f64, 0.0, 0.0]));
         }
-        assert_eq!(s.heap_bytes(), 100 * 8 * 5, "pushes within capacity");
+        assert_eq!(s.heap_bytes(), 100 * 8 * 4, "writes within capacity");
         assert_eq!(s.mem_bytes(), s.heap_bytes() as u64);
         assert_eq!(PointStore::<2>::new().heap_bytes(), 0);
     }
 
-    /// Deterministic xorshift so tests need no RNG dependency.
-    struct Rng(u64);
-    impl Rng {
-        fn next_f64(&mut self) -> f64 {
-            self.0 ^= self.0 << 13;
-            self.0 ^= self.0 >> 7;
-            self.0 ^= self.0 << 17;
-            (self.0 >> 11) as f64 / (1u64 << 53) as f64 * 20.0 - 10.0
-        }
-    }
-
-    fn random_store<const D: usize>(n: usize, seed: u64) -> PointStore<D> {
-        let mut rng = Rng(seed | 1);
-        let mut s = PointStore::new();
-        for i in 0..n {
-            let p = Point::new(std::array::from_fn(|_| rng.next_f64()));
-            s.push(i as u64, i as u64, &p);
-        }
-        s
-    }
-
     #[test]
-    fn store_roundtrips_rows() {
+    fn slots_roundtrip_rows() {
         let mut s: PointStore<3> = PointStore::new();
+        s.resize_rows(4);
+        assert_eq!(s.len(), 4);
+        assert!(s.ids().iter().all(|&id| id == EMPTY_ROW));
         let p = Point::new([1.0, 2.0, 3.0]);
         let q = Point::new([4.0, 5.0, 6.0]);
-        s.push(7, 100, &p);
-        s.push(8, 101, &q);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.point_at(0), p);
-        assert_eq!(s.id_at(1), 8);
-        assert_eq!(s.tick_at(1), 101);
-        s.insert_row(1, 9, 102, &Point::new([0.5, 0.5, 0.5]));
-        assert_eq!(s.ids(), &[7, 9, 8]);
-        let (id, tick, removed) = s.remove_row(1);
-        assert_eq!((id, tick), (9, 102));
-        assert_eq!(removed, Point::new([0.5, 0.5, 0.5]));
-        assert_eq!(s.point_at(1), q);
-    }
-
-    #[test]
-    fn compact_retain_preserves_order_and_moves_once() {
-        let mut s: PointStore<2> = PointStore::new();
-        for i in 0..10u64 {
-            s.push(i, i, &Point::new([i as f64, -(i as f64)]));
-        }
-        let keep: Vec<bool> = (0..10).map(|i| i % 3 != 0).collect();
-        s.compact_retain(&keep);
-        assert_eq!(s.ids(), &[1, 2, 4, 5, 7, 8]);
-        assert_eq!(s.point_at(2), Point::new([4.0, -4.0]));
-    }
-
-    #[test]
-    fn dist2_batch_matches_point_dist2() {
-        let s = random_store::<3>(100, 42);
-        let center = Point::new([0.3, -0.7, 1.1]);
-        let mut out = vec![0.0; s.len()];
-        dist2_batch(&s.col_slices(), &center, &mut out);
-        for (i, got) in out.iter().enumerate() {
-            assert_eq!(*got, center.dist2(&s.point_at(i)), "row {i}");
-        }
-    }
-
-    #[test]
-    fn eps_masks_fast_and_scalar_agree_and_match_dist2() {
-        // This test is also run by CI under RUSTFLAGS=-Ctarget-cpu=native to
-        // certify the unrolled fast path against the scalar fallback.
-        for d_seed in 1..6u64 {
-            let s = random_store::<2>(130, d_seed);
-            let cols = s.col_slices();
-            let center = Point::new([0.0, 0.5]);
-            for eps in [0.5, 3.0, 11.0] {
-                let eps2 = eps * eps;
-                let mut start = 0;
-                while start < s.len() {
-                    let n = (s.len() - start).min(64);
-                    let fast = eps_mask_block(&cols, start, n, &center, eps2);
-                    let slow = eps_mask_block_scalar(&cols, start, n, &center, eps2);
-                    assert_eq!(fast, slow, "seed {d_seed} eps {eps} start {start}");
-                    for i in 0..n {
-                        let want = center.dist2(&s.point_at(start + i)) <= eps2;
-                        assert_eq!((fast >> i) & 1 == 1, want);
-                    }
-                    start += n;
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn eps_filter_mask_counts_hits() {
-        let s = random_store::<4>(200, 9);
-        let cols = s.col_slices();
-        let center = Point::new([0.0; 4]);
-        let mut mask = Vec::new();
-        let hits = eps_filter_mask(&cols, s.len(), &center, 49.0, &mut mask);
-        let brute = (0..s.len())
-            .filter(|&i| center.dist2(&s.point_at(i)) <= 49.0)
-            .count();
-        assert_eq!(hits, brute);
-        assert_eq!(mask.len(), s.len().div_ceil(64));
-    }
-
-    #[test]
-    fn morton_encode_decode_roundtrip() {
-        let cases2: Vec<[u32; 2]> = vec![[0, 0], [1, 2], [12345, 54321], [(1 << 31) - 1, 7]];
-        for c in cases2 {
-            assert_eq!(morton_decode::<2>(morton_encode(&c)), c);
-        }
-        let cases3: Vec<[u32; 3]> = vec![[0, 1, 2], [(1 << 21) - 1, 0, 99]];
-        for c in cases3 {
-            assert_eq!(morton_decode::<3>(morton_encode(&c)), c);
-        }
-        let cases4: Vec<[u32; 4]> = vec![[1, 2, 3, 4], [(1 << 16) - 1; 4]];
-        for c in cases4 {
-            assert_eq!(morton_decode::<4>(morton_encode(&c)), c);
-        }
-    }
-
-    /// Bit-at-a-time reference interleave: bit `b` of `cell[d]` at key bit
-    /// `b * D + d` — the definition the magic-mask fast paths must match.
-    fn morton_encode_reference<const D: usize>(cell: &[u32; D]) -> u64 {
-        let bits = morton_bits(D);
-        let mut key = 0u64;
-        for b in 0..bits {
-            for (d, c) in cell.iter().enumerate() {
-                key |= (((c >> b) & 1) as u64) << (b as usize * D + d);
-            }
-        }
-        key
-    }
-
-    #[test]
-    fn morton_magic_masks_match_the_bitwise_reference() {
-        let mut rng = 0x9e37_79b9_u64;
-        let mut next = move || {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            rng as u32
-        };
-        for _ in 0..2000 {
-            let c2 = [
-                next() & low_mask(morton_bits(2)),
-                next() & low_mask(morton_bits(2)),
-            ];
-            let k2 = morton_encode(&c2);
-            assert_eq!(k2, morton_encode_reference(&c2), "{c2:?}");
-            assert_eq!(morton_decode::<2>(k2), c2);
-            let m3 = low_mask(morton_bits(3));
-            let c3 = [next() & m3, next() & m3, next() & m3];
-            let k3 = morton_encode(&c3);
-            assert_eq!(k3, morton_encode_reference(&c3), "{c3:?}");
-            assert_eq!(morton_decode::<3>(k3), c3);
-            let m4 = low_mask(morton_bits(4));
-            let c4 = [next() & m4, next() & m4, next() & m4, next() & m4];
-            let k4 = morton_encode(&c4);
-            assert_eq!(k4, morton_encode_reference(&c4), "{c4:?}");
-            assert_eq!(morton_decode::<4>(k4), c4);
-        }
-        // Extremes: all-zero and all-ones coordinates at every width.
-        assert_eq!(
-            morton_encode(&[low_mask(31); 2]),
-            morton_encode_reference(&[low_mask(31); 2])
-        );
-        assert_eq!(
-            morton_encode(&[low_mask(21); 3]),
-            morton_encode_reference(&[low_mask(21); 3])
-        );
-        assert_eq!(
-            morton_encode(&[low_mask(16); 4]),
-            morton_encode_reference(&[low_mask(16); 4])
-        );
-        assert_eq!(morton_encode(&[0u32; 3]), 0);
-    }
-
-    #[test]
-    fn morton_keys_order_locally() {
-        // Points in the same cell share a key; neighbouring cells differ.
-        let a = morton_key(&Point::new([0.1, 0.1]), 1.0);
-        let b = morton_key(&Point::new([0.9, 0.9]), 1.0);
-        let c = morton_key(&Point::new([1.1, 0.1]), 1.0);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        // Negative coordinates get distinct cells too.
-        let n = morton_key(&Point::new([-0.5, 0.1]), 1.0);
-        assert_ne!(n, a);
-    }
-
-    #[test]
-    fn morton_ranges_cover_box_exactly() {
-        // Every key of every cell in the box is covered, and nothing outside
-        // the box is covered (when the budget allows exact decomposition).
-        let lo = [100u32, 200u32];
-        let hi = [104u32, 203u32];
-        let mut ranges = Vec::new();
-        morton_ranges(&lo, &hi, 1024, &mut ranges);
-        for w in ranges.windows(2) {
-            assert!(w[0].1 < w[1].0, "ranges sorted and disjoint");
-        }
-        let covered = |key: u64| ranges.iter().any(|&(s, e)| s <= key && key <= e);
-        for x in 95..110u32 {
-            for y in 195..208u32 {
-                let inside = (100..=104).contains(&x) && (200..=203).contains(&y);
-                assert_eq!(
-                    covered(morton_encode(&[x, y])),
-                    inside,
-                    "cell ({x},{y}) coverage"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn morton_ranges_budget_overcovers_but_never_undercovers() {
-        let lo = [10u32, 20u32, 30u32];
-        let hi = [25u32, 33u32, 41u32];
-        let mut tight = Vec::new();
-        morton_ranges(&lo, &hi, 4096, &mut tight);
-        let mut coarse = Vec::new();
-        morton_ranges(&lo, &hi, 4, &mut coarse);
-        assert!(coarse.len() <= tight.len());
-        // Everything the tight cover includes, the coarse cover includes.
-        for &(s, e) in &tight {
-            for key in [s, e, (s + e) / 2] {
-                assert!(
-                    coarse.iter().any(|&(cs, ce)| cs <= key && key <= ce),
-                    "budgeted cover lost key {key}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn morton_range_count_stays_small_for_query_boxes() {
-        // The 3^D neighbourhood of an ε-ball is the common case; the
-        // decomposition must stay in the tens, not thousands.
-        let mut ranges = Vec::new();
-        for base in [7u32, 100, 1 << 20, (1 << 30) - 2] {
-            morton_ranges(&[base, base + 1], &[base + 2, base + 3], 128, &mut ranges);
-            assert!(
-                ranges.len() <= 9,
-                "3x3 box split into {} ranges at {base}",
-                ranges.len()
-            );
-        }
+        s.set_row(1, 7, &p);
+        s.set_row(3, 8, &q);
+        assert_eq!(s.point_at(1), p);
+        assert_eq!(s.point_at(3), q);
+        assert_eq!(s.ids(), &[EMPTY_ROW, 7, EMPTY_ROW, 8]);
+        s.clear_row(1);
+        assert_eq!(s.id_at(1), EMPTY_ROW);
+        s.resize_rows(8);
+        assert_eq!(s.point_at(3), q, "growing keeps existing rows");
+        assert_eq!(s.id_at(7), EMPTY_ROW);
+        assert_eq!(s.point_at(7), Point::new([0.0; 3]));
     }
 }

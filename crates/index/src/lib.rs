@@ -24,13 +24,8 @@
 //!   that they met inside an already-visited subtree.
 //! * [`GridIndex`] — a uniform grid with ε-aligned cells, 3^D-neighbourhood
 //!   range answering, and grid-native epoch marks stored per cell entry.
-//! * [`CurveIndex`] — a Morton-curve-sorted flat array over struct-of-arrays
-//!   columns: ε-queries decompose into O(log) contiguous key-range scans fed
-//!   through batched distance kernels, bulk construction is one backward
-//!   merge, and stride eviction is a single teardown compaction pass.
 
 pub mod bulk;
-pub mod curve;
 pub mod epoch;
 pub mod grid;
 pub mod knn;
@@ -39,7 +34,6 @@ pub mod stats;
 pub mod traits;
 pub mod tree;
 
-pub use curve::CurveIndex;
 pub use epoch::{EpochProbe, ProbeOutcome};
 pub use grid::GridIndex;
 pub use stats::Stats;

@@ -4,7 +4,7 @@
 //! layout arithmetic; this harness swaps in a `#[global_allocator]` wrapper
 //! (scoped to this test binary only) that tracks live bytes, and asserts the
 //! estimate lands within ±15% of the real allocation delta retained by each
-//! backend across construction + bulk load, for all three backends over the
+//! backend across construction + bulk load, for both backends over the
 //! standard datasets. A model that drifts from the real allocator — say the
 //! hash-map bucket arithmetic going stale after a std upgrade — fails here
 //! long before it mis-ranks an ablation.
@@ -13,7 +13,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, Ordering};
 
 use disc_geom::{Point, PointId};
-use disc_index::{CurveIndex, GridIndex, RTree, SpatialBackend};
+use disc_index::{GridIndex, RTree, SpatialBackend};
 use disc_window::datasets;
 
 /// Live heap bytes (allocated minus freed) since process start.
@@ -105,6 +105,5 @@ fn footprint_estimates_match_real_allocations() {
     for (dataset, items, eps) in [("uniform", &uniform, 2.0), ("blobs", &blobs, 0.8)] {
         check_backend::<RTree<2>>(eps, items, dataset);
         check_backend::<GridIndex<2>>(eps, items, dataset);
-        check_backend::<CurveIndex<2>>(eps, items, dataset);
     }
 }

@@ -76,7 +76,6 @@ fn encode_config(cfg: &DiscConfig) -> Vec<u8> {
     e.u8(match cfg.backend {
         IndexBackend::RTree => 0,
         IndexBackend::Grid => 1,
-        IndexBackend::Curve => 2,
     });
     e.into_bytes()
 }
@@ -95,7 +94,6 @@ fn decode_config(bytes: &[u8]) -> Result<DiscConfig, PersistError> {
     let backend = match d.u8()? {
         0 => IndexBackend::RTree,
         1 => IndexBackend::Grid,
-        2 => IndexBackend::Curve,
         other => {
             return Err(PersistError::Corrupt {
                 section: "config".into(),
@@ -544,12 +542,30 @@ mod tests {
                 found: 9
             })
         ));
-        let mut bad = bytes;
+        let mut bad = bytes.clone();
         bad[0] = b'X';
         assert!(matches!(
             decode_checkpoint::<2>(&bad),
             Err(PersistError::BadMagic { kind: "checkpoint" })
         ));
+        // A backend tag this build does not know — including 2, which an
+        // older build wrote for its since-removed curve backend — fails as
+        // a named corruption, never a panic, even under a valid CRC.
+        let at = 20 + 1 + "config".len() + 8; // header, name, length
+        let cfg_len = encode_config(&sample().state.config).len();
+        for tag in [2u8, 3, u8::MAX] {
+            let mut bad = bytes.clone();
+            bad[at + cfg_len - 1] = tag;
+            let crc = crc32(&bad[at..at + cfg_len]).to_le_bytes();
+            bad[at + cfg_len..at + cfg_len + 4].copy_from_slice(&crc);
+            match decode_checkpoint::<2>(&bad) {
+                Err(PersistError::Corrupt { section, detail }) => {
+                    assert_eq!(section, "config");
+                    assert_eq!(detail, format!("unknown backend tag {tag}"));
+                }
+                other => panic!("backend tag {tag}: unexpected {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use disc_core::{Disc, DiscConfig};
 use disc_geom::PointId;
-use disc_index::{CurveIndex, GridIndex, RTree, SpatialBackend};
+use disc_index::{GridIndex, RTree, SpatialBackend};
 use disc_persist::{
     checkpoint_path, read_wal, recover_engine, save_checkpoint, Checkpoint, FsyncPolicy, WalWriter,
 };
@@ -166,12 +166,6 @@ fn blobs_recovery_is_exact_on_grid() {
 }
 
 #[test]
-fn blobs_recovery_is_exact_on_curve() {
-    let recs = datasets::gaussian_blobs::<2>(450, 4, 0.6, 7);
-    assert_recovery_exact::<2, CurveIndex<2>>("blobs-curve", recs, 150, 30, 1.0, 5);
-}
-
-#[test]
 fn maze_recovery_is_exact_on_rtree() {
     let recs = datasets::maze(500, 12, 3);
     assert_recovery_exact::<2, RTree<2>>("maze-rtree", recs, 180, 40, 0.6, 5);
@@ -193,8 +187,7 @@ fn covid_heavy_noise_recovery_is_exact() {
 fn iris_4d_recovery_is_exact_on_all_backends() {
     let recs = datasets::iris_like(400, 13);
     assert_recovery_exact::<4, RTree<4>>("iris-rtree", recs.clone(), 150, 30, 2.0, 5);
-    assert_recovery_exact::<4, GridIndex<4>>("iris-grid", recs.clone(), 150, 30, 2.0, 5);
-    assert_recovery_exact::<4, CurveIndex<4>>("iris-curve", recs, 150, 30, 2.0, 5);
+    assert_recovery_exact::<4, GridIndex<4>>("iris-grid", recs, 150, 30, 2.0, 5);
 }
 
 #[test]
@@ -213,8 +206,8 @@ fn full_turnover_recovery_is_exact() {
 /// A checkpoint written under one backend restores into an engine over any
 /// other: the index is rebuilt from points, so the image is
 /// backend-portable, and the declared backend travels in the config for
-/// drivers that want to honour it. Every *ordered* pair of
-/// {rtree, grid, curve} is exercised — checkpoint under the source, move,
+/// drivers that want to honour it. Both *ordered* pairs of
+/// {rtree, grid} are exercised — checkpoint under the source, move,
 /// resume under the destination — plus a replayed tail (`resume_at`-style)
 /// so portability covers both the restore point and continued evolution.
 #[test]
@@ -265,9 +258,5 @@ fn checkpoints_are_backend_portable_across_all_ordered_pairs() {
     }
 
     portability_pair::<RTree<2>, GridIndex<2>>(IndexBackend::RTree);
-    portability_pair::<RTree<2>, CurveIndex<2>>(IndexBackend::RTree);
     portability_pair::<GridIndex<2>, RTree<2>>(IndexBackend::Grid);
-    portability_pair::<GridIndex<2>, CurveIndex<2>>(IndexBackend::Grid);
-    portability_pair::<CurveIndex<2>, RTree<2>>(IndexBackend::Curve);
-    portability_pair::<CurveIndex<2>, GridIndex<2>>(IndexBackend::Curve);
 }

@@ -202,7 +202,6 @@ impl SlideEvent {
                 "extran" => "extran",
                 "rtree" => "rtree",
                 "grid" => "grid",
-                "curve" => "curve",
                 _ => "",
             }
         };

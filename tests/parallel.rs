@@ -6,7 +6,7 @@
 //! slice in the default `cargo test` tier so the guarantee cannot rot
 //! unnoticed.
 
-use disc::index::{CurveIndex, GridIndex, RTree, SpatialBackend};
+use disc::index::{GridIndex, RTree, SpatialBackend};
 use disc::prelude::*;
 
 fn lockstep<const D: usize, B: SpatialBackend<D>>(records: Vec<Record<D>>) {
@@ -45,9 +45,4 @@ fn wide_engine_is_bit_identical_on_rtree() {
 #[test]
 fn wide_engine_is_bit_identical_on_grid() {
     lockstep::<2, GridIndex<2>>(datasets::gaussian_blobs::<2>(900, 4, 0.6, 7));
-}
-
-#[test]
-fn wide_engine_is_bit_identical_on_curve() {
-    lockstep::<2, CurveIndex<2>>(datasets::gaussian_blobs::<2>(900, 4, 0.6, 7));
 }
