@@ -58,6 +58,41 @@ fn rho2_is_a_coarsening_of_exact_dbscan() {
     }
 }
 
+/// IncDBSCAN drives the DISC engine with singleton slides, so each
+/// departing core and each arrival that becomes a core has its ball reused
+/// by CLUSTER. It must stay DBSCAN-equivalent to the from-scratch oracle
+/// (core partition, noise set, border attachments) after every stride.
+#[test]
+fn incdbscan_matches_the_dbscan_oracle() {
+    use disc_metrics::{assert_dbscan_equivalent, Labeling};
+    let mut recs = datasets::gaussian_blobs::<2>(1200, 3, 0.8, 41);
+    let noise = datasets::uniform::<2>(300, 25.0, 43);
+    for (i, n) in noise.into_iter().enumerate() {
+        recs.insert((i * 5) % recs.len(), n);
+    }
+    let (eps, tau) = (0.9, 4);
+    let mut db = Dbscan::new(eps, tau);
+    let mut inc = IncDbscan::new(eps, tau);
+    let mut w = SlidingWindow::new(recs, 300, 60);
+    let mut batch = Some(w.fill());
+    while let Some(b) = batch {
+        WindowClusterer::apply(&mut db, &b);
+        WindowClusterer::apply(&mut inc, &b);
+        let points: Vec<_> = w.current().collect();
+        let side = |assignment| Labeling {
+            points: &points,
+            assignment,
+        };
+        assert_dbscan_equivalent(
+            &side(&WindowClusterer::assignments(&db)),
+            &side(&WindowClusterer::assignments(&inc)),
+            eps,
+            tau,
+        );
+        batch = w.advance();
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

@@ -341,7 +341,7 @@ pub(crate) fn drive<const D: usize>(opts: &Opts, run: Run<D>) -> Result<(), Stri
             &assignments,
             elapsed,
             engine.range_searches(),
-            run.recovery.map(|r| r.checkpoint_seq),
+            run.recovery,
         )
     );
     if let Some(d) = &durable {
@@ -394,27 +394,36 @@ pub(crate) fn drive<const D: usize>(opts: &Opts, run: Run<D>) -> Result<(), Stri
     Ok(())
 }
 
-/// The run's closing summary. `seq` counts every slide of the run, while a
-/// recovered engine counts range searches only from its checkpoint on (WAL
-/// replay included), so a resumed run names that span as
-/// `since checkpoint K`; plain and durable runs count both from slide 1.
+/// The run's closing summary. `seq` counts every slide of the run. A
+/// resumed run names the narrower spans of its other two figures: `elapsed`
+/// times only the slides applied after recovery (the `recovered slide`
+/// line times recovery itself), and a recovered engine counts range
+/// searches from its checkpoint on, WAL replay included. Plain and durable
+/// runs count all three from slide 1.
 fn summary_line(
     engine: &str,
     seq: u64,
     assignments: &[(disc_geom::PointId, i64)],
     elapsed: std::time::Duration,
     range_searches: u64,
-    resumed_from: Option<u64>,
+    recovery: Option<RecoveryReport>,
 ) -> String {
+    let span = match recovery {
+        Some(r) => format!(
+            "for the {} slides after recovery",
+            seq - r.checkpoint_seq - r.replayed
+        ),
+        None => "total".to_string(),
+    };
     let mut line = format!(
-        "{engine}: {seq} slides, {} window points, {} clusters, {} noise, {elapsed:?} total, \
+        "{engine}: {seq} slides, {} window points, {} clusters, {} noise, {elapsed:?} {span}, \
          {range_searches} range searches",
         assignments.len(),
         disc_metrics::cluster_count(assignments),
         assignments.iter().filter(|(_, l)| *l < 0).count(),
     );
-    if let Some(checkpoint) = resumed_from {
-        line.push_str(&format!(" since checkpoint {checkpoint}"));
+    if let Some(r) = recovery {
+        line.push_str(&format!(" since checkpoint {}", r.checkpoint_seq));
     }
     line
 }
@@ -724,10 +733,18 @@ mod tests {
             "disc: 9 slides, 3 window points, 1 clusters, 1 noise, 3ms total, \
              42 range searches"
         );
+        // Checkpoint 2 plus 3 replayed WAL slides recover slide 5; the
+        // elapsed time covers slides 6 to 9 only.
+        let recovery = disc_persist::RecoveryReport {
+            checkpoint_seq: 2,
+            replayed: 3,
+            wal_records: 5,
+            torn_tail: false,
+        };
         assert_eq!(
-            super::summary_line("disc", 9, &labels, ms, 42, Some(2)),
-            "disc: 9 slides, 3 window points, 1 clusters, 1 noise, 3ms total, \
-             42 range searches since checkpoint 2"
+            super::summary_line("disc", 9, &labels, ms, 42, Some(recovery)),
+            "disc: 9 slides, 3 window points, 1 clusters, 1 noise, \
+             3ms for the 4 slides after recovery, 42 range searches since checkpoint 2"
         );
     }
 }

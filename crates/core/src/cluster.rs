@@ -1,11 +1,13 @@
 //! The CLUSTER step (paper Alg. 2): cluster evolution from ex-cores and
 //! neo-cores, plus label maintenance (§V).
 
+use crate::balls::BallStore;
 use crate::collect::CollectOutcome;
 use crate::engine::Disc;
 use crate::label::ClusterId;
 use crate::stats::SlideStats;
-use disc_geom::{FxHashSet, PointId};
+use crate::store::PointStore;
+use disc_geom::{FxHashMap, FxHashSet, Point, PointId};
 use disc_index::SpatialBackend;
 
 impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
@@ -15,14 +17,38 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
         self.ex_core_phase(&outcome.ex_cores, stats);
 
         // Alg. 2 line 8: the departed ex-cores are no longer needed once
-        // every retro-reachable class has been examined.
-        for id in &outcome.ghosts {
-            let rec = self.points.remove(*id).expect("ghost record vanished");
-            let removed = self.tree.remove(*id, rec.point);
-            debug_assert!(removed, "ghost {id} missing from the index");
-        }
+        // every retro-reachable class has been examined. One bulk removal,
+        // like COLLECT's eviction of the other departures.
+        let ghosts: Vec<(PointId, Point<D>)> = outcome
+            .ghosts
+            .iter()
+            .map(|id| {
+                let rec = self.points.remove(*id).expect("ghost record vanished");
+                (*id, rec.point)
+            })
+            .collect();
+        let removed = self.tree.bulk_remove(&ghosts);
+        debug_assert_eq!(removed, ghosts.len(), "ghosts must be indexed");
 
         self.neo_core_phase(&outcome.neo_cores, stats);
+        self.balls = BallStore::default();
+    }
+
+    /// The balls a wide engine prefetches for a phase: those of `centers`
+    /// that COLLECT did not record. Empty on the sequential engine.
+    fn prefetch_unrecorded(&mut self, centers: &[PointId]) -> FxHashMap<PointId, Vec<PointId>> {
+        if self.pool.width() == 1 {
+            return FxHashMap::default();
+        }
+        let unrecorded: Vec<PointId> = centers
+            .iter()
+            .copied()
+            .filter(|id| !self.balls.contains(*id))
+            .collect();
+        if unrecorded.is_empty() {
+            return FxHashMap::default();
+        }
+        self.par_prefetch_balls(&unrecorded)
     }
 
     // ------------------------------------------------------------------
@@ -36,17 +62,13 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
         // Every member this phase ever scans is an ex-core, and Theorem 1
         // guarantees each is scanned exactly once — so the phase's entire
         // ball workload is known up front. When the engine is wide,
-        // prefetch all of it in parallel over the frozen index (ghosts
-        // included; they leave only after this phase). `scan_ball` runs the
-        // same traversal as `for_each_in_ball`, so each prefetched ball
-        // preserves the exact hit order the sequential path sees — which
-        // the M⁻ ordering (and with it MS-BFS slot assignment) depends on.
-        let mut prefetched: disc_geom::FxHashMap<PointId, Vec<PointId>> =
-            if self.pool.width() > 1 && !ex_cores.is_empty() {
-                self.par_prefetch_balls(ex_cores)
-            } else {
-                disc_geom::FxHashMap::default()
-            };
+        // prefetch the balls COLLECT did not record in parallel over the
+        // frozen index (ghosts included; they leave only after this phase).
+        // `scan_ball` runs the same traversal as `for_each_in_ball`, so each
+        // prefetched ball preserves the exact hit order the sequential path
+        // sees — which the M⁻ ordering (and with it MS-BFS slot assignment)
+        // depends on.
+        let mut prefetched = self.prefetch_unrecorded(ex_cores);
 
         let mut remaining: FxHashSet<PointId> = ex_cores.iter().copied().collect();
         // Buffers reused across classes.
@@ -81,24 +103,20 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
             while i < r_minus.len() {
                 let r = r_minus[i];
                 i += 1;
-                let center = self.points.point_at(r);
-
-                let owned: Vec<PointId>;
-                let ball: &[PointId] = if let Some(b) = prefetched.remove(&r) {
-                    owned = b;
-                    &owned
-                } else {
-                    ball_buf.clear();
-                    let buf = &mut ball_buf;
-                    self.tree
-                        .for_each_in_ball(&center, eps, |qid, _| buf.push(qid));
-                    &ball_buf
-                };
 
                 // The scan doubles as label maintenance for the ex-core
                 // itself: any current core in range can adopt it.
                 let mut my_adopter: Option<PointId> = None;
                 discovered_ex.clear();
+                let ball = ball_of(
+                    &self.balls,
+                    &mut self.tree,
+                    &self.points,
+                    eps,
+                    r,
+                    &mut prefetched,
+                    &mut ball_buf,
+                );
                 for &qid in ball {
                     if qid == r {
                         continue;
@@ -299,12 +317,7 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
         // neo-core and each is scanned once, so the whole workload is known
         // up front. Prefetched here (not earlier) because the ghosts left
         // the index between the phases; per-ball hit order is preserved.
-        let mut prefetched: disc_geom::FxHashMap<PointId, Vec<PointId>> =
-            if self.pool.width() > 1 && !neo_cores.is_empty() {
-                self.par_prefetch_balls(neo_cores)
-            } else {
-                disc_geom::FxHashMap::default()
-            };
+        let mut prefetched = self.prefetch_unrecorded(neo_cores);
 
         let mut remaining: FxHashSet<PointId> = neo_cores.iter().copied().collect();
         let mut r_plus: Vec<PointId> = Vec::new();
@@ -334,21 +347,17 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
             while i < r_plus.len() {
                 let r = r_plus[i];
                 i += 1;
-                let center = self.points.point_at(r);
-
-                let owned: Vec<PointId>;
-                let ball: &[PointId] = if let Some(b) = prefetched.remove(&r) {
-                    owned = b;
-                    &owned
-                } else {
-                    ball_buf.clear();
-                    let buf = &mut ball_buf;
-                    self.tree
-                        .for_each_in_ball(&center, eps, |qid, _| buf.push(qid));
-                    &ball_buf
-                };
 
                 discovered_neo.clear();
+                let ball = ball_of(
+                    &self.balls,
+                    &mut self.tree,
+                    &self.points,
+                    eps,
+                    r,
+                    &mut prefetched,
+                    &mut ball_buf,
+                );
                 for &qid in ball {
                     if qid == r {
                         continue;
@@ -483,6 +492,67 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
             }
         }
     }
+}
+
+/// The ε-ball of `center` as the cluster phases read it: the ball COLLECT
+/// recorded, else a prefetched one (wide engine), else a fresh search into
+/// `buf`. A free function over the engine's parts, so the caller can keep
+/// mutating records while it reads the ball.
+fn ball_of<'a, const D: usize, B: SpatialBackend<D>>(
+    balls: &'a BallStore,
+    tree: &mut B,
+    points: &PointStore<D>,
+    eps: f64,
+    center: PointId,
+    prefetched: &mut FxHashMap<PointId, Vec<PointId>>,
+    buf: &'a mut Vec<PointId>,
+) -> &'a [PointId] {
+    if let Some(ball) = balls.get(center) {
+        #[cfg(debug_assertions)]
+        assert_fresh_ball(tree, points, eps, center, ball);
+        return ball;
+    }
+    if let Some(b) = prefetched.remove(&center) {
+        *buf = b;
+    } else {
+        buf.clear();
+        tree.for_each_in_ball(&points.point_at(center), eps, |qid, _| buf.push(qid));
+    }
+    buf
+}
+
+/// Debug builds check every reused ball against a fresh search, as a set:
+/// all of it for an arrival's ball, its previous-window cores for a
+/// ghost's (see `balls.rs`). The search runs on private counters, so the
+/// index statistics (Fig. 7) read the same in debug and release builds.
+#[cfg(debug_assertions)]
+fn assert_fresh_ball<const D: usize, B: SpatialBackend<D>>(
+    tree: &B,
+    points: &PointStore<D>,
+    eps: f64,
+    center: PointId,
+    ball: &[PointId],
+) {
+    let ghost = !points.meta_at(center).in_window;
+    let mut fresh: Vec<PointId> = Vec::new();
+    let mut scratch = disc_index::Stats::default();
+    tree.scan_ball(
+        &points.point_at(center),
+        eps,
+        |qid, _| {
+            if !ghost || points.meta_at(qid).prev_core {
+                fresh.push(qid);
+            }
+        },
+        &mut scratch,
+    );
+    let mut reused = ball.to_vec();
+    fresh.sort_unstable();
+    reused.sort_unstable();
+    assert_eq!(
+        reused, fresh,
+        "reused ball of {center} differs from a search"
+    );
 }
 
 #[cfg(test)]

@@ -6,9 +6,10 @@
 //! entry and record until the ex-core phase of CLUSTER is done, because
 //! retro-reachability is defined over the previous window.
 
+use crate::balls::UNRECORDED;
 use crate::engine::Disc;
 use crate::record::PointRecord;
-use disc_geom::{FxHashMap, FxHashSet, Point, PointId};
+use disc_geom::{FxHashMap, Point, PointId};
 use disc_index::SpatialBackend;
 use disc_window::SlideBatch;
 
@@ -37,11 +38,23 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
     pub(crate) fn collect(&mut self, batch: &SlideBatch<D>) -> CollectOutcome {
         let tau = self.cfg.tau;
         let mut out = CollectOutcome::default();
+        // The batched traversals record the balls CLUSTER will read (see
+        // `balls.rs`), except during a fill, whose every arrival may become
+        // a neo-core (transient memory would be O(window · ball)), and in a
+        // slide where an id departs and arrives at once, which would name
+        // two balls with one id.
+        debug_assert!(self.balls.is_empty(), "balls outlived their slide");
+        let record = self.cfg.enable_bulk_slide
+            && !self.points.is_empty()
+            && !batch
+                .incoming
+                .iter()
+                .any(|(id, _)| self.points.contains(*id));
 
         let sp = self.tracer.begin("delete");
         let before = self.tracer.enabled().then(|| *self.tree.stats());
         if self.cfg.enable_bulk_slide {
-            self.delete_batched(batch, &mut out);
+            self.delete_batched(batch, record, &mut out);
         } else {
             self.delete_per_point(batch, &mut out);
         }
@@ -53,7 +66,7 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
         let sp = self.tracer.begin("insert");
         let before = self.tracer.enabled().then(|| *self.tree.stats());
         if self.cfg.enable_bulk_slide {
-            self.insert_batched(batch);
+            self.insert_batched(batch, record);
         } else {
             self.insert_per_point(batch);
         }
@@ -216,65 +229,82 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
     /// to zero and every other departure drops its record entirely. Adopter
     /// invalidations on fellow departures are likewise skipped: the adoption
     /// pass ignores retired records.
-    fn delete_batched(&mut self, batch: &SlideBatch<D>, out: &mut CollectOutcome) {
+    ///
+    /// With `record`, every departing prev-core's hits that were cores of
+    /// the previous window — stayers and fellow ghosts — go into its ball
+    /// (`balls.rs` says why no others are needed). Its previous `n_ε`
+    /// counts all its hits, so the ball is sized before the traversal
+    /// writes it.
+    fn delete_batched(&mut self, batch: &SlideBatch<D>, record: bool, out: &mut CollectOutcome) {
         if batch.outgoing.is_empty() {
             return;
         }
         let eps = self.cfg.eps;
-        let outgoing: FxHashSet<PointId> = batch.outgoing.iter().map(|(id, _)| *id).collect();
+        // Departing id → whether it stays indexed as a ghost.
+        let mut outgoing: FxHashMap<PointId, bool> = FxHashMap::default();
         let mut ids: Vec<PointId> = Vec::with_capacity(batch.outgoing.len());
         let mut centers: Vec<Point<D>> = Vec::with_capacity(batch.outgoing.len());
+        // Per-center ball size, then write cursor; the heads seal them below.
+        let mut cursors: Vec<usize> = Vec::with_capacity(batch.outgoing.len());
         for (id, _) in &batch.outgoing {
             let rec = self
                 .points
                 .get(*id)
                 .unwrap_or_else(|| panic!("outgoing point {id} is not in the window"));
             debug_assert!(rec.in_window, "outgoing point {id} already retired");
+            outgoing.insert(*id, rec.prev_core);
             ids.push(*id);
             centers.push(rec.point);
+            cursors.push(if record && rec.prev_core {
+                rec.n_eps as usize
+            } else {
+                UNRECORDED
+            });
         }
+        self.balls.open_all(&mut cursors);
+        let heads = cursors.clone();
 
-        if self.pool.width() > 1 {
-            // Wide path: gather raw hits over a frozen snapshot, replay the
-            // effects sequentially. Every effect here is commutative across
-            // hits (decrement, set insert, single-match adopter
-            // invalidation), so the chunked hit order is equivalent to the
-            // single bulk traversal's.
-            for (ci, qid) in self.par_ball_hits(&centers) {
-                if outgoing.contains(&qid) {
-                    continue;
+        // Wide path: gather raw hits over a frozen snapshot, replay the
+        // effects sequentially. Every effect here is commutative across
+        // hits (decrement, set insert, single-match adopter invalidation),
+        // and each center's hits keep their traversal order, so the chunked
+        // hit order is equivalent to the single bulk traversal's.
+        let wide_hits = (self.pool.width() > 1).then(|| self.par_ball_hits(&centers));
+        let points = &mut self.points;
+        let touched = &mut self.touched;
+        let needs_adoption = &mut self.needs_adoption;
+        let balls = &mut self.balls;
+        let mut on_hit = |ci: usize, qid: PointId| {
+            let cursor = &mut cursors[ci];
+            // The center itself and every fellow departure: a ghost is a
+            // previous-window core that stays indexed, so it joins the ball.
+            if let Some(&ghost) = outgoing.get(&qid) {
+                if ghost && *cursor != UNRECORDED {
+                    balls.write(cursor, qid);
                 }
-                if let Some(q) = self.points.get_mut(qid) {
-                    if q.in_window {
-                        q.n_eps -= 1;
-                        self.touched.insert(qid);
-                        if q.adopter == Some(ids[ci as usize]) {
-                            q.adopter = None;
-                            self.needs_adoption.insert(qid);
-                        }
+                return;
+            }
+            if let Some(q) = points.get_mut(qid) {
+                if q.in_window {
+                    if q.prev_core && *cursor != UNRECORDED {
+                        balls.write(cursor, qid);
+                    }
+                    q.n_eps -= 1;
+                    touched.insert(qid);
+                    if q.adopter == Some(ids[ci]) {
+                        q.adopter = None;
+                        needs_adoption.insert(qid);
                     }
                 }
             }
-        } else {
-            let points = &mut self.points;
-            let touched = &mut self.touched;
-            let needs_adoption = &mut self.needs_adoption;
-            self.tree.for_each_in_balls(&centers, eps, |ci, qid, _| {
-                // Skips the center itself and every fellow departure.
-                if outgoing.contains(&qid) {
-                    return;
-                }
-                if let Some(q) = points.get_mut(qid) {
-                    if q.in_window {
-                        q.n_eps -= 1;
-                        touched.insert(qid);
-                        if q.adopter == Some(ids[ci]) {
-                            q.adopter = None;
-                            needs_adoption.insert(qid);
-                        }
-                    }
-                }
-            });
+        };
+        match wide_hits {
+            Some(hits) => hits
+                .into_iter()
+                .for_each(|(ci, qid)| on_hit(ci as usize, qid)),
+            None => self
+                .tree
+                .for_each_in_balls(&centers, eps, |ci, qid, _| on_hit(ci, qid)),
         }
 
         // Retire the records, then sync the tree with one bulk removal.
@@ -287,6 +317,9 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
                 ghost.in_window = false;
                 ghost.n_eps = 0;
                 out.ghosts.push(*id);
+                if record {
+                    self.balls.close(*id, heads[ci], cursors[ci]);
+                }
             } else {
                 evict.push((*id, centers[ci]));
                 self.points.remove(*id);
@@ -308,7 +341,9 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
     /// neighbour that is a final core. A newcomer without one can only have
     /// neo-cores in range, which adopt it in the neo-core phase, so it is
     /// never queued for the adoption pass.
-    fn insert_batched(&mut self, batch: &SlideBatch<D>) {
+    ///
+    /// With `record`, every arrival that became a neo-core gets its ball.
+    fn insert_batched(&mut self, batch: &SlideBatch<D>, record: bool) {
         if batch.incoming.is_empty() {
             return;
         }
@@ -381,7 +416,7 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
                 }
             });
         }
-        for (a, b) in intra {
+        for &(a, b) in &intra {
             gained[a as usize] += 1;
             gained[b as usize] += 1;
         }
@@ -397,6 +432,9 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
                 adopters[ci as usize] = Some(qid);
             }
         }
+        if record {
+            self.record_neo_balls(batch, &gained, &hits, &intra);
+        }
 
         for (i, (id, point)) in batch.incoming.iter().enumerate() {
             let mut fresh = PointRecord::new(*point);
@@ -404,6 +442,58 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
             fresh.adopter = adopters[i];
             self.points.insert(*id, fresh);
             self.touched.insert(*id);
+        }
+    }
+
+    /// Records the ball of every arrival whose settled count meets τ (a
+    /// neo-core): itself, the stayers it hit, then its fellow arrivals in
+    /// range — exactly `n_ε` ids. The fellow arrivals are written in two
+    /// passes, one per pair orientation, so each ball's order follows its
+    /// own center's hits alone — never the interleaving of centers, which
+    /// differs between the bulk and the chunked wide traversal.
+    fn record_neo_balls(
+        &mut self,
+        batch: &SlideBatch<D>,
+        gained: &[u32],
+        hits: &[(u32, PointId)],
+        intra: &[(u32, u32)],
+    ) {
+        let tau = self.cfg.tau;
+        let id_of = |i: u32| batch.incoming[i as usize].0;
+        let mut cursors: Vec<usize> = gained
+            .iter()
+            .map(|&g| match 1 + g as usize {
+                n_eps if n_eps >= tau => n_eps,
+                _ => UNRECORDED,
+            })
+            .collect();
+        self.balls.open_all(&mut cursors);
+        let heads = cursors.clone();
+        for (i, cursor) in cursors.iter_mut().enumerate() {
+            if *cursor != UNRECORDED {
+                self.balls.write(cursor, id_of(i as u32));
+            }
+        }
+        for &(ci, qid) in hits {
+            let cursor = &mut cursors[ci as usize];
+            if *cursor != UNRECORDED {
+                self.balls.write(cursor, qid);
+            }
+        }
+        for (from, to) in [(0, 1), (1, 0)] {
+            for pair in intra {
+                let ends = [pair.0, pair.1];
+                let cursor = &mut cursors[ends[from] as usize];
+                if *cursor != UNRECORDED {
+                    self.balls.write(cursor, id_of(ends[to]));
+                }
+            }
+        }
+        for (i, (&head, &cursor)) in heads.iter().zip(&cursors).enumerate() {
+            if head != UNRECORDED {
+                debug_assert_eq!(cursor - head, 1 + gained[i] as usize, "ball size is n_ε");
+                self.balls.close(id_of(i as u32), head, cursor);
+            }
         }
     }
 }
@@ -504,6 +594,66 @@ mod tests {
             incoming: vec![(PointId(0), Point::new([f64::NAN, 0.0]))],
             outgoing: vec![],
         });
+    }
+
+    /// The ball CLUSTER would get from a fresh search right now, as a set.
+    fn fresh_ball(disc: &mut Disc<2>, id: u64) -> Vec<PointId> {
+        let center = disc.points.point_at(PointId(id));
+        let mut ball = Vec::new();
+        disc.tree.ball_ids_into(&center, 1.0, &mut ball);
+        ball.sort_unstable();
+        ball
+    }
+
+    fn recorded_ball(disc: &Disc<2>, id: u64) -> Option<Vec<PointId>> {
+        let mut ball = disc.balls.get(PointId(id))?.to_vec();
+        ball.sort_unstable();
+        Some(ball)
+    }
+
+    #[test]
+    fn batched_collect_records_the_balls_cluster_reads() {
+        let mut disc: Disc<2> = Disc::new(DiscConfig::new(1.0, 3));
+        let fill = batch(&[(0, 0.0), (1, 0.5), (2, 1.0), (3, -0.9), (5, 5.0)], &[]);
+        disc.apply(&fill);
+        // Core 0 departs, leaving border 3; 6 and 7 arrive as neo-cores;
+        // 8 arrives next to 3 and stays a non-core.
+        let out = disc.collect(&batch(&[(6, 1.4), (7, 1.8), (8, -0.8)], &[(0, 0.0)]));
+        assert_eq!(out.ghosts, vec![PointId(0)]);
+        assert_eq!(out.neo_cores, vec![PointId(6), PointId(7)]);
+        // The ghost's ball holds the previous window's cores in range: a
+        // search also finds border 3 and arrival 8, which the ex-core phase
+        // has no use for.
+        let ghost = recorded_ball(&disc, 0).expect("ghost ball recorded");
+        assert_eq!(ghost, [0, 1, 2].map(PointId));
+        let mut fresh = fresh_ball(&mut disc, 0);
+        assert_eq!(fresh, [0, 1, 2, 3, 8].map(PointId));
+        fresh.retain(|q| disc.points.at(*q).prev_core);
+        assert_eq!(ghost, fresh);
+        for neo in [6, 7] {
+            let ball = recorded_ball(&disc, neo).expect("neo-core ball recorded");
+            assert_eq!(ball.len(), disc.points.at(PointId(neo)).n_eps as usize);
+            assert_eq!(ball, fresh_ball(&mut disc, neo));
+        }
+        // Neither a non-core arrival nor a stayer has a recorded ball.
+        assert!(recorded_ball(&disc, 8).is_none());
+        assert!(recorded_ball(&disc, 1).is_none());
+    }
+
+    #[test]
+    fn fills_and_id_sharing_slides_record_no_balls() {
+        let mut disc: Disc<2> = Disc::new(DiscConfig::new(1.0, 3));
+        let fill = batch(&[(0, 0.0), (1, 0.5), (2, 1.0), (5, 5.0)], &[]);
+        disc.collect(&fill);
+        assert!((0..6).all(|i| recorded_ball(&disc, i).is_none()));
+
+        let mut disc: Disc<2> = Disc::new(DiscConfig::new(1.0, 3));
+        disc.apply(&fill);
+        // Noise 5 leaves and re-enters under its own id: the slide falls
+        // back to fresh searches, ghost 0 included.
+        let out = disc.collect(&batch(&[(5, 1.3)], &[(0, 0.0), (5, 5.0)]));
+        assert_eq!(out.ghosts, vec![PointId(0)]);
+        assert!((0..6).all(|i| recorded_ball(&disc, i).is_none()));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The public `Disc` engine.
 
+use crate::balls::BallStore;
 use crate::config::DiscConfig;
 use crate::dsu::Dsu;
 use crate::label::{ClusterId, PointLabel};
@@ -96,6 +97,9 @@ pub struct Disc<const D: usize, B: SpatialBackend<D> = RTree<D>> {
     pub(crate) needs_adoption: FxHashSet<PointId>,
     /// Points whose `n_ε` changed this slide (candidate ex-/neo-cores).
     pub(crate) touched: FxHashSet<PointId>,
+    /// The ε-balls this slide's COLLECT enumerated, read by CLUSTER
+    /// instead of searching again (`balls.rs`). Empty between slides.
+    pub(crate) balls: BallStore,
     /// Memoised DSU-root resolution shared by every `&self` inspection
     /// method between slides; invalidated by `apply` (the only place unions
     /// happen). A bench loop calling `labels()`, `num_clusters()` and
@@ -147,6 +151,7 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
             clusters: Dsu::new(),
             needs_adoption: FxHashSet::default(),
             touched: FxHashSet::default(),
+            balls: BallStore::default(),
             root_cache: RefCell::new(FxHashMap::default()),
             last_stats: SlideStats::default(),
             recorder: disc_telemetry::noop(),
@@ -440,12 +445,12 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
             }
             // Census gauges for the health layer: O(window), so they ride
             // the same gate as the footprint walk.
-            let (core, border, noise) = self.census();
+            let ((core, border, noise), clusters) = self.census_and_clusters();
             self.recorder.gauge_set("disc_core_points", core as f64);
             self.recorder.gauge_set("disc_border_points", border as f64);
             self.recorder.gauge_set("disc_noise_points", noise as f64);
             self.recorder
-                .gauge_set("disc_cluster_count", self.num_clusters() as f64);
+                .gauge_set("disc_cluster_count", clusters as f64);
         }
         stats.publish_to(
             self.recorder.as_ref(),
@@ -583,6 +588,34 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
             PointLabel::Noise => noise += 1,
         });
         (core, border, noise)
+    }
+
+    /// [`census`](Disc::census) and [`num_clusters`](Disc::num_clusters)
+    /// in one walk of the meta column. A border or noise point needs only
+    /// its adopter's presence, never a root, and each distinct raw cluster
+    /// id is resolved once, however many cores carry it.
+    fn census_and_clusters(&self) -> ((usize, usize, usize), usize) {
+        let tau = self.cfg.tau;
+        let mut resolver = self.resolver();
+        let (mut core, mut border, mut noise) = (0, 0, 0);
+        let mut raw_seen: FxHashSet<u32> = FxHashSet::default();
+        let mut roots: FxHashSet<u32> = FxHashSet::default();
+        // Neighbouring slots mostly share a raw id: skip the set for them.
+        let mut last_raw = None;
+        for (_, meta) in self.points.iter_meta() {
+            if meta.is_core(tau) {
+                core += 1;
+                if last_raw != Some(meta.cid) && raw_seen.insert(meta.cid.0) {
+                    roots.insert(resolver.root(meta.cid).0);
+                }
+                last_raw = Some(meta.cid);
+            } else if meta.adopter.is_some_and(|a| self.points.contains(a)) {
+                border += 1;
+            } else {
+                noise += 1;
+            }
+        }
+        ((core, border, noise), roots.len())
     }
 
     /// Validates internal invariants exhaustively — O(n · range search).
@@ -1078,6 +1111,32 @@ mod tests {
             disc.last_stats().index.range_searches
         );
         disc_telemetry::SlideEvent::validate_jsonl(&events[1].to_jsonl()).unwrap();
+    }
+
+    #[test]
+    fn census_gauges_equal_the_public_read_out() {
+        use disc_telemetry::Registry;
+        use std::sync::Arc;
+
+        for recs in [
+            datasets::maze(3_000, 6, 5),
+            datasets::gaussian_blobs::<2>(3_000, 5, 0.7, 9),
+        ] {
+            let reg = Arc::new(Registry::new());
+            let mut disc: Disc<2> = Disc::new(DiscConfig::new(0.6, 5)).with_recorder(reg.clone());
+            let mut w = SlidingWindow::new(recs, 800, 100);
+            let mut batch = Some(w.fill());
+            while let Some(b) = batch {
+                disc.apply(&b);
+                let (core, border, noise) = disc.census();
+                let gauge = |name: &str| reg.gauge_value(name).unwrap() as usize;
+                assert_eq!(gauge("disc_core_points"), core);
+                assert_eq!(gauge("disc_border_points"), border);
+                assert_eq!(gauge("disc_noise_points"), noise);
+                assert_eq!(gauge("disc_cluster_count"), disc.num_clusters());
+                batch = w.advance();
+            }
+        }
     }
 
     #[test]

@@ -42,6 +42,7 @@
 //! assert!(clusters >= 3, "three blobs expected, found {clusters}");
 //! ```
 
+mod balls;
 pub mod cluster;
 pub mod collect;
 pub mod config;

@@ -157,6 +157,9 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
             Dsu::from_parts(state.dsu_parent, state.dsu_size).map_err(StateError::InvalidDsu)?;
         let dsu_len = clusters.len() as u32;
 
+        // Every id first, so the adopter check below is one lookup however
+        // the image orders a border and its adopter.
+        let ids: FxHashSet<PointId> = state.points.iter().map(|p| p.id).collect();
         let mut seen: FxHashSet<PointId> = FxHashSet::default();
         for p in &state.points {
             if !seen.insert(p.id) {
@@ -194,7 +197,7 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
                         format!("core point carries adopter {a}"),
                     ));
                 }
-                if !seen.contains(&a) && !state.points.iter().any(|q| q.id == a) {
+                if !ids.contains(&a) {
                     return Err(StateError::InvalidRecord(
                         p.id,
                         format!("adopter {a} is not in the window"),
@@ -477,6 +480,38 @@ mod tests {
 
         // The pristine image still restores.
         assert!(Disc::<2>::from_state(good).is_ok());
+    }
+
+    #[test]
+    fn forward_adopters_restore_and_a_missing_one_is_named() {
+        // Border 0 leans on core 1, which sorts after it in the image.
+        let row = |i: u64, x: f64| (PointId(i), Point::new([x, 0.0]));
+        let mut disc: Disc<2> = Disc::new(DiscConfig::new(1.0, 4));
+        disc.apply(&SlideBatch {
+            incoming: vec![
+                row(0, 0.05),
+                row(1, 1.0),
+                row(2, 1.1),
+                row(3, 1.2),
+                row(4, 1.3),
+            ],
+            outgoing: Vec::new(),
+        });
+        let good = disc.export_state();
+        assert_eq!(good.points[0].adopter, Some(PointId(1)));
+        let back: Disc<2> = Disc::from_state(good.clone()).unwrap();
+        assert_eq!(back.assignments(), disc.assignments());
+
+        let mut bad = good;
+        bad.points[0].adopter = Some(PointId(77));
+        match Disc::<2>::from_state(bad) {
+            Err(StateError::InvalidRecord(id, msg)) => {
+                assert_eq!(id, PointId(0));
+                assert!(msg.contains("adopter p77 is not in the window"), "{msg}");
+            }
+            Err(other) => panic!("wrong error: {other}"),
+            Ok(_) => panic!("image with a missing adopter restored"),
+        }
     }
 
     #[test]

@@ -446,6 +446,70 @@ proptest! {
     }
 }
 
+/// CLUSTER reads the ε-balls COLLECT already enumerated (and debug builds
+/// check each against a fresh search). A 3-D stream with noise, on both
+/// backends: the balls of departed cores and arriving neo-cores in three
+/// dimensions must give the oracle's clustering slide by slide.
+#[test]
+fn ball_reuse_is_exact_on_a_3d_stream() {
+    let mut recs = datasets::gaussian_blobs::<3>(1500, 4, 0.7, 23);
+    let noise = datasets::uniform::<3>(300, 20.0, 29);
+    for (i, n) in noise.into_iter().enumerate() {
+        recs.insert((i * 5) % recs.len(), n);
+    }
+    run_stream(recs.clone(), 400, 100, 1.0, 5, |c| c);
+    run_stream_on::<3, GridIndex<3>>(recs, 400, 100, 1.0, 5, |c| c);
+}
+
+/// A slide whose Δin and Δout share ids records no balls: CLUSTER falls
+/// back to fresh searches. Here departing noise points re-enter under
+/// their own ids at new positions, next to fresh arrivals, and the result
+/// must match the oracle after every slide.
+#[test]
+fn ball_reuse_falls_back_when_ids_depart_and_arrive_at_once() {
+    let mut recs = datasets::gaussian_blobs::<2>(1600, 3, 0.8, 31);
+    let noise = datasets::uniform::<2>(400, 25.0, 37);
+    for (i, n) in noise.into_iter().enumerate() {
+        recs.insert((i * 4) % recs.len(), n);
+    }
+    let positions: Vec<Point<2>> = recs.iter().map(|r| r.point).collect();
+    let (window, stride) = (300, 60);
+    let mut disc: Disc<2> = Disc::new(DiscConfig::new(0.9, 4));
+    // Oldest first, as a sliding window holds them.
+    let mut live: std::collections::VecDeque<(PointId, Point<2>)> = positions[..window]
+        .iter()
+        .enumerate()
+        .map(|(i, p)| (PointId(i as u64), *p))
+        .collect();
+    disc.apply(&disc_window::SlideBatch {
+        incoming: live.iter().copied().collect(),
+        outgoing: Vec::new(),
+    });
+    let (mut next, mut next_id) = (window, window as u64);
+    let mut shared = 0;
+    while next + stride <= positions.len() {
+        let outgoing: Vec<(PointId, Point<2>)> = live.drain(..stride).collect();
+        let mut incoming = Vec::with_capacity(stride);
+        for (id, _) in &outgoing {
+            let id = if disc.label_of(*id) == Some(PointLabel::Noise) {
+                shared += 1;
+                *id
+            } else {
+                next_id += 1;
+                PointId(next_id)
+            };
+            incoming.push((id, positions[next]));
+            next += 1;
+        }
+        live.extend(incoming.iter().copied());
+        disc.apply(&disc_window::SlideBatch { incoming, outgoing });
+        let snapshot: Vec<(PointId, Point<2>)> = live.iter().copied().collect();
+        assert_equivalent(&disc, &snapshot);
+        disc.check_invariants();
+    }
+    assert!(shared > 0, "no slide re-admitted a departing id");
+}
+
 /// Renumbers cluster ids by first appearance in ascending point-id order;
 /// noise stays `-1`. Two assignment vectors are canonically equal iff they
 /// induce the same partition with the same noise set.
