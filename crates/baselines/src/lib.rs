@@ -17,8 +17,6 @@
 //!   exact core counting with ρ-approximate connectivity;
 //! * [`DbStream`] — shared-density micro-cluster streaming clusterer
 //!   (Hahsler & Bolaños, TKDE '16), insertion-only with exponential decay;
-//! * [`DenStream`] — the seminal damped-window method (Cao et al., SDM '06),
-//!   included beyond the paper's evaluated set;
 //! * [`EdmStream`] — density-peak dependency-tree streaming clusterer
 //!   (Gong et al., VLDB '17), insertion-only with exponential decay.
 //!
@@ -27,7 +25,6 @@
 
 pub mod dbscan;
 pub mod dbstream;
-pub mod denstream;
 pub mod edmstream;
 pub mod extran;
 pub mod incdbscan;
@@ -36,7 +33,6 @@ pub mod traits;
 
 pub use dbscan::Dbscan;
 pub use dbstream::{DbStream, DbStreamConfig};
-pub use denstream::{DenStream, DenStreamConfig};
 pub use edmstream::{EdmStream, EdmStreamConfig};
 pub use extran::ExtraN;
 pub use incdbscan::IncDbscan;

@@ -44,15 +44,11 @@ where
 
 fn benches(c: &mut Criterion) {
     bench_method(c, "disc", || Disc::new(DiscConfig::new(EPS, TAU)));
-    bench_method(c, "disc_no_bulk", || {
-        Disc::new(DiscConfig::new(EPS, TAU).without_bulk_slide())
-    });
     bench_method(c, "disc_no_opts", || {
         Disc::new(
             DiscConfig::new(EPS, TAU)
                 .without_msbfs()
-                .without_epoch_probe()
-                .without_bulk_slide(),
+                .without_epoch_probe(),
         )
     });
     bench_method(c, "incdbscan", || IncDbscan::new(EPS, TAU));

@@ -2,8 +2,8 @@
 //!
 //! DISC with {neither, epoch-probing only, MS-BFS only, both}, per dataset,
 //! stride 5%. Expected shape: each optimisation helps on its own, both
-//! together are best. A fifth column layers the batched slide path (bulk
-//! R-tree mutations + multi-center COLLECT traversal) on top of both.
+//! together are best. Every variant runs the same batched COLLECT (bulk
+//! index mutations + one multi-center traversal per phase).
 
 use crate::report::{fmt_duration, Table};
 use crate::runner::{measure, records_needed, tile};
@@ -24,20 +24,11 @@ fn per_dataset<const D: usize>(
     let n = records_needed(window, stride, SLIDES);
     let recs = gen(n);
     let cfg = DiscConfig::new(prof.eps, prof.tau);
-    let variants: [(&str, DiscConfig); 5] = [
-        (
-            "none",
-            cfg.without_msbfs()
-                .without_epoch_probe()
-                .without_bulk_slide(),
-        ),
-        ("epoch only", cfg.without_msbfs().without_bulk_slide()),
-        (
-            "MS-BFS only",
-            cfg.without_epoch_probe().without_bulk_slide(),
-        ),
-        ("both", cfg.without_bulk_slide()),
-        ("both + bulk", cfg),
+    let variants: [(&str, DiscConfig); 4] = [
+        ("none", cfg.without_msbfs().without_epoch_probe()),
+        ("epoch only", cfg.without_msbfs()),
+        ("MS-BFS only", cfg.without_epoch_probe()),
+        ("both", cfg),
     ];
     let mut cells = vec![prof.name.to_string()];
     for (_, v) in &variants {
@@ -51,14 +42,7 @@ fn per_dataset<const D: usize>(
 pub fn run(scale: Scale) -> Table {
     let mut t = Table::new(
         "Fig. 8: optimisation ablation (elapsed per slide, stride 5%)",
-        &[
-            "dataset",
-            "none",
-            "epoch only",
-            "MS-BFS only",
-            "both",
-            "both + bulk",
-        ],
+        &["dataset", "none", "epoch only", "MS-BFS only", "both"],
     );
     per_dataset(
         |n| datasets::dtg_like(n, SEED),

@@ -23,7 +23,7 @@
 //! before the write: a ghost's previous `n_ε` bounds its hits, and an
 //! arrival's settled `n_ε` is its ball's size. Within a ball the order is a
 //! pure function of the index and the batch, never of the worker count, so
-//! the wide engine reads the very same balls.
+//! a wide COLLECT records the very same balls.
 
 use disc_geom::{FxHashMap, PointId};
 
@@ -43,11 +43,6 @@ impl BallStore {
     /// Whether no ball is recorded.
     pub(crate) fn is_empty(&self) -> bool {
         self.spans.is_empty()
-    }
-
-    /// Whether `center`'s ball is recorded.
-    pub(crate) fn contains(&self, center: PointId) -> bool {
-        self.spans.contains_key(&center)
     }
 
     /// `center`'s recorded ball.
@@ -110,6 +105,5 @@ mod tests {
         assert_eq!(store.get(g), Some(&[g, PointId(2)][..]));
         assert_eq!(store.get(a), Some(&[a, PointId(2)][..]));
         assert!(store.get(PointId(2)).is_none());
-        assert!(!store.contains(PointId(2)));
     }
 }

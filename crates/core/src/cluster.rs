@@ -7,7 +7,7 @@ use crate::engine::Disc;
 use crate::label::ClusterId;
 use crate::stats::SlideStats;
 use crate::store::PointStore;
-use disc_geom::{FxHashMap, FxHashSet, Point, PointId};
+use disc_geom::{FxHashSet, Point, PointId};
 use disc_index::SpatialBackend;
 
 impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
@@ -34,23 +34,6 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
         self.balls = BallStore::default();
     }
 
-    /// The balls a wide engine prefetches for a phase: those of `centers`
-    /// that COLLECT did not record. Empty on the sequential engine.
-    fn prefetch_unrecorded(&mut self, centers: &[PointId]) -> FxHashMap<PointId, Vec<PointId>> {
-        if self.pool.width() == 1 {
-            return FxHashMap::default();
-        }
-        let unrecorded: Vec<PointId> = centers
-            .iter()
-            .copied()
-            .filter(|id| !self.balls.contains(*id))
-            .collect();
-        if unrecorded.is_empty() {
-            return FxHashMap::default();
-        }
-        self.par_prefetch_balls(&unrecorded)
-    }
-
     // ------------------------------------------------------------------
     // Ex-cores: splits, shrinks, dissipations (Alg. 2 lines 1-8)
     // ------------------------------------------------------------------
@@ -58,17 +41,6 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
     fn ex_core_phase(&mut self, ex_cores: &[PointId], stats: &mut SlideStats) {
         let eps = self.cfg.eps;
         let tau = self.cfg.tau;
-
-        // Every member this phase ever scans is an ex-core, and Theorem 1
-        // guarantees each is scanned exactly once — so the phase's entire
-        // ball workload is known up front. When the engine is wide,
-        // prefetch the balls COLLECT did not record in parallel over the
-        // frozen index (ghosts included; they leave only after this phase).
-        // `scan_ball` runs the same traversal as `for_each_in_ball`, so each
-        // prefetched ball preserves the exact hit order the sequential path
-        // sees — which the M⁻ ordering (and with it MS-BFS slot assignment)
-        // depends on.
-        let mut prefetched = self.prefetch_unrecorded(ex_cores);
 
         let mut remaining: FxHashSet<PointId> = ex_cores.iter().copied().collect();
         // Buffers reused across classes.
@@ -114,7 +86,6 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
                     &self.points,
                     eps,
                     r,
-                    &mut prefetched,
                     &mut ball_buf,
                 );
                 for &qid in ball {
@@ -313,12 +284,6 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
         let eps = self.cfg.eps;
         let tau = self.cfg.tau;
 
-        // Mirror image of the ex-core phase's prefetch: every member is a
-        // neo-core and each is scanned once, so the whole workload is known
-        // up front. Prefetched here (not earlier) because the ghosts left
-        // the index between the phases; per-ball hit order is preserved.
-        let mut prefetched = self.prefetch_unrecorded(neo_cores);
-
         let mut remaining: FxHashSet<PointId> = neo_cores.iter().copied().collect();
         let mut r_plus: Vec<PointId> = Vec::new();
         let mut m_cids: Vec<u32> = Vec::new();
@@ -355,7 +320,6 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
                     &self.points,
                     eps,
                     r,
-                    &mut prefetched,
                     &mut ball_buf,
                 );
                 for &qid in ball {
@@ -444,37 +408,22 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
         // so neither the searched set nor any result depends on order — but
         // pinning it keeps the provenance stream identical across runs.
         pending.sort_unstable();
-        // Skip-checks are stable for the same reason, so they can run up
-        // front: the survivors are exactly the points the inline sequential
-        // check would search.
+        // Skip the departed, the cores and the already adopted; the checks
+        // are stable for the same reason, so they can run up front.
         pending.retain(|&id| {
             self.points
                 .get(id) // departed this slide → gone
                 .is_some_and(|rec| !rec.is_core(tau) && rec.adopter.is_none() && rec.in_window)
         });
-        let mut prefetched: disc_geom::FxHashMap<PointId, Vec<PointId>> =
-            if self.pool.width() > 1 && !pending.is_empty() {
-                self.par_prefetch_balls(&pending)
-            } else {
-                disc_geom::FxHashMap::default()
-            };
-        let mut ball_buf: Vec<PointId> = Vec::new();
+        let mut ball: Vec<PointId> = Vec::new();
         for id in pending {
             let center = self.points.point_at(id);
             stats.adoption_searches += 1;
-            let owned: Vec<PointId>;
-            let ball: &[PointId] = if let Some(b) = prefetched.remove(&id) {
-                owned = b;
-                &owned
-            } else {
-                ball_buf.clear();
-                let buf = &mut ball_buf;
-                self.tree
-                    .for_each_in_ball(&center, eps, |qid, _| buf.push(qid));
-                &ball_buf
-            };
+            ball.clear();
+            self.tree
+                .for_each_in_ball(&center, eps, |qid, _| ball.push(qid));
             let mut adopter: Option<PointId> = None;
-            for &qid in ball {
+            for &qid in &ball {
                 if qid != id && adopter.is_none_or(|a| qid < a) {
                     if let Some(q) = self.points.get(qid) {
                         if q.is_core(tau) {
@@ -495,16 +444,15 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
 }
 
 /// The ε-ball of `center` as the cluster phases read it: the ball COLLECT
-/// recorded, else a prefetched one (wide engine), else a fresh search into
-/// `buf`. A free function over the engine's parts, so the caller can keep
-/// mutating records while it reads the ball.
+/// recorded, else a fresh search into `buf`. A free function over the
+/// engine's parts, so the caller can keep mutating records while it reads
+/// the ball.
 fn ball_of<'a, const D: usize, B: SpatialBackend<D>>(
     balls: &'a BallStore,
     tree: &mut B,
     points: &PointStore<D>,
     eps: f64,
     center: PointId,
-    prefetched: &mut FxHashMap<PointId, Vec<PointId>>,
     buf: &'a mut Vec<PointId>,
 ) -> &'a [PointId] {
     if let Some(ball) = balls.get(center) {
@@ -512,12 +460,8 @@ fn ball_of<'a, const D: usize, B: SpatialBackend<D>>(
         assert_fresh_ball(tree, points, eps, center, ball);
         return ball;
     }
-    if let Some(b) = prefetched.remove(&center) {
-        *buf = b;
-    } else {
-        buf.clear();
-        tree.for_each_in_ball(&points.point_at(center), eps, |qid, _| buf.push(qid));
-    }
+    buf.clear();
+    tree.for_each_in_ball(&points.point_at(center), eps, |qid, _| buf.push(qid));
     buf
 }
 
@@ -669,43 +613,22 @@ mod tests {
     }
 
     #[test]
-    fn per_point_path_searches_unadopted_newcomers() {
-        use disc_metrics::{assert_dbscan_equivalent, Labeling};
-
+    fn settled_counts_adopt_newcomers_without_search() {
         // Core 0 (τ = 4) loses two neighbours and regains two in the same
-        // stride. Newcomer 10 is scanned first, while 0 is one short of τ:
-        // the per-point path cannot adopt it mid-scan and must search; the
-        // batched path decides on settled counts and needs no search.
+        // stride. Newcomer 10 is in range of 0 only, which is one short of τ
+        // until 11 and 12 arrive: COLLECT picks adopters on settled counts,
+        // so 0 adopts 10 and the adoption pass has nothing to search.
         let fill = batch(&[(0, 0.0), (1, -0.2), (2, -0.4), (3, -0.6)], &[]);
         let slide = batch(
             &[(10, 0.9), (11, -0.3), (12, -0.5)],
             &[(1, -0.2), (2, -0.4)],
         );
-        let mut searches = Vec::new();
-        let mut labels = Vec::new();
-        for cfg in [
-            DiscConfig::new(1.0, 4),
-            DiscConfig::new(1.0, 4).without_bulk_slide(),
-        ] {
-            let mut disc: Disc<2> = Disc::new(cfg);
-            disc.apply(&fill);
-            let s = disc.apply(&slide);
-            assert!(disc.points.at(PointId(0)).core_in_both(4));
-            assert_eq!(adopter(&disc, 10), Some(PointId(0)));
-            disc.check_invariants();
-            searches.push(s.adoption_searches);
-            labels.push(disc.assignments());
-        }
-        assert_eq!(searches, vec![0, 1]);
-        let points: Vec<(PointId, Point<2>)> = [0.0, -0.6, 0.9, -0.3, -0.5]
-            .iter()
-            .zip([0, 3, 10, 11, 12])
-            .map(|(&x, id)| (PointId(id), Point::new([x, 0.0])))
-            .collect();
-        let side = |assignment| Labeling {
-            points: &points,
-            assignment,
-        };
-        assert_dbscan_equivalent(&side(&labels[0]), &side(&labels[1]), 1.0, 4);
+        let mut disc: Disc<2> = Disc::new(DiscConfig::new(1.0, 4));
+        disc.apply(&fill);
+        let s = disc.apply(&slide);
+        assert!(disc.points.at(PointId(0)).core_in_both(4));
+        assert_eq!(adopter(&disc, 10), Some(PointId(0)));
+        assert_eq!(s.adoption_searches, 0);
+        disc.check_invariants();
     }
 }

@@ -26,26 +26,19 @@ pub struct CollectOutcome {
 }
 
 impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
-    /// Runs COLLECT for one slide batch.
-    ///
-    /// Two equivalent implementations of the deletion and insertion phases
-    /// exist: the per-point path (one tree traversal per element, the
-    /// paper's Alg. 1 read literally) and the batched path (bulk R-tree
-    /// mutations plus one multi-center ε-ball traversal per phase). The
-    /// [`DiscConfig::enable_bulk_slide`](crate::DiscConfig) toggle selects
-    /// between them; both produce identical counts and classifications, but
-    /// only the per-point path queues newcomers for the adoption pass.
+    /// Runs COLLECT for one slide batch: bulk index mutations plus one
+    /// multi-center ε-ball traversal per phase. A singleton batch is
+    /// Alg. 1 read literally.
     pub(crate) fn collect(&mut self, batch: &SlideBatch<D>) -> CollectOutcome {
         let tau = self.cfg.tau;
         let mut out = CollectOutcome::default();
-        // The batched traversals record the balls CLUSTER will read (see
+        // The traversals record the balls CLUSTER will read (see
         // `balls.rs`), except during a fill, whose every arrival may become
         // a neo-core (transient memory would be O(window · ball)), and in a
         // slide where an id departs and arrives at once, which would name
         // two balls with one id.
         debug_assert!(self.balls.is_empty(), "balls outlived their slide");
-        let record = self.cfg.enable_bulk_slide
-            && !self.points.is_empty()
+        let record = !self.points.is_empty()
             && !batch
                 .incoming
                 .iter()
@@ -53,11 +46,7 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
 
         let sp = self.tracer.begin("delete");
         let before = self.tracer.enabled().then(|| *self.tree.stats());
-        if self.cfg.enable_bulk_slide {
-            self.delete_batched(batch, record, &mut out);
-        } else {
-            self.delete_per_point(batch, &mut out);
-        }
+        self.delete_batched(batch, record, &mut out);
         if let Some(b) = before {
             self.tracer
                 .end_with_args(sp, &self.tree.stats().since(&b).span_args());
@@ -65,11 +54,7 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
 
         let sp = self.tracer.begin("insert");
         let before = self.tracer.enabled().then(|| *self.tree.stats());
-        if self.cfg.enable_bulk_slide {
-            self.insert_batched(batch, record);
-        } else {
-            self.insert_per_point(batch);
-        }
+        self.insert_batched(batch, record);
         if let Some(b) = before {
             self.tracer
                 .end_with_args(sp, &self.tree.stats().since(&b).span_args());
@@ -105,121 +90,6 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
         }
         out
     }
-
-    // ------------------------------------------------------------------
-    // Per-point slide path
-    // ------------------------------------------------------------------
-
-    /// Deletions (Alg. 1 lines 2-7), one tree traversal per element.
-    fn delete_per_point(&mut self, batch: &SlideBatch<D>, out: &mut CollectOutcome) {
-        let eps = self.cfg.eps;
-        for (id, _) in &batch.outgoing {
-            let rec = self
-                .points
-                .get(*id)
-                .unwrap_or_else(|| panic!("outgoing point {id} is not in the window"));
-            debug_assert!(rec.in_window, "outgoing point {id} already retired");
-
-            // Decrement the neighbourhood and invalidate adopters that
-            // pointed at the departing point.
-            let points = &mut self.points;
-            let touched = &mut self.touched;
-            let needs_adoption = &mut self.needs_adoption;
-            let me = *id;
-            self.tree.for_each_in_ball(&rec.point, eps, |qid, _| {
-                if qid == me {
-                    return;
-                }
-                if let Some(q) = points.get_mut(qid) {
-                    if q.in_window {
-                        q.n_eps -= 1;
-                        touched.insert(qid);
-                        if q.adopter == Some(me) {
-                            q.adopter = None;
-                            needs_adoption.insert(qid);
-                        }
-                    }
-                }
-            });
-
-            if rec.prev_core {
-                // Departed ex-core: keep the ghost (C_out).
-                let ghost = self.points.get_mut(*id).expect("record vanished");
-                ghost.in_window = false;
-                ghost.n_eps = 0;
-                out.ghosts.push(*id);
-            } else {
-                // Border/noise departures leave immediately.
-                self.tree.remove(*id, rec.point);
-                self.points.remove(*id);
-            }
-            self.touched.remove(id);
-        }
-    }
-
-    /// Insertions (Alg. 1 lines 8-12), one tree traversal per element.
-    fn insert_per_point(&mut self, batch: &SlideBatch<D>) {
-        let eps = self.cfg.eps;
-        let tau = self.cfg.tau;
-        for (id, point) in &batch.incoming {
-            debug_assert!(
-                !self.points.contains(*id),
-                "incoming point {id} already in the window"
-            );
-            // Finiteness is enforced up front by `Disc::validate`, before
-            // any deletion mutated state; by the time COLLECT runs this can
-            // only fire on an engine-internal bug.
-            debug_assert!(
-                point.is_finite(),
-                "incoming point {id} has non-finite coordinates"
-            );
-            self.tree.insert(*id, *point);
-            let mut fresh = PointRecord::new(*point);
-
-            // Scan the neighbourhood: earlier insertions of this batch are
-            // already indexed, so every Δin-internal pair is counted exactly
-            // once (by the later of the two).
-            let points = &mut self.points;
-            let touched = &mut self.touched;
-            let me = *id;
-            let mut gained = 0u32;
-            let mut adopter = None;
-            self.tree.for_each_in_ball(point, eps, |qid, _| {
-                if qid == me {
-                    return;
-                }
-                if let Some(q) = points.get_mut(qid) {
-                    if q.in_window {
-                        q.n_eps += 1;
-                        gained += 1;
-                        touched.insert(qid);
-                        // Opportunistic adoption: a neighbour that already
-                        // meets τ now can only stay a core for the rest of
-                        // the insertion phase (counts only grow), so it is a
-                        // valid adopter for the final window. The smallest
-                        // qualifying id wins so the choice is independent of
-                        // the index's traversal order (and hence identical
-                        // across spatial backends).
-                        if q.n_eps as usize >= tau && adopter.is_none_or(|a| qid < a) {
-                            adopter = Some(qid);
-                        }
-                    }
-                }
-            });
-            fresh.n_eps += gained;
-            fresh.adopter = adopter;
-            self.points.insert(*id, fresh);
-            self.touched.insert(*id);
-            if adopter.is_none() {
-                // A neighbour may reach τ later in this stride: search for it.
-                self.needs_adoption.insert(*id);
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Batched slide path
-    // ------------------------------------------------------------------
 
     /// Deletions via one multi-center traversal plus one bulk tree removal.
     ///
@@ -334,9 +204,8 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
     ///
     /// The whole stride is indexed first, then a single traversal resolves
     /// every neighbourhood. A pair of Δin points shows up twice (once from
-    /// each center), so the count is applied on one orientation only —
-    /// preserving the count-each-pair-once invariant the per-point path gets
-    /// from its insert-then-scan ordering. Opportunistic adopters are chosen
+    /// each center), so the count is applied on one orientation only:
+    /// every pair is counted once. Opportunistic adopters are chosen
     /// after the traversal, on settled counts: the smallest-id established
     /// neighbour that is a final core. A newcomer without one can only have
     /// neo-cores in range, which adopt it in the neo-core phase, so it is
@@ -374,47 +243,37 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
         let mut gained = vec![0u32; centers.len()];
         let mut hits: Vec<(u32, PointId)> = Vec::new();
         let mut intra: Vec<(u32, u32)> = Vec::new();
-        if self.pool.width() > 1 {
-            // Wide path: gather over the frozen post-insert snapshot, then
-            // replay. All effects are commutative and the adopter choice
-            // below runs on settled counts, so hit order is immaterial.
-            for (ci, qid) in self.par_ball_hits(&centers) {
-                if let Some(&qi) = center_of.get(&qid) {
-                    if ci < qi {
-                        intra.push((ci, qi));
-                    }
-                    continue;
+        // Wide, as in `delete_batched`: all effects are commutative and the
+        // adopter choice below runs on settled counts, so hit order is
+        // immaterial.
+        let wide_hits = (self.pool.width() > 1).then(|| self.par_ball_hits(&centers));
+        let points = &mut self.points;
+        let touched = &mut self.touched;
+        let mut on_hit = |ci: usize, qid: PointId| {
+            if let Some(&qi) = center_of.get(&qid) {
+                // Δin-Δin pair: record one orientation, apply both ends
+                // later. `qi == ci` is the center finding itself.
+                if (ci as u32) < qi {
+                    intra.push((ci as u32, qi));
                 }
-                if let Some(q) = self.points.get_mut(qid) {
-                    if q.in_window {
-                        q.n_eps += 1;
-                        gained[ci as usize] += 1;
-                        self.touched.insert(qid);
-                        hits.push((ci, qid));
-                    }
+                return;
+            }
+            if let Some(q) = points.get_mut(qid) {
+                if q.in_window {
+                    q.n_eps += 1;
+                    gained[ci] += 1;
+                    touched.insert(qid);
+                    hits.push((ci as u32, qid));
                 }
             }
-        } else {
-            let points = &mut self.points;
-            let touched = &mut self.touched;
-            self.tree.for_each_in_balls(&centers, eps, |ci, qid, _| {
-                if let Some(&qi) = center_of.get(&qid) {
-                    // Δin-Δin pair: record one orientation, apply both ends
-                    // later. `qi == ci` is the center finding itself.
-                    if (ci as u32) < qi {
-                        intra.push((ci as u32, qi));
-                    }
-                    return;
-                }
-                if let Some(q) = points.get_mut(qid) {
-                    if q.in_window {
-                        q.n_eps += 1;
-                        gained[ci] += 1;
-                        touched.insert(qid);
-                        hits.push((ci as u32, qid));
-                    }
-                }
-            });
+        };
+        match wide_hits {
+            Some(wide) => wide
+                .into_iter()
+                .for_each(|(ci, qid)| on_hit(ci as usize, qid)),
+            None => self
+                .tree
+                .for_each_in_balls(&centers, eps, |ci, qid, _| on_hit(ci, qid)),
         }
         for &(a, b) in &intra {
             gained[a as usize] += 1;

@@ -66,19 +66,15 @@ pub struct DiscConfig {
     /// Use epoch-based R-tree probing (§IV-B). When false, visited marks
     /// live in a side hash map and range searches cannot prune subtrees.
     pub enable_epoch_probe: bool,
-    /// Use the batched slide path in COLLECT: bulk R-tree insert/remove and
-    /// one multi-center ε-ball traversal per phase instead of a traversal
-    /// per point. Exactness is unaffected; this only changes how the same
-    /// updates are computed. Defaults to enabled; disable for ablation.
-    pub enable_bulk_slide: bool,
     /// Which index backend drivers should instantiate the engine over (see
     /// [`IndexBackend`]). Purely declarative for the engine itself.
     pub backend: IndexBackend,
-    /// Worker count for the parallel slide engine. `0` means "auto": resolve
-    /// to the machine's available parallelism at use time. `1` (the default)
-    /// runs the exact sequential code path; any resolved value above 1 takes
-    /// the parallel path, whose output is bit-identical to sequential for
-    /// every thread count (see `DESIGN.md` §12).
+    /// Worker count for COLLECT's ε-ball gather, the one phase that runs
+    /// wide. `0` means "auto": resolve to the machine's available
+    /// parallelism at use time. `1` (the default) gathers inline; any
+    /// resolved value above 1 scans fixed chunks of centers on that many
+    /// threads. Every other phase is sequential at every width, and output
+    /// is bit-identical for every thread count (see `DESIGN.md` §12).
     ///
     /// This is a *host-execution* knob, not an algorithm parameter: it is
     /// deliberately **not** persisted in checkpoints and does not affect any
@@ -99,7 +95,6 @@ impl DiscConfig {
             tau,
             enable_msbfs: true,
             enable_epoch_probe: true,
-            enable_bulk_slide: true,
             backend: IndexBackend::default(),
             threads: Self::default_threads(),
         }
@@ -143,12 +138,6 @@ impl DiscConfig {
         self
     }
 
-    /// Disables the batched slide path (ablation).
-    pub fn without_bulk_slide(mut self) -> Self {
-        self.enable_bulk_slide = false;
-        self
-    }
-
     /// Declares the index backend drivers should instantiate over.
     pub fn with_backend(mut self, backend: IndexBackend) -> Self {
         self.backend = backend;
@@ -170,13 +159,11 @@ mod tests {
     #[test]
     fn builder_toggles() {
         let c = DiscConfig::new(0.5, 4);
-        assert!(c.enable_msbfs && c.enable_epoch_probe && c.enable_bulk_slide);
+        assert!(c.enable_msbfs && c.enable_epoch_probe);
         let c = c.without_msbfs();
         assert!(!c.enable_msbfs && c.enable_epoch_probe);
         let c = c.without_epoch_probe();
         assert!(!c.enable_msbfs && !c.enable_epoch_probe);
-        let c = c.without_bulk_slide();
-        assert!(!c.enable_bulk_slide);
     }
 
     #[test]

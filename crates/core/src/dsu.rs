@@ -174,102 +174,6 @@ impl disc_telemetry::MemoryFootprint for Dsu {
     }
 }
 
-/// A lock-free union-find over a **fixed** element universe, safe to hammer
-/// from many threads at once.
-///
-/// Linking is **by minimum id** (the larger root is hung under the smaller),
-/// not by size: after any sequence of unions, the representative of a set is
-/// its minimum member, a property of the *partition* alone. That makes the
-/// final `find` answers independent of thread interleaving — the whole
-/// point of this structure. The CAS loop only ever replaces a root's
-/// self-parent with a strictly smaller id, so parent pointers strictly
-/// decrease along every path and cycles are impossible.
-///
-/// Note the sequential MS-BFS replay keeps using the plain size-based
-/// [`Dsu`]: its union *winner* feeds queue-concatenation order, which the
-/// parallel path must reproduce bit-for-bit. `ConcurrentDsu` serves phases
-/// where only the final partition matters (see `DESIGN.md` §12).
-pub struct ConcurrentDsu {
-    parent: Vec<std::sync::atomic::AtomicU32>,
-}
-
-impl ConcurrentDsu {
-    /// A universe of `n` singleton sets `0..n`.
-    pub fn new(n: usize) -> Self {
-        assert!(u32::try_from(n).is_ok(), "universe exceeds u32 ids");
-        ConcurrentDsu {
-            parent: (0..n as u32)
-                .map(std::sync::atomic::AtomicU32::new)
-                .collect(),
-        }
-    }
-
-    /// Universe size.
-    pub fn len(&self) -> usize {
-        self.parent.len()
-    }
-
-    /// Whether the universe is empty.
-    pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
-    }
-
-    /// Current root of `x`'s set — the minimum member once all concurrent
-    /// unions involving the set have returned. Safe under `&self` from any
-    /// thread; applies path compression opportunistically.
-    pub fn find(&self, x: u32) -> u32 {
-        use std::sync::atomic::Ordering::{Relaxed, SeqCst};
-        let mut cur = x;
-        loop {
-            let p = self.parent[cur as usize].load(SeqCst);
-            if p == cur {
-                return cur;
-            }
-            let gp = self.parent[p as usize].load(SeqCst);
-            // Compression: point `cur` at its grandparent. Failure is fine —
-            // someone else already improved it (parents only decrease).
-            let _ = self.parent[cur as usize].compare_exchange(p, gp, Relaxed, Relaxed);
-            cur = gp;
-        }
-    }
-
-    /// Merges the sets of `a` and `b`; returns the surviving root (their
-    /// minimum). Concurrent unions on overlapping sets are linearizable.
-    pub fn union(&self, a: u32, b: u32) -> u32 {
-        use std::sync::atomic::Ordering::SeqCst;
-        let mut a = self.find(a);
-        let mut b = self.find(b);
-        loop {
-            if a == b {
-                return a;
-            }
-            // Hang the larger id under the smaller.
-            if a > b {
-                std::mem::swap(&mut a, &mut b);
-            }
-            match self.parent[b as usize].compare_exchange(b, a, SeqCst, SeqCst) {
-                Ok(_) => return a,
-                // `b` stopped being a root under our feet; chase the new
-                // root and retry.
-                Err(_) => b = self.find(b),
-            }
-        }
-    }
-
-    /// Whether `a` and `b` are currently in the same set.
-    pub fn same(&self, a: u32, b: u32) -> bool {
-        self.find(a) == self.find(b)
-    }
-
-    /// The final partition as a root-per-element vector (call after all
-    /// worker threads have joined).
-    pub fn snapshot_roots(&self) -> Vec<u32> {
-        (0..self.parent.len() as u32)
-            .map(|i| self.find(i))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -391,84 +295,5 @@ mod tests {
         let r2 = d.union(r1, c);
         assert_eq!(d.find(a), r2);
         assert_eq!(d.find(c), r2);
-    }
-
-    #[test]
-    fn concurrent_dsu_basics() {
-        let d = ConcurrentDsu::new(6);
-        assert_eq!(d.len(), 6);
-        assert!(!d.is_empty());
-        assert!(ConcurrentDsu::new(0).is_empty());
-        assert_eq!(d.union(4, 2), 2);
-        assert_eq!(d.union(5, 4), 2);
-        // Representative is always the minimum member.
-        assert_eq!(d.union(3, 5), 2);
-        assert!(d.same(3, 4));
-        assert!(!d.same(0, 2));
-        assert_eq!(d.find(5), 2);
-        assert_eq!(d.snapshot_roots(), vec![0, 1, 2, 2, 2, 2]);
-    }
-
-    /// Satellite (c): many threads hammering `union`/`find` over a shared
-    /// edge list must land on exactly the partition a sequential replay of
-    /// the same edges produces — representatives and all (min-id linking
-    /// makes the representative a property of the partition alone).
-    #[test]
-    fn concurrent_dsu_stress_matches_sequential_replay() {
-        const N: usize = 2048;
-        const THREADS: usize = 8;
-        const ROUNDS: usize = 4;
-        // Deterministic pseudo-random edges (splitmix-style), plus chains
-        // that force long merge cascades across thread boundaries.
-        let mut edges: Vec<(u32, u32)> = Vec::new();
-        let mut s: u64 = 0x9e37_79b9_7f4a_7c15;
-        for _ in 0..4096 {
-            s = s.wrapping_mul(0x2545_f491_4f6c_dd1d).wrapping_add(1);
-            let a = (s >> 33) as u32 % N as u32;
-            let b = (s >> 11) as u32 % N as u32;
-            edges.push((a, b));
-        }
-        for i in 0..(N as u32 - 1) / 3 {
-            edges.push((3 * i, 3 * i + 3));
-        }
-
-        // Sequential oracle: min-member representative per element.
-        let mut seq = Dsu::new();
-        for _ in 0..N {
-            seq.alloc();
-        }
-        for &(a, b) in &edges {
-            seq.union(a, b);
-        }
-        let mut min_member = vec![u32::MAX; N];
-        for i in 0..N as u32 {
-            let r = seq.find(i) as usize;
-            min_member[r] = min_member[r].min(i);
-        }
-        let oracle: Vec<u32> = (0..N as u32)
-            .map(|i| min_member[seq.find(i) as usize])
-            .collect();
-
-        for round in 0..ROUNDS {
-            let conc = ConcurrentDsu::new(N);
-            std::thread::scope(|scope| {
-                for t in 0..THREADS {
-                    // Each worker processes an interleaved slice, rotated per
-                    // round so contention patterns vary between rounds.
-                    let edges = &edges;
-                    let conc = &conc;
-                    scope.spawn(move || {
-                        for (i, &(a, b)) in edges.iter().enumerate() {
-                            if (i + round) % THREADS == t {
-                                conc.union(a, b);
-                            }
-                            // Interleave finds to exercise compression races.
-                            conc.find(((i as u32) * 7 + t as u32) % N as u32);
-                        }
-                    });
-                }
-            });
-            assert_eq!(conc.snapshot_roots(), oracle, "round {round} diverged");
-        }
     }
 }

@@ -34,6 +34,11 @@ pub enum SlideError {
     /// no meaningful ε-neighbourhood and would poison every index they
     /// touch, so they are rejected before any state changes.
     NonFinite(PointId),
+    /// An incoming id is that of a core departing in the same batch. A
+    /// departed core stays indexed under its id until CLUSTER has examined
+    /// its class (`C_out`, Alg. 2 line 8), so the arrival would put two
+    /// points under one id. A departing border or noise id may re-enter.
+    ReenteringCore(PointId),
 }
 
 impl std::fmt::Display for SlideError {
@@ -50,6 +55,9 @@ impl std::fmt::Display for SlideError {
             }
             SlideError::NonFinite(id) => {
                 write!(f, "incoming point {id} has non-finite coordinates")
+            }
+            SlideError::ReenteringCore(id) => {
+                write!(f, "incoming point {id} reuses the id of a departing core")
             }
         }
     }
@@ -89,11 +97,10 @@ pub struct Disc<const D: usize, B: SpatialBackend<D> = RTree<D>> {
     /// Union-find over cluster ids; the canonical id is the root.
     pub(crate) clusters: Dsu,
     /// Non-cores the final adoption pass must search for a core: borders
-    /// whose adopter left the window or lost core status this slide, and —
-    /// on the per-point slide path only — newcomers without an
-    /// opportunistic adopter. Any other unadopted non-core has either no
-    /// core in range or a neo-core that adopts it in the neo-core phase
-    /// (DESIGN.md §3, "Border adoption"), so it is never queued.
+    /// whose adopter left the window or lost core status this slide. Any
+    /// other unadopted non-core has either no core in range or a neo-core
+    /// that adopts it in the neo-core phase (DESIGN.md §3, "Border
+    /// adoption"), so it is never queued.
     pub(crate) needs_adoption: FxHashSet<PointId>,
     /// Points whose `n_ε` changed this slide (candidate ex-/neo-cores).
     pub(crate) touched: FxHashSet<PointId>,
@@ -121,11 +128,11 @@ pub struct Disc<const D: usize, B: SpatialBackend<D> = RTree<D>> {
     pub(crate) prov: Vec<disc_telemetry::ProvenanceEvent>,
     /// Whether the current slide buffers provenance (recorder enabled).
     pub(crate) prov_on: bool,
-    /// Worker pool for the parallel slide engine, sized from
+    /// Worker pool for COLLECT's ε-ball gather, sized from
     /// `cfg.effective_threads()` at construction. Width 1 (the default)
-    /// keeps every phase on the exact sequential code path; any wider and
-    /// the read-only scan phases fan out while all state mutation stays
-    /// sequential — output is bit-identical either way (DESIGN.md §12).
+    /// gathers inline; any wider and the gather fans out over chunks of
+    /// centers while all state mutation stays sequential — output is
+    /// bit-identical either way (DESIGN.md §12).
     pub(crate) pool: disc_par::Pool,
 }
 
@@ -189,7 +196,7 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
     /// Callers replay the returned hits sequentially; every COLLECT effect
     /// is commutative across hits (counts, set inserts, min-id adopter
     /// selection), so chunked hit order is as good as the single bulk
-    /// traversal's.
+    /// traversal's. This is the engine's only parallel phase.
     pub(crate) fn par_ball_hits(&mut self, centers: &[Point<D>]) -> Vec<(u32, PointId)> {
         const CHUNK: usize = 256;
         let eps = self.cfg.eps;
@@ -214,44 +221,6 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
             all.extend(hits);
         }
         all
-    }
-
-    /// Scans one ε-ball per listed point in parallel and returns each ball's
-    /// ids in a map, preserving the index's per-ball traversal order (each
-    /// ball is scanned by `scan_ball`, the same traversal
-    /// `for_each_in_ball` runs). Used by the cluster phases, whose
-    /// bit-identical replay depends on within-ball order. Counters merge
-    /// back in task order.
-    pub(crate) fn par_prefetch_balls(
-        &mut self,
-        ids: &[PointId],
-    ) -> FxHashMap<PointId, Vec<PointId>> {
-        const CHUNK: usize = 64;
-        let eps = self.cfg.eps;
-        let n_chunks = ids.len().div_ceil(CHUNK);
-        let tree = &self.tree;
-        let points = &self.points;
-        let tasks = self.pool.run(n_chunks, |c| {
-            let base = c * CHUNK;
-            let slice = &ids[base..(base + CHUNK).min(ids.len())];
-            let mut balls: Vec<(PointId, Vec<PointId>)> = Vec::with_capacity(slice.len());
-            let mut stats = disc_index::Stats::default();
-            for &id in slice {
-                let center = points.point_at(id);
-                let mut ball: Vec<PointId> = Vec::new();
-                tree.scan_ball(&center, eps, |qid, _| ball.push(qid), &mut stats);
-                balls.push((id, ball));
-            }
-            (balls, stats)
-        });
-        let mut map: FxHashMap<PointId, Vec<PointId>> = FxHashMap::default();
-        for (balls, stats) in tasks {
-            self.tree.stats_mut().merge(&stats);
-            for (id, ball) in balls {
-                map.insert(id, ball);
-            }
-        }
-        map
     }
 
     /// Builder-style [`set_recorder`](Disc::set_recorder).
@@ -467,15 +436,17 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
     }
 
     /// Rejects batches that [`apply`](Disc::apply) would panic on, before
-    /// any state is touched. Incoming ids may legally reuse an id departing
-    /// in the same batch (outgoing retires first).
+    /// any state is touched. An incoming id may reuse the id of a border or
+    /// noise point departing in the same batch (outgoing retires first),
+    /// but not that of a departing core.
     fn validate(&self, batch: &SlideBatch<D>) -> Result<(), SlideError> {
-        let mut outgoing: FxHashSet<PointId> = FxHashSet::default();
+        // Departing id → whether it was a core of the previous window.
+        let mut outgoing: FxHashMap<PointId, bool> = FxHashMap::default();
         for (id, _) in &batch.outgoing {
-            if !self.points.get(*id).map(|r| r.in_window).unwrap_or(false) {
+            let Some(rec) = self.points.get(*id).filter(|r| r.in_window) else {
                 return Err(SlideError::UnknownOutgoing(*id));
-            }
-            if !outgoing.insert(*id) {
+            };
+            if outgoing.insert(*id, rec.prev_core).is_some() {
                 return Err(SlideError::DuplicateOutgoing(*id));
             }
         }
@@ -484,8 +455,11 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
             if !point.is_finite() {
                 return Err(SlideError::NonFinite(*id));
             }
+            if outgoing.get(id) == Some(&true) {
+                return Err(SlideError::ReenteringCore(*id));
+            }
             let present = self.points.get(*id).map(|r| r.in_window).unwrap_or(false);
-            if (present && !outgoing.contains(id)) || !fresh.insert(*id) {
+            if (present && !outgoing.contains_key(id)) || !fresh.insert(*id) {
                 return Err(SlideError::DuplicateIncoming(*id));
             }
         }

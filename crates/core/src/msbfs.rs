@@ -74,34 +74,10 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
     }
 
     /// Multi-starter BFS (Alg. 3). `use_epoch` selects the probing flavour.
-    ///
-    /// ## Wide execution
-    ///
-    /// When the engine pool is wider than 1, each sweep over the active
-    /// searches first scans the balls of every search's *next* vertex (its
-    /// queue front) in parallel on the frozen index, then replays the exact
-    /// sequential round-robin using those precomputed hits. Speculated
-    /// fronts are stable within a sweep because merges append the loser's
-    /// queue at the winner's *back*; a pop that was not speculated (e.g. a
-    /// queue that was empty at sweep start and gained items mid-sweep)
-    /// falls back to a synchronous scan. The speculation map is keyed by
-    /// vertex id and persists across sweeps, so work is never thrown away:
-    /// a vertex scanned on behalf of a search that got merged is consumed
-    /// when the winning search eventually pops it.
-    ///
-    /// The wide path always runs the *plain side-map* flavour, which is
-    /// bit-identical to the epoch flavour in everything this function
-    /// returns: both defer unions until after the hit loop, and the epoch
-    /// probe's fresh/foreign lists come out in the same traversal order as
-    /// a plain filtered scan (pruned regions contribute only same-owner
-    /// entries the plain filter drops anyway). Only index counters differ.
     fn msbfs(&mut self, starters: &[PointId], use_epoch: bool) -> Connectivity {
         let eps = self.cfg.eps;
         let tau = self.cfg.tau;
         let k = starters.len();
-        let wide = self.pool.width() > 1;
-        let use_epoch = use_epoch && !wide;
-        let mut spec: FxHashMap<PointId, Vec<PointId>> = FxHashMap::default();
 
         let mut threads = Dsu::new();
         let mut queues: Vec<VecDeque<PointId>> = Vec::with_capacity(k);
@@ -144,22 +120,6 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
         let mut rounds = 0usize;
 
         while active.len() > 1 {
-            if wide {
-                // Speculate this sweep's pops: every active root will pop
-                // its current queue front. Scan those balls concurrently.
-                let mut fronts: Vec<PointId> = Vec::new();
-                for &t in &active {
-                    if threads.find(t) != t {
-                        continue;
-                    }
-                    if let Some(&f) = queues[t as usize].front() {
-                        if !spec.contains_key(&f) {
-                            fronts.push(f);
-                        }
-                    }
-                }
-                self.speculate_core_balls(&fronts, &mut spec);
-            }
             let mut made_progress = false;
             let mut slot_idx = 0;
             while slot_idx < active.len() {
@@ -211,19 +171,12 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
                     }
                 } else {
                     plain_hits.clear();
-                    if let Some(hits) = spec.remove(&r) {
-                        // Nothing mutated records or the index since the
-                        // speculative scan, so its core-filtered hits are
-                        // exactly what a scan right now would produce.
-                        plain_hits.extend(hits);
-                    } else {
-                        let points = &self.points;
-                        self.tree.for_each_in_ball(&center, eps, |id, _| {
-                            if points.get(id).map(|p| p.is_core(tau)).unwrap_or(false) {
-                                plain_hits.push(id);
-                            }
-                        });
-                    }
+                    let points = &self.points;
+                    self.tree.for_each_in_ball(&center, eps, |id, _| {
+                        if points.get(id).map(|p| p.is_core(tau)).unwrap_or(false) {
+                            plain_hits.push(id);
+                        }
+                    });
                     for &id in &plain_hits {
                         match owner_of.get(&id) {
                             None => {
@@ -276,45 +229,6 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
             detached,
             survivor_rep,
             rounds,
-        }
-    }
-
-    /// Scans the ε-balls of `fronts` concurrently over the frozen index,
-    /// filtering each to current core points, and records the results in
-    /// `spec` keyed by vertex. The core filter is safe to evaluate inside
-    /// the workers because MS-BFS mutates neither records nor the index.
-    /// Per-task index counters merge back in task order.
-    fn speculate_core_balls(
-        &mut self,
-        fronts: &[PointId],
-        spec: &mut FxHashMap<PointId, Vec<PointId>>,
-    ) {
-        if fronts.is_empty() {
-            return;
-        }
-        let eps = self.cfg.eps;
-        let tau = self.cfg.tau;
-        let tree = &self.tree;
-        let points = &self.points;
-        let tasks = self.pool.run(fronts.len(), |i| {
-            let center = points.point_at(fronts[i]);
-            let mut hits: Vec<PointId> = Vec::new();
-            let mut stats = disc_index::Stats::default();
-            tree.scan_ball(
-                &center,
-                eps,
-                |id, _| {
-                    if points.get(id).map(|p| p.is_core(tau)).unwrap_or(false) {
-                        hits.push(id);
-                    }
-                },
-                &mut stats,
-            );
-            (hits, stats)
-        });
-        for (i, (hits, stats)) in tasks.into_iter().enumerate() {
-            self.tree.stats_mut().merge(&stats);
-            spec.insert(fronts[i], hits);
         }
     }
 

@@ -31,8 +31,7 @@ pub struct SlideStats {
     /// New clusters that emerged.
     pub emerged: usize,
     /// ε-ball searches run by the final adoption pass: one per border
-    /// whose adopter left the window or became an ex-core, plus (per-point
-    /// slide path only) one per newcomer without an opportunistic adopter.
+    /// whose adopter left the window or became an ex-core.
     pub adoption_searches: usize,
     /// Connectivity-check instances run (MS-BFS, Alg. 3).
     pub msbfs_instances: usize,

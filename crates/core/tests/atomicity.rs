@@ -30,7 +30,7 @@ fn observe<const D: usize, B: SpatialBackend<D>>(disc: &Disc<D, B>) -> Observati
     )
 }
 
-/// Builds the three kinds of invalid batch against a live engine. Each
+/// Builds the four kinds of invalid batch against a live engine. Each
 /// also carries valid incoming *and* outgoing entries, so a non-atomic
 /// implementation that mutates before validating would be caught.
 fn poison_batches<const D: usize, B: SpatialBackend<D>>(
@@ -62,7 +62,7 @@ fn poison_batches<const D: usize, B: SpatialBackend<D>>(
             },
             SlideError::DuplicateIncoming(fresh_a),
         ),
-        _ => {
+        2 => {
             let ghost = PointId(2_000_000);
             (
                 SlideBatch {
@@ -70,6 +70,24 @@ fn poison_batches<const D: usize, B: SpatialBackend<D>>(
                     outgoing: vec![(victim_id, victim_pt), (ghost, victim_pt)],
                 },
                 SlideError::UnknownOutgoing(ghost),
+            )
+        }
+        _ => {
+            // A core departs and its id re-enters at once.
+            let core = disc
+                .export_state()
+                .points
+                .into_iter()
+                .find(|p| disc.is_core(p.id))
+                .expect("the window holds a core");
+            let mut moved = core.point;
+            moved[0] += 0.1;
+            (
+                SlideBatch {
+                    incoming: vec![(fresh_a, near), (core.id, moved)],
+                    outgoing: vec![(core.id, core.point)],
+                },
+                SlideError::ReenteringCore(core.id),
             )
         }
     }
@@ -105,20 +123,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn rejected_slides_leave_no_trace_on_rtree(seed in 0u64..2000, kind in 0usize..3) {
+    fn rejected_slides_leave_no_trace_on_rtree(seed in 0u64..2000, kind in 0usize..4) {
         assert_rejection_is_atomic::<2, RTree<2>>(seed, kind);
     }
 
     #[test]
-    fn rejected_slides_leave_no_trace_on_grid(seed in 0u64..2000, kind in 0usize..3) {
+    fn rejected_slides_leave_no_trace_on_grid(seed in 0u64..2000, kind in 0usize..4) {
         assert_rejection_is_atomic::<2, GridIndex<2>>(seed, kind);
     }
 }
 
-/// All three rejection kinds, deterministically, in 3-d as well.
+/// All four rejection kinds, deterministically, in 3-d as well.
 #[test]
 fn all_rejection_kinds_are_atomic_in_3d() {
-    for kind in 0..3 {
+    for kind in 0..4 {
         assert_rejection_is_atomic::<3, RTree<3>>(99, kind);
         assert_rejection_is_atomic::<3, GridIndex<3>>(99, kind);
     }

@@ -224,52 +224,11 @@ fn exactness_holds_without_epoch_probe() {
 }
 
 #[test]
-fn exactness_holds_without_bulk_slide() {
-    let recs = datasets::maze(1000, 10, 37);
-    run_stream(recs, 300, 60, 0.6, 5, |c| c.without_bulk_slide());
-}
-
-#[test]
 fn exactness_holds_without_any_optimisation() {
     let recs = datasets::maze(1000, 10, 31);
     run_stream(recs, 300, 60, 0.6, 5, |c| {
-        c.without_msbfs().without_epoch_probe().without_bulk_slide()
+        c.without_msbfs().without_epoch_probe()
     });
-}
-
-/// The batched and per-point slide paths must not merely both be
-/// DBSCAN-equivalent — they must produce identical assignments slide by
-/// slide (cluster-id choices included), since they implement the same
-/// algorithm with only the traversal order changed.
-#[test]
-fn batched_and_per_point_paths_agree_exactly() {
-    for (window, stride) in [(300, 30), (300, 150), (200, 200), (240, 7)] {
-        let mut recs = datasets::gaussian_blobs::<2>(900, 3, 0.8, 59);
-        let noise = datasets::uniform::<2>(150, 25.0, 61);
-        for (i, n) in noise.into_iter().enumerate() {
-            recs.insert((i * 5) % recs.len(), n);
-        }
-        let mut w = SlidingWindow::new(recs, window, stride);
-        let mut batched = Disc::new(DiscConfig::new(0.9, 4));
-        let mut per_point = Disc::new(DiscConfig::new(0.9, 4).without_bulk_slide());
-        let fill = w.fill();
-        batched.apply(&fill);
-        per_point.apply(&fill);
-        loop {
-            assert_eq!(
-                batched.assignments(),
-                per_point.assignments(),
-                "paths diverged at window={window} stride={stride}"
-            );
-            match w.advance() {
-                Some(batch) => {
-                    batched.apply(&batch);
-                    per_point.apply(&batch);
-                }
-                None => break,
-            }
-        }
-    }
 }
 
 /// The grid backend must satisfy the same oracle lockstep as the R-tree on
@@ -308,7 +267,7 @@ fn grid_backend_iris_4d_stream_is_exact() {
 fn grid_backend_exact_without_any_optimisation() {
     let recs = datasets::maze(1000, 10, 31);
     run_stream_on::<2, GridIndex<2>>(recs, 300, 60, 0.6, 5, |c| {
-        c.without_msbfs().without_epoch_probe().without_bulk_slide()
+        c.without_msbfs().without_epoch_probe()
     });
 }
 
@@ -393,7 +352,7 @@ proptest! {
             if all_opts {
                 c
             } else {
-                c.without_msbfs().without_epoch_probe().without_bulk_slide()
+                c.without_msbfs().without_epoch_probe()
             }
         };
         run_stream(recs, window, stride, eps, tau, cfg_mod);

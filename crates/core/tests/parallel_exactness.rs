@@ -1,24 +1,25 @@
 //! Parallel exactness: the wide slide engine must be **bit-identical** to
 //! the sequential oracle, slide by slide, at every worker width.
 //!
-//! The sequential path (`threads = 1`) runs the engine's original code —
-//! the worker pool is bypassed entirely — so it serves as the oracle here,
-//! and is itself certified DBSCAN-equivalent by `exactness.rs`. A wide
-//! engine must then reproduce, for every slide:
+//! Only COLLECT's ε-ball gather runs wide; every other phase takes the same
+//! sequential code at every width. The sequential engine (`threads = 1`)
+//! gathers inline with one bulk traversal, so it serves as the oracle
+//! here, and is itself certified DBSCAN-equivalent by `exactness.rs`. A
+//! wide engine must then reproduce, for every slide:
 //!
 //! * the exact label vector — cluster-id choices included, not merely the
 //!   induced partition;
 //! * the algorithmic slide counters (ex-/neo-cores, classes, splits,
-//!   merges, emergences, adoptions, MS-BFS instances/starters/rounds) and
-//!   the index mutation counters (inserts/removes);
+//!   merges, emergences, adoptions, MS-BFS instances/starters/rounds), the
+//!   index mutation counters (inserts/removes) and the search counters
+//!   (`range_searches`, `epoch_probes`);
 //! * the provenance event multiset.
 //!
-//! Deliberately *not* compared: traversal-shape index counters
-//! (`nodes_visited`, `range_searches`, `epoch_probes`, …). The wide
-//! COLLECT chunks the multi-ball batch and the wide MS-BFS swaps the
-//! epoch-probe flavour for speculative per-ball scans, so those counters
-//! measure a different — equally valid — walk over the same index. The
-//! *answers* (and every mutation) must still coincide.
+//! Deliberately *not* compared: `nodes_visited`, `distance_checks` and
+//! `subtrees_pruned`. The wide gather splits the multi-ball traversal into
+//! fixed chunks of centers, so those counters measure a different — equally
+//! valid — walk over the same index. The *answers*, every search and every
+//! mutation must still coincide.
 
 use disc_core::{Disc, DiscConfig, SlideStats};
 use disc_index::{GridIndex, RTree, SpatialBackend};
@@ -42,9 +43,9 @@ fn instrumented<const D: usize, B: SpatialBackend<D>>(
     (Disc::with_index(cfg).with_recorder(reg), sink)
 }
 
-/// The slide counters that describe *what the algorithm decided*, as
-/// opposed to how the index happened to be walked.
-fn algo_sig(s: &SlideStats) -> [u64; 15] {
+/// The slide counters that describe *what the algorithm decided* and which
+/// searches it ran, as opposed to how the index happened to be walked.
+fn algo_sig(s: &SlideStats) -> [u64; 17] {
     [
         s.inserted as u64,
         s.removed as u64,
@@ -61,6 +62,8 @@ fn algo_sig(s: &SlideStats) -> [u64; 15] {
         s.msbfs_rounds as u64,
         s.index.inserts,
         s.index.removes,
+        s.index.range_searches,
+        s.index.epoch_probes,
     ]
 }
 

@@ -69,9 +69,10 @@ fn encode_config(cfg: &DiscConfig) -> Vec<u8> {
     if cfg.enable_epoch_probe {
         flags |= 2;
     }
-    if cfg.enable_bulk_slide {
-        flags |= 4;
-    }
+    // Bit 4 once flagged a batched COLLECT that could be switched off. It
+    // is the only COLLECT now: always written, so checkpoints keep their
+    // bytes, and ignored on read.
+    flags |= 4;
     e.u8(flags);
     e.u8(match cfg.backend {
         IndexBackend::RTree => 0,
@@ -113,7 +114,6 @@ fn decode_config(bytes: &[u8]) -> Result<DiscConfig, PersistError> {
         tau: tau as usize,
         enable_msbfs: flags & 1 != 0,
         enable_epoch_probe: flags & 2 != 0,
-        enable_bulk_slide: flags & 4 != 0,
         backend,
         // Deliberately NOT persisted: worker count is a host-execution knob
         // with no effect on clustering output, and the restoring host may
@@ -564,6 +564,35 @@ mod tests {
                     assert_eq!(detail, format!("unknown backend tag {tag}"));
                 }
                 other => panic!("backend tag {tag}: unexpected {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn config_flag_bit_4_is_ignored_and_unknown_bits_are_corrupt() {
+        // Rewrites the config's flags byte under a valid CRC.
+        let bytes = encode_checkpoint(&sample());
+        let at = 20 + 1 + "config".len() + 8; // header, name, length
+        let cfg_len = encode_config(&sample().state.config).len();
+        let flags_at = at + 8 + 8; // eps, tau
+        assert_eq!(bytes[flags_at], 0b111, "default configs write bit 4 set");
+        let with_flags = |flags: u8| {
+            let mut b = bytes.clone();
+            b[flags_at] = flags;
+            let crc = crc32(&b[at..at + cfg_len]).to_le_bytes();
+            b[at + cfg_len..at + cfg_len + 4].copy_from_slice(&crc);
+            decode_checkpoint::<2>(&b)
+        };
+        // Bit 4 clear: what a build with a switchable batched COLLECT
+        // wrote when it was off. It loads as the same config.
+        assert_eq!(with_flags(0b011).unwrap(), sample());
+        for flags in [0b1111u8, 0x80] {
+            match with_flags(flags) {
+                Err(PersistError::Corrupt { section, detail }) => {
+                    assert_eq!(section, "config");
+                    assert_eq!(detail, format!("unknown flag bits {flags:#x}"));
+                }
+                other => panic!("flags {flags:#x}: unexpected {other:?}"),
             }
         }
     }
