@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use disc_core::{Disc, DiscConfig};
-use disc_telemetry::{ProvenanceEvent, ProvenanceSink, Registry, Tracer};
+use disc_telemetry::{ProvenanceEvent, Registry, Sink, Tracer};
 use disc_window::{datasets, SlidingWindow};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -20,7 +20,7 @@ const TAU: usize = 8;
 
 /// Swallows events so the bench measures emission, not I/O.
 struct NullSink;
-impl ProvenanceSink for NullSink {
+impl Sink<ProvenanceEvent> for NullSink {
     fn emit(&self, _event: &ProvenanceEvent) {}
 }
 

@@ -3,15 +3,21 @@
 //! DISC with {neither, epoch-probing only, MS-BFS only, both}, per dataset,
 //! stride 5%. Expected shape: each optimisation helps on its own, both
 //! together are best. Every variant runs the same batched COLLECT (bulk
-//! index mutations + one multi-center traversal per phase).
+//! index mutations + one multi-center traversal per phase). Each cell is
+//! the median slide time over `REPS` fresh passes of `SLIDES` slides: one
+//! five-slide mean moved single cells up to 2× between back-to-back runs,
+//! more than the effects the table compares.
 
 use crate::report::{fmt_duration, Table};
-use crate::runner::{measure, records_needed, tile};
+use crate::runner::{measure_repeated, records_needed, tile};
 use crate::suites::{SEED, SLIDES};
 use crate::Scale;
 use disc_core::{Disc, DiscConfig};
 use disc_window::datasets::{self, Profile};
 use disc_window::Record;
+
+/// Fresh passes per cell.
+const REPS: u32 = 21;
 
 fn per_dataset<const D: usize>(
     gen: impl Fn(usize) -> Vec<Record<D>>,
@@ -32,8 +38,8 @@ fn per_dataset<const D: usize>(
     ];
     let mut cells = vec![prof.name.to_string()];
     for (_, v) in &variants {
-        let m = measure(Disc::new(*v), &recs, window, stride, SLIDES);
-        cells.push(fmt_duration(m.avg_slide));
+        let m = measure_repeated(|| Disc::new(*v), &recs, window, stride, SLIDES, REPS);
+        cells.push(fmt_duration(m.p50_slide()));
     }
     table.row(cells);
 }
@@ -41,7 +47,7 @@ fn per_dataset<const D: usize>(
 /// Runs the Fig. 8 suite.
 pub fn run(scale: Scale) -> Table {
     let mut t = Table::new(
-        "Fig. 8: optimisation ablation (elapsed per slide, stride 5%)",
+        "Fig. 8: optimisation ablation (median slide time, stride 5%)",
         &["dataset", "none", "epoch only", "MS-BFS only", "both"],
     );
     per_dataset(

@@ -3,7 +3,7 @@
 use crate::pipeline::{build_engine, drive, refuse_dropped_flags, Durable, Origin, Run};
 use crate::Opts;
 use disc_core::{kdistance, DiscConfig, IndexBackend};
-use disc_telemetry::{ProvenanceEvent, ProvenanceKind, Registry};
+use disc_telemetry::{JsonlRecord, ProvenanceEvent, ProvenanceKind, Registry};
 use disc_window::{csv, datasets, Record, SlidingWindow};
 use std::path::Path;
 

@@ -25,8 +25,8 @@ use crate::Opts;
 use disc_baselines::Dbscan;
 use disc_geom::{FxHashMap, Point, PointId};
 use disc_telemetry::{
-    health::ppm, AlertEngine, AlertEvent, DriftMonitor, HealthEvent, LifecycleAnalytics,
-    ProvenanceEvent, ProvenanceSink, Recorder, Registry,
+    health::ppm, AlertEngine, AlertEvent, DriftMonitor, HealthEvent, JsonlRecord,
+    LifecycleAnalytics, ProvenanceEvent, ProvenanceSink, Recorder, Registry, Sink,
 };
 use disc_window::{SlideBatch, SlidingWindow};
 use std::io::Write;
@@ -90,7 +90,7 @@ struct LifecycleTee {
     inner: Option<Box<dyn ProvenanceSink>>,
 }
 
-impl ProvenanceSink for LifecycleTee {
+impl Sink<ProvenanceEvent> for LifecycleTee {
     fn emit(&self, event: &ProvenanceEvent) {
         self.lifecycle
             .lock()

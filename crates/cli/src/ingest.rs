@@ -23,7 +23,7 @@
 use crate::health::JsonlWriter;
 use crate::Opts;
 use disc_persist::{FsyncPolicy, IngestJournalWriter};
-use disc_telemetry::{lag_ppm, IngestEvent, Recorder, Registry};
+use disc_telemetry::{lag_ppm, IngestEvent, JsonlRecord, Recorder, Registry};
 use disc_window::reorder::IngestStats;
 use disc_window::{csv, AdmissionConfig, Decision, Ingest, LatePolicy, Record};
 use std::path::PathBuf;

@@ -43,7 +43,8 @@ usage:
                 given, must equal the checkpoint's)
   RUN FLAGS, shared by `cluster` and `resume`:
                 [--out F] [--quiet] [--stats-every N]
-                [--metrics-out F.jsonl] [--prom-addr HOST:PORT]
+                [--metrics-out F.jsonl]   (disc, extran, dbscan)
+                [--prom-addr HOST:PORT]
                 [--trace-out F.json] [--folded-out F.txt]
                 [--provenance-out F.jsonl]   (spans/provenance: disc only)
                 [--audit-every K] [--alerts RULES.toml|.json]
@@ -324,6 +325,7 @@ fn dispatch_dim<C: cmd::DimCommand>(opts: &Opts, cmd: C) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use disc_telemetry::JsonlRecord;
 
     fn parse(args: &[&str]) -> Result<Opts, String> {
         let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();

@@ -20,8 +20,8 @@ use disc_persist::{
     FsyncPolicy, RecoveryReport, WalWriter,
 };
 use disc_telemetry::{
-    chrome_trace_json, folded_stacks, JsonlProvenanceSink, JsonlSink, MemoryFootprint, PromServer,
-    ProvenanceSink, Recorder, Registry,
+    chrome_trace_json, folded_stacks, JsonlSink, MemoryFootprint, PromServer, ProvenanceSink,
+    Recorder, Registry,
 };
 use disc_window::{csv, SlidingWindow};
 use std::path::{Path, PathBuf};
@@ -40,6 +40,13 @@ pub(crate) fn refuse_dropped_flags(opts: &Opts) -> Result<(), String> {
     }
     if opts.fsync.is_some() && opts.wal.is_none() && opts.ingest_journal.is_none() {
         return Err("--fsync needs --wal or --ingest-journal".to_string());
+    }
+    // IncDBSCAN and ρ²-DBSCAN publish no slide events.
+    if opts.metrics_out.is_some() && matches!(opts.method.as_str(), "incdbscan" | "rho2") {
+        return Err(format!(
+            "--metrics-out requires --method disc, extran or dbscan (got {:?})",
+            opts.method
+        ));
     }
     // Only DISC exports its state, records spans and emits provenance.
     let disc_only = [
@@ -210,10 +217,11 @@ fn registry<const D: usize>(opts: &Opts, health: Option<&Health<D>>) -> Result<R
         None => Registry::new(),
     };
     let export: Option<Box<dyn ProvenanceSink>> = match &opts.provenance_out {
-        Some(path) => Some(Box::new(
-            JsonlProvenanceSink::create(path)
-                .map_err(|e| format!("--provenance-out {}: {e}", path.display()))?,
-        )),
+        Some(path) => {
+            Some(Box::new(JsonlSink::create(path).map_err(|e| {
+                format!("--provenance-out {}: {e}", path.display())
+            })?))
+        }
         None => None,
     };
     let provenance = match health {
@@ -430,7 +438,9 @@ fn summary_line(
 
 #[cfg(test)]
 mod tests {
-    use disc_telemetry::{AlertEvent, HealthEvent, IngestEvent, ProvenanceEvent, SlideEvent};
+    use disc_telemetry::{
+        AlertEvent, HealthEvent, IngestEvent, JsonlRecord, ProvenanceEvent, SlideEvent,
+    };
     use std::io::{Read, Write};
     use std::path::Path;
 
@@ -633,8 +643,9 @@ mod tests {
     }
 
     /// The refusals: orphan durability flags, resume parameters the
-    /// checkpoint overrides, and span/provenance outputs of methods that
-    /// record neither. Each error names the flag; nothing is written.
+    /// checkpoint overrides, span/provenance outputs of methods that record
+    /// neither, and slide events of methods that publish none. Each error
+    /// names the flag; nothing is written.
     #[test]
     fn flag_matrix_refuses_flags_it_would_drop() {
         let dir = std::env::temp_dir().join("disc_cli_flag_matrix_refusals");
@@ -689,6 +700,19 @@ mod tests {
                     artifact.display()
                 );
             }
+        }
+        for method in ["incdbscan", "rho2"] {
+            let artifact = dir.join("artifact");
+            refused(
+                &["--method", method, "--metrics-out", p(&artifact)],
+                "plain",
+                &["--metrics-out", "--method disc", method],
+            );
+            assert!(
+                !artifact.exists(),
+                "{method} --metrics-out wrote {}",
+                artifact.display()
+            );
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

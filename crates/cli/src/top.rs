@@ -16,7 +16,7 @@
 
 use crate::Opts;
 use disc_telemetry::mem::fmt_bytes;
-use disc_telemetry::{parse_prometheus, HealthEvent, IngestEvent, Sample, SlideEvent};
+use disc_telemetry::{parse_prometheus, HealthEvent, IngestEvent, JsonlRecord, Sample, SlideEvent};
 use std::io::{Read, Seek, SeekFrom, Write};
 
 /// How many recent slides feed the rolling latency/memory view.
@@ -69,20 +69,12 @@ fn tail_jsonl(
     let mut ingest_partial = String::new();
     let mut ingest: Vec<IngestEvent> = Vec::new();
     loop {
-        offset = drain_new_lines(&mut file, offset, &mut partial, &mut events, path, &|l| {
-            SlideEvent::from_jsonl(l)
-        })?;
+        offset = drain_new_lines(&mut file, offset, &mut partial, &mut events, path)?;
         events.drain(..events.len().saturating_sub(ROLLING));
         if let Some(hp) = health_path {
             if let Ok(mut hf) = std::fs::File::open(hp) {
-                health_offset = drain_new_lines(
-                    &mut hf,
-                    health_offset,
-                    &mut health_partial,
-                    &mut health,
-                    hp,
-                    &|l| HealthEvent::from_jsonl(l),
-                )?;
+                health_offset =
+                    drain_new_lines(&mut hf, health_offset, &mut health_partial, &mut health, hp)?;
                 health.drain(..health.len().saturating_sub(ROLLING));
             }
         }
@@ -94,7 +86,6 @@ fn tail_jsonl(
                     &mut ingest_partial,
                     &mut ingest,
                     ip,
-                    &|l| IngestEvent::from_jsonl(l),
                 )?;
                 ingest.drain(..ingest.len().saturating_sub(ROLLING));
             }
@@ -112,13 +103,12 @@ fn tail_jsonl(
 
 /// Reads everything appended since `offset`, parsing complete lines into
 /// `events` and carrying an unterminated tail over in `partial`.
-fn drain_new_lines<T>(
+fn drain_new_lines<T: JsonlRecord>(
     file: &mut std::fs::File,
     offset: u64,
     partial: &mut String,
     events: &mut Vec<T>,
     path: &std::path::Path,
-    parse: &dyn Fn(&str) -> Result<T, String>,
 ) -> Result<u64, String> {
     file.seek(SeekFrom::Start(offset))
         .map_err(|e| format!("{}: {e}", path.display()))?;
@@ -134,7 +124,7 @@ fn drain_new_lines<T>(
         if line.is_empty() {
             continue;
         }
-        let ev = parse(line).map_err(|e| format!("{}: {e}", path.display()))?;
+        let ev = T::from_jsonl(line).map_err(|e| format!("{}: {e}", path.display()))?;
         events.push(ev);
     }
     Ok(next)
@@ -729,9 +719,8 @@ mod tests {
         std::fs::write(&path, format!("{line}\n{head}")).unwrap();
         let mut file = std::fs::File::open(&path).unwrap();
         let mut partial = String::new();
-        let mut events = Vec::new();
-        let parse = |l: &str| SlideEvent::from_jsonl(l);
-        let off = drain_new_lines(&mut file, 0, &mut partial, &mut events, &path, &parse).unwrap();
+        let mut events: Vec<SlideEvent> = Vec::new();
+        let off = drain_new_lines(&mut file, 0, &mut partial, &mut events, &path).unwrap();
         assert_eq!(events.len(), 1, "partial line must not parse yet");
         // The writer finishes the second line; the tail picks it up.
         use std::io::Write as _;
@@ -742,7 +731,7 @@ mod tests {
         writeln!(f, "{tail}").unwrap();
         drop(f);
         let mut file = std::fs::File::open(&path).unwrap();
-        drain_new_lines(&mut file, off, &mut partial, &mut events, &path, &parse).unwrap();
+        drain_new_lines(&mut file, off, &mut partial, &mut events, &path).unwrap();
         assert_eq!(events.len(), 2);
         assert_eq!(events[1].seq, 2);
         std::fs::remove_dir_all(&dir).ok();

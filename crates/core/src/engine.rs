@@ -1042,17 +1042,11 @@ mod tests {
 
     #[test]
     fn committed_slides_publish_telemetry() {
-        use disc_telemetry::{MemorySink, Registry};
+        use disc_telemetry::{JsonlRecord, MemorySink, Registry};
         use std::sync::Arc;
 
-        let sink = Arc::new(MemorySink::new());
-        struct Fwd(Arc<MemorySink>);
-        impl disc_telemetry::EventSink for Fwd {
-            fn emit(&self, ev: &disc_telemetry::SlideEvent) {
-                self.0.emit(ev);
-            }
-        }
-        let reg = Arc::new(Registry::with_sink(Box::new(Fwd(sink.clone()))));
+        let sink: Arc<MemorySink> = Arc::new(MemorySink::new());
+        let reg = Arc::new(Registry::with_sink(Box::new(sink.clone())));
         let mut disc: Disc<2> = Disc::new(DiscConfig::new(1.0, 2)).with_recorder(reg.clone());
         disc.apply(&batch(&[(0, [0.0, 0.0]), (1, [0.5, 0.0])], &[]));
         disc.apply(&batch(&[(2, [1.0, 0.0])], &[(0, [0.0, 0.0])]));
@@ -1141,14 +1135,8 @@ mod tests {
         assert_eq!(disc.assignments(), before_assignments);
 
         // The next committed slide continues the sequence with no gap.
-        let sink = Arc::new(MemorySink::new());
-        struct Fwd(Arc<MemorySink>);
-        impl disc_telemetry::EventSink for Fwd {
-            fn emit(&self, ev: &disc_telemetry::SlideEvent) {
-                self.0.emit(ev);
-            }
-        }
-        let reg2 = Arc::new(Registry::with_sink(Box::new(Fwd(sink.clone()))));
+        let sink: Arc<MemorySink> = Arc::new(MemorySink::new());
+        let reg2 = Arc::new(Registry::with_sink(Box::new(sink.clone())));
         disc.set_recorder(reg2);
         disc.apply(&batch(&[(2, [1.0, 0.0])], &[]));
         assert_eq!(sink.events()[0].seq, 2);
@@ -1211,17 +1199,11 @@ mod tests {
 
     #[test]
     fn committed_slides_emit_the_causal_narrative() {
-        use disc_telemetry::{MemoryProvenanceSink, ProvenanceKind, ProvenanceSink, Registry};
+        use disc_telemetry::{JsonlRecord, MemorySink, ProvenanceEvent, ProvenanceKind, Registry};
         use std::sync::Arc;
 
-        let sink = Arc::new(MemoryProvenanceSink::new());
-        struct Fwd(Arc<MemoryProvenanceSink>);
-        impl ProvenanceSink for Fwd {
-            fn emit(&self, ev: &disc_telemetry::ProvenanceEvent) {
-                self.0.emit(ev);
-            }
-        }
-        let reg = Arc::new(Registry::new().with_provenance(Box::new(Fwd(sink.clone()))));
+        let sink = Arc::new(MemorySink::<ProvenanceEvent>::new());
+        let reg = Arc::new(Registry::new().with_provenance(Box::new(sink.clone())));
         let pts: Vec<(u64, [f64; 2])> = (0..9).map(|i| (i, [i as f64 * 0.5, 0.0])).collect();
         let mut disc: Disc<2> = Disc::new(DiscConfig::new(0.6, 3)).with_recorder(reg.clone());
         disc.apply(&batch(&pts, &[]));
@@ -1271,7 +1253,7 @@ mod tests {
         assert!(term.1 >= 1);
         // Every event round-trips through the JSONL schema.
         for e in &evs {
-            disc_telemetry::ProvenanceEvent::validate_jsonl(&e.to_jsonl()).unwrap();
+            ProvenanceEvent::validate_jsonl(&e.to_jsonl()).unwrap();
         }
         assert_eq!(reg.provenance_emitted(), evs.len() as u64);
     }

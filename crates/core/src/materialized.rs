@@ -656,18 +656,12 @@ mod tests {
     fn traces_and_provenance_mirror_disc_vocabulary() {
         use disc_geom::Point;
         use disc_telemetry::{
-            MemoryProvenanceSink, ProvenanceKind, ProvenanceSink, Registry, Tracer,
+            JsonlRecord, MemorySink, ProvenanceEvent, ProvenanceKind, Registry, Tracer,
         };
         use std::sync::Arc;
 
-        let sink = Arc::new(MemoryProvenanceSink::new());
-        struct Fwd(Arc<MemoryProvenanceSink>);
-        impl ProvenanceSink for Fwd {
-            fn emit(&self, ev: &disc_telemetry::ProvenanceEvent) {
-                self.0.emit(ev);
-            }
-        }
-        let reg = Arc::new(Registry::new().with_provenance(Box::new(Fwd(sink.clone()))));
+        let sink = Arc::new(MemorySink::<ProvenanceEvent>::new());
+        let reg = Arc::new(Registry::new().with_provenance(Box::new(sink.clone())));
         let mut g: GraphDisc<2> = GraphDisc::new(DiscConfig::new(0.6, 3))
             .with_recorder(reg.clone())
             .with_tracer(Tracer::new());
@@ -701,7 +695,7 @@ mod tests {
             |e| e.slide == 2 && matches!(e.kind, ProvenanceKind::ClusterSplit { parts: 2, .. })
         ));
         for e in &evs {
-            disc_telemetry::ProvenanceEvent::validate_jsonl(&e.to_jsonl()).unwrap();
+            ProvenanceEvent::validate_jsonl(&e.to_jsonl()).unwrap();
         }
     }
 

@@ -23,23 +23,16 @@
 
 use disc_core::{Disc, DiscConfig, SlideStats};
 use disc_index::{GridIndex, RTree, SpatialBackend};
-use disc_telemetry::{MemoryProvenanceSink, ProvenanceEvent, ProvenanceSink, Registry};
+use disc_telemetry::{JsonlRecord, MemorySink, ProvenanceEvent, Registry};
 use disc_window::{datasets, Record, SlidingWindow};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-struct Fwd(Arc<MemoryProvenanceSink>);
-impl ProvenanceSink for Fwd {
-    fn emit(&self, ev: &ProvenanceEvent) {
-        self.0.emit(ev);
-    }
-}
-
 fn instrumented<const D: usize, B: SpatialBackend<D>>(
     cfg: DiscConfig,
-) -> (Disc<D, B>, Arc<MemoryProvenanceSink>) {
-    let sink = Arc::new(MemoryProvenanceSink::new());
-    let reg = Arc::new(Registry::new().with_provenance(Box::new(Fwd(sink.clone()))));
+) -> (Disc<D, B>, Arc<MemorySink<ProvenanceEvent>>) {
+    let sink = Arc::new(MemorySink::new());
+    let reg = Arc::new(Registry::new().with_provenance(Box::new(sink.clone())));
     (Disc::with_index(cfg).with_recorder(reg), sink)
 }
 
@@ -68,7 +61,7 @@ fn algo_sig(s: &SlideStats) -> [u64; 17] {
 }
 
 /// The provenance stream as a canonical multiset (sorted JSONL lines).
-fn prov_multiset(sink: &MemoryProvenanceSink) -> Vec<String> {
+fn prov_multiset(sink: &MemorySink<ProvenanceEvent>) -> Vec<String> {
     let mut lines: Vec<String> = sink.events().iter().map(|e| e.to_jsonl()).collect();
     lines.sort_unstable();
     lines
@@ -86,7 +79,7 @@ fn lockstep<const D: usize, B: SpatialBackend<D>>(
     tag: &str,
 ) {
     let (mut oracle, oracle_sink) = instrumented::<D, B>(DiscConfig::new(eps, tau).with_threads(1));
-    let mut wide: Vec<(usize, Disc<D, B>, Arc<MemoryProvenanceSink>)> = widths
+    let mut wide: Vec<(usize, Disc<D, B>, Arc<MemorySink<ProvenanceEvent>>)> = widths
         .iter()
         .map(|&t| {
             let (d, s) = instrumented::<D, B>(DiscConfig::new(eps, tau).with_threads(t));

@@ -8,23 +8,14 @@
 
 use disc_core::{Disc, DiscConfig};
 use disc_geom::{Point, PointId};
-use disc_telemetry::{
-    MemoryProvenanceSink, ProvenanceEvent, ProvenanceKind, ProvenanceSink, Registry,
-};
+use disc_telemetry::{JsonlRecord, MemorySink, ProvenanceEvent, ProvenanceKind, Registry};
 use disc_window::{datasets, SlideBatch, SlidingWindow};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-struct Fwd(Arc<MemoryProvenanceSink>);
-impl ProvenanceSink for Fwd {
-    fn emit(&self, ev: &ProvenanceEvent) {
-        self.0.emit(ev);
-    }
-}
-
-fn instrumented(cfg: DiscConfig) -> (Disc<2>, Arc<MemoryProvenanceSink>) {
-    let sink = Arc::new(MemoryProvenanceSink::new());
-    let reg = Arc::new(Registry::new().with_provenance(Box::new(Fwd(sink.clone()))));
+fn instrumented(cfg: DiscConfig) -> (Disc<2>, Arc<MemorySink<ProvenanceEvent>>) {
+    let sink = Arc::new(MemorySink::new());
+    let reg = Arc::new(Registry::new().with_provenance(Box::new(sink.clone())));
     (Disc::new(cfg).with_recorder(reg), sink)
 }
 
@@ -76,7 +67,7 @@ fn mirror(window: &mut BTreeMap<PointId, Point<2>>, batch: &SlideBatch<2>) {
 /// Drives one slide and checks the slide's events against the oracle diff.
 fn check_slide(
     disc: &mut Disc<2>,
-    sink: &MemoryProvenanceSink,
+    sink: &MemorySink<ProvenanceEvent>,
     window: &mut BTreeMap<PointId, Point<2>>,
     batch: &SlideBatch<2>,
     slide: u64,
@@ -192,7 +183,7 @@ fn crafted_stream_names_the_causes() {
             .collect(),
     };
     let (mut disc, sink) = instrumented(DiscConfig::new(0.6, 3));
-    let by_slide = |sink: &MemoryProvenanceSink, s: u64| -> Vec<ProvenanceKind> {
+    let by_slide = |sink: &MemorySink<ProvenanceEvent>, s: u64| -> Vec<ProvenanceKind> {
         sink.events()
             .into_iter()
             .filter(|e| e.slide == s)

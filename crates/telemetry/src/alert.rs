@@ -5,8 +5,8 @@
 //! and run a firing→resolved state machine per rule: a rule fires after
 //! its condition holds for `for_slides` consecutive evaluations and
 //! resolves after it clears for `clear_slides`. Transitions are emitted as
-//! [`AlertEvent`]s — a strict JSONL schema with the same `validate_jsonl`
-//! contract as the other telemetry streams — and the current firing set is
+//! [`AlertEvent`]s — JSONL lines through the one codec ([`JsonlRecord`])
+//! every telemetry stream uses — and the current firing set is
 //! published as `disc_alert_active{rule="..."}` gauges.
 //!
 //! The TOML subset is deliberately tiny (no deps, no tables-in-tables):
@@ -27,6 +27,7 @@
 //! a bare array.
 
 use crate::json::Json;
+use crate::record::{field, Field, JsonlRecord};
 use crate::recorder::Recorder;
 
 /// Comparison operator of a rule.
@@ -305,7 +306,7 @@ fn finish_rules(rules: Vec<AlertRule>) -> Result<Vec<AlertRule>, String> {
 }
 
 /// A firing→resolved transition, as a flat JSONL record.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct AlertEvent {
     /// Slide of the transition.
     pub slide: u64,
@@ -325,114 +326,21 @@ pub struct AlertEvent {
     pub state: &'static str,
 }
 
-/// The alert JSONL schema's string keys.
-pub const ALERT_SCHEMA_STR_KEYS: [&str; 5] = ["rule", "metric", "op", "severity", "state"];
-
-/// The alert JSONL schema's numeric keys (`slide` is a non-negative
-/// integer; `threshold`/`value` are arbitrary finite numbers).
-pub const ALERT_SCHEMA_NUM_KEYS: [&str; 3] = ["slide", "threshold", "value"];
-
-/// Formats a finite f64 as a JSON number (non-finite values collapse to 0,
-/// which the schema's validator would otherwise reject).
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
-}
-
-impl AlertEvent {
-    /// Renders the event as one JSONL line (no trailing newline).
-    pub fn to_jsonl(&self) -> String {
-        format!(
-            "{{\"slide\":{},\"rule\":\"{}\",\"metric\":\"{}\",\"op\":\"{}\",\
-             \"threshold\":{},\"value\":{},\"severity\":\"{}\",\"state\":\"{}\"}}",
-            self.slide,
-            crate::json::escape(&self.rule),
-            crate::json::escape(&self.metric),
-            self.op,
-            json_num(self.threshold),
-            json_num(self.value),
-            crate::json::escape(&self.severity),
-            self.state,
-        )
-    }
-
-    /// Validates one line against the alert schema: all keys present with
-    /// the right types, `state` one of `firing`/`resolved`, no unknown
-    /// keys.
-    pub fn validate_jsonl(line: &str) -> Result<(), String> {
-        let doc = Json::parse(line)?;
-        let Json::Obj(members) = &doc else {
-            return Err("alert line is not a JSON object".to_string());
-        };
-        for key in ALERT_SCHEMA_STR_KEYS {
-            match doc.get(key) {
-                Some(Json::Str(_)) => {}
-                Some(_) => return Err(format!("key {key:?} is not a string")),
-                None => return Err(format!("missing key {key:?}")),
-            }
-        }
-        for key in ALERT_SCHEMA_NUM_KEYS {
-            match doc.get(key) {
-                Some(v) if v.as_f64().is_some() => {}
-                Some(_) => return Err(format!("key {key:?} is not a number")),
-                None => return Err(format!("missing key {key:?}")),
-            }
-        }
-        if doc.get("slide").and_then(Json::as_u64).is_none() {
-            return Err("key \"slide\" is not a non-negative integer".to_string());
-        }
-        match doc.get("state").and_then(Json::as_str) {
-            Some("firing") | Some("resolved") => {}
-            Some(other) => return Err(format!("bad state {other:?} (firing or resolved)")),
-            None => unreachable!("checked above"),
-        }
-        if doc
-            .get("op")
-            .and_then(Json::as_str)
-            .and_then(AlertOp::parse)
-            .is_none()
-        {
-            return Err("bad op (gt, ge, lt, le)".to_string());
-        }
-        let known =
-            |k: &str| ALERT_SCHEMA_STR_KEYS.contains(&k) || ALERT_SCHEMA_NUM_KEYS.contains(&k);
-        if let Some((k, _)) = members.iter().find(|(k, _)| !known(k)) {
-            return Err(format!("unknown key {k:?}"));
-        }
-        Ok(())
-    }
-
-    /// Panicking form of [`validate_jsonl`](Self::validate_jsonl).
-    pub fn assert_valid_jsonl(line: &str) {
-        if let Err(e) = Self::validate_jsonl(line) {
-            panic!("invalid alert JSONL line {line:?}: {e}");
-        }
-    }
-
-    /// Parses a previously-emitted line back (round-trip helper).
-    pub fn from_jsonl(line: &str) -> Result<AlertEvent, String> {
-        Self::validate_jsonl(line)?;
-        let doc = Json::parse(line)?;
-        let s = |k: &str| doc.get(k).and_then(Json::as_str).unwrap().to_string();
-        Ok(AlertEvent {
-            slide: doc.get("slide").and_then(Json::as_u64).unwrap(),
-            rule: s("rule"),
-            metric: s("metric"),
-            op: AlertOp::parse(doc.get("op").and_then(Json::as_str).unwrap())
-                .unwrap()
-                .as_str(),
-            threshold: doc.get("threshold").and_then(Json::as_f64).unwrap(),
-            value: doc.get("value").and_then(Json::as_f64).unwrap(),
-            severity: s("severity"),
-            state: match doc.get("state").and_then(Json::as_str).unwrap() {
-                "firing" => "firing",
-                _ => "resolved",
-            },
-        })
-    }
+/// The line: `op` and `state` out of their closed sets, `slide` a
+/// non-negative integer, `threshold`/`value` finite numbers (a non-finite
+/// one is written as 0).
+impl JsonlRecord for AlertEvent {
+    const NAME: &'static str = "alert";
+    const FIELDS: &'static [Field<Self>] = &[
+        field!(uint slide),
+        field!(text rule),
+        field!(text metric),
+        field!(one_of op, &["gt", "ge", "lt", "le"]),
+        field!(num threshold),
+        field!(num value),
+        field!(text severity),
+        field!(one_of state, &["firing", "resolved"]),
+    ];
 }
 
 #[derive(Clone, Debug, Default)]

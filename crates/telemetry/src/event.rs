@@ -4,10 +4,10 @@
 //! breakdown of the pipeline (stride apply → COLLECT → CLUSTER → adoption)
 //! plus the index and MS-BFS work counters accumulated inside the slide.
 //! Events flow through an [`EventSink`](crate::EventSink); the JSONL sink
-//! writes one [`to_jsonl`](SlideEvent::to_jsonl) line per event, which is
-//! the repo's offline-analysis exchange format (`--metrics-out`).
+//! writes one [`to_jsonl`](JsonlRecord::to_jsonl) line per event, which
+//! is the repo's offline-analysis exchange format (`--metrics-out`).
 
-use crate::json::Json;
+use crate::record::{field, Field, JsonlRecord};
 
 /// Everything observable about one slide, as a flat record.
 ///
@@ -72,169 +72,45 @@ pub struct SlideEvent {
     pub mem_bytes: u64,
 }
 
-/// The JSONL schema: every emitted line carries exactly these keys.
-/// `engine`/`backend` are strings; everything else is a non-negative
-/// integer. [`SlideEvent::validate_jsonl`] enforces this.
-pub const SCHEMA_STR_KEYS: [&str; 2] = ["engine", "backend"];
+/// The engine names slide events carry (`""` when unset).
+const ENGINES: &[&str] = &["", "disc", "graphdisc", "dbscan", "extran"];
 
-/// Numeric keys of the JSONL schema (see [`SCHEMA_STR_KEYS`]).
-pub const SCHEMA_NUM_KEYS: [&str; 25] = [
-    "seq",
-    "window_len",
-    "inserted",
-    "removed",
-    "ex_cores",
-    "neo_cores",
-    "ex_classes",
-    "neo_classes",
-    "splits",
-    "merges",
-    "emerged",
-    "adoption_searches",
-    "msbfs_instances",
-    "msbfs_starters",
-    "msbfs_rounds",
-    "collect_ns",
-    "cluster_ns",
-    "adoption_ns",
-    "total_ns",
-    "range_searches",
-    "epoch_probes",
-    "nodes_visited",
-    "distance_checks",
-    "subtrees_pruned",
-    "mem_bytes",
-];
+/// The backend names slide events carry (`""` when unset).
+const BACKENDS: &[&str] = &["", "rtree", "grid"];
 
-impl SlideEvent {
-    /// Renders the event as one JSONL line (no trailing newline).
-    pub fn to_jsonl(&self) -> String {
-        format!(
-            "{{\"seq\":{},\"engine\":\"{}\",\"backend\":\"{}\",\"window_len\":{},\
-             \"inserted\":{},\"removed\":{},\"ex_cores\":{},\"neo_cores\":{},\
-             \"ex_classes\":{},\"neo_classes\":{},\"splits\":{},\"merges\":{},\
-             \"emerged\":{},\"adoption_searches\":{},\"msbfs_instances\":{},\
-             \"msbfs_starters\":{},\"msbfs_rounds\":{},\"collect_ns\":{},\
-             \"cluster_ns\":{},\"adoption_ns\":{},\"total_ns\":{},\
-             \"range_searches\":{},\"epoch_probes\":{},\"nodes_visited\":{},\
-             \"distance_checks\":{},\"subtrees_pruned\":{},\"mem_bytes\":{}}}",
-            self.seq,
-            crate::json::escape(self.engine),
-            crate::json::escape(self.backend),
-            self.window_len,
-            self.inserted,
-            self.removed,
-            self.ex_cores,
-            self.neo_cores,
-            self.ex_classes,
-            self.neo_classes,
-            self.splits,
-            self.merges,
-            self.emerged,
-            self.adoption_searches,
-            self.msbfs_instances,
-            self.msbfs_starters,
-            self.msbfs_rounds,
-            self.collect_ns,
-            self.cluster_ns,
-            self.adoption_ns,
-            self.total_ns,
-            self.range_searches,
-            self.epoch_probes,
-            self.nodes_visited,
-            self.distance_checks,
-            self.subtrees_pruned,
-            self.mem_bytes,
-        )
-    }
-
-    /// Validates one JSONL line against the slide-event schema: parses as
-    /// an object, every schema key present with the right type, no unknown
-    /// keys. This is the checker the CI smoke job and the CLI tests run.
-    pub fn validate_jsonl(line: &str) -> Result<(), String> {
-        let doc = Json::parse(line)?;
-        let Json::Obj(members) = &doc else {
-            return Err("event line is not a JSON object".to_string());
-        };
-        for key in SCHEMA_STR_KEYS {
-            match doc.get(key) {
-                Some(Json::Str(_)) => {}
-                Some(_) => return Err(format!("key {key:?} is not a string")),
-                None => return Err(format!("missing key {key:?}")),
-            }
-        }
-        for key in SCHEMA_NUM_KEYS {
-            match doc.get(key) {
-                Some(v) if v.as_u64().is_some() => {}
-                Some(_) => return Err(format!("key {key:?} is not a non-negative integer")),
-                None => return Err(format!("missing key {key:?}")),
-            }
-        }
-        let known = |k: &str| SCHEMA_STR_KEYS.contains(&k) || SCHEMA_NUM_KEYS.contains(&k);
-        if let Some((k, _)) = members.iter().find(|(k, _)| !known(k)) {
-            return Err(format!("unknown key {k:?}"));
-        }
-        Ok(())
-    }
-
-    /// Panicking form of [`validate_jsonl`](Self::validate_jsonl) for
-    /// tests and CI checkers, where an invalid line should abort with the
-    /// offending content in the message rather than thread a `Result`.
-    pub fn assert_valid_jsonl(line: &str) {
-        if let Err(e) = Self::validate_jsonl(line) {
-            panic!("invalid slide-event JSONL line {line:?}: {e}");
-        }
-    }
-
-    /// Parses a previously-emitted JSONL line back into an event
-    /// (round-trip helper for offline analysis and tests).
-    pub fn from_jsonl(line: &str) -> Result<SlideEvent, String> {
-        Self::validate_jsonl(line)?;
-        let doc = Json::parse(line)?;
-        let num = |k: &str| doc.get(k).and_then(Json::as_u64).unwrap();
-        let stat = |k: &str| -> &'static str {
-            // Events only ever carry the engine/backend names baked into
-            // the binaries; map them back to the static strings.
-            match doc.get(k).and_then(Json::as_str).unwrap() {
-                "disc" => "disc",
-                "graphdisc" => "graphdisc",
-                "dbscan" => "dbscan",
-                "extran" => "extran",
-                "rtree" => "rtree",
-                "grid" => "grid",
-                _ => "",
-            }
-        };
-        Ok(SlideEvent {
-            seq: num("seq"),
-            engine: stat("engine"),
-            backend: stat("backend"),
-            window_len: num("window_len") as usize,
-            inserted: num("inserted") as usize,
-            removed: num("removed") as usize,
-            ex_cores: num("ex_cores") as usize,
-            neo_cores: num("neo_cores") as usize,
-            ex_classes: num("ex_classes") as usize,
-            neo_classes: num("neo_classes") as usize,
-            splits: num("splits") as usize,
-            merges: num("merges") as usize,
-            emerged: num("emerged") as usize,
-            adoption_searches: num("adoption_searches") as usize,
-            msbfs_instances: num("msbfs_instances") as usize,
-            msbfs_starters: num("msbfs_starters") as usize,
-            msbfs_rounds: num("msbfs_rounds") as usize,
-            collect_ns: num("collect_ns"),
-            cluster_ns: num("cluster_ns"),
-            adoption_ns: num("adoption_ns"),
-            total_ns: num("total_ns"),
-            range_searches: num("range_searches"),
-            epoch_probes: num("epoch_probes"),
-            nodes_visited: num("nodes_visited"),
-            distance_checks: num("distance_checks"),
-            subtrees_pruned: num("subtrees_pruned"),
-            mem_bytes: num("mem_bytes"),
-        })
-    }
+/// The line: `engine`/`backend` out of the names the engines emit, every
+/// other key a non-negative integer.
+impl JsonlRecord for SlideEvent {
+    const NAME: &'static str = "slide-event";
+    const FIELDS: &'static [Field<Self>] = &[
+        field!(uint seq),
+        field!(one_of engine, ENGINES),
+        field!(one_of backend, BACKENDS),
+        field!(uint window_len),
+        field!(uint inserted),
+        field!(uint removed),
+        field!(uint ex_cores),
+        field!(uint neo_cores),
+        field!(uint ex_classes),
+        field!(uint neo_classes),
+        field!(uint splits),
+        field!(uint merges),
+        field!(uint emerged),
+        field!(uint adoption_searches),
+        field!(uint msbfs_instances),
+        field!(uint msbfs_starters),
+        field!(uint msbfs_rounds),
+        field!(uint collect_ns),
+        field!(uint cluster_ns),
+        field!(uint adoption_ns),
+        field!(uint total_ns),
+        field!(uint range_searches),
+        field!(uint epoch_probes),
+        field!(uint nodes_visited),
+        field!(uint distance_checks),
+        field!(uint subtrees_pruned),
+        field!(uint mem_bytes),
+    ];
 }
 
 #[cfg(test)]

@@ -13,12 +13,12 @@
 //!   cluster censuses into birth/death records, lifetime and size-at-death
 //!   histograms, and split/merge churn rates.
 //! * [`HealthEvent`] — the flat JSONL record the CLI appends per slide
-//!   (`--health-out`), with the same strict `validate_jsonl` contract as
-//!   the slide-event and provenance schemas.
+//!   (`--health-out`), read and written by the one JSONL codec
+//!   ([`JsonlRecord`]) like every other stream.
 
 use crate::hist::{HistSnapshot, LogHistogram};
-use crate::json::Json;
 use crate::provenance::{ProvenanceEvent, ProvenanceKind};
+use crate::record::{field, Field, JsonlRecord};
 use std::collections::BTreeMap;
 
 /// Exponentially weighted mean/variance tracker.
@@ -484,95 +484,23 @@ pub struct HealthEvent {
     pub alerts_active: u64,
 }
 
-/// The health JSONL schema: exactly these keys, all non-negative integers.
-pub const HEALTH_SCHEMA_KEYS: [&str; 12] = [
-    "slide",
-    "clusters",
-    "churn_ppm",
-    "noise_ppm",
-    "excore_ratio_ppm",
-    "drift_ppm",
-    "drift_changed",
-    "audited",
-    "ari_ppm",
-    "nmi_ppm",
-    "purity_ppm",
-    "alerts_active",
-];
-
-impl HealthEvent {
-    /// Renders the event as one JSONL line (no trailing newline).
-    pub fn to_jsonl(&self) -> String {
-        format!(
-            "{{\"slide\":{},\"clusters\":{},\"churn_ppm\":{},\"noise_ppm\":{},\
-             \"excore_ratio_ppm\":{},\"drift_ppm\":{},\"drift_changed\":{},\
-             \"audited\":{},\"ari_ppm\":{},\"nmi_ppm\":{},\"purity_ppm\":{},\
-             \"alerts_active\":{}}}",
-            self.slide,
-            self.clusters,
-            self.churn_ppm,
-            self.noise_ppm,
-            self.excore_ratio_ppm,
-            self.drift_ppm,
-            self.drift_changed,
-            self.audited,
-            self.ari_ppm,
-            self.nmi_ppm,
-            self.purity_ppm,
-            self.alerts_active,
-        )
-    }
-
-    /// Validates one line against the schema: every key present as a
-    /// non-negative integer, no unknown keys.
-    pub fn validate_jsonl(line: &str) -> Result<(), String> {
-        let doc = Json::parse(line)?;
-        let Json::Obj(members) = &doc else {
-            return Err("health line is not a JSON object".to_string());
-        };
-        for key in HEALTH_SCHEMA_KEYS {
-            match doc.get(key) {
-                Some(v) if v.as_u64().is_some() => {}
-                Some(_) => return Err(format!("key {key:?} is not a non-negative integer")),
-                None => return Err(format!("missing key {key:?}")),
-            }
-        }
-        if let Some((k, _)) = members
-            .iter()
-            .find(|(k, _)| !HEALTH_SCHEMA_KEYS.contains(&k.as_str()))
-        {
-            return Err(format!("unknown key {k:?}"));
-        }
-        Ok(())
-    }
-
-    /// Panicking form of [`validate_jsonl`](Self::validate_jsonl).
-    pub fn assert_valid_jsonl(line: &str) {
-        if let Err(e) = Self::validate_jsonl(line) {
-            panic!("invalid health JSONL line {line:?}: {e}");
-        }
-    }
-
-    /// Parses a previously-emitted line back (round-trip helper).
-    pub fn from_jsonl(line: &str) -> Result<HealthEvent, String> {
-        Self::validate_jsonl(line)?;
-        let doc = Json::parse(line)?;
-        let num = |k: &str| doc.get(k).and_then(Json::as_u64).unwrap();
-        Ok(HealthEvent {
-            slide: num("slide"),
-            clusters: num("clusters"),
-            churn_ppm: num("churn_ppm"),
-            noise_ppm: num("noise_ppm"),
-            excore_ratio_ppm: num("excore_ratio_ppm"),
-            drift_ppm: num("drift_ppm"),
-            drift_changed: num("drift_changed"),
-            audited: num("audited"),
-            ari_ppm: num("ari_ppm"),
-            nmi_ppm: num("nmi_ppm"),
-            purity_ppm: num("purity_ppm"),
-            alerts_active: num("alerts_active"),
-        })
-    }
+/// The line: every key a non-negative integer.
+impl JsonlRecord for HealthEvent {
+    const NAME: &'static str = "health";
+    const FIELDS: &'static [Field<Self>] = &[
+        field!(uint slide),
+        field!(uint clusters),
+        field!(uint churn_ppm),
+        field!(uint noise_ppm),
+        field!(uint excore_ratio_ppm),
+        field!(uint drift_ppm),
+        field!(uint drift_changed),
+        field!(uint audited),
+        field!(uint ari_ppm),
+        field!(uint nmi_ppm),
+        field!(uint purity_ppm),
+        field!(uint alerts_active),
+    ];
 }
 
 #[cfg(test)]

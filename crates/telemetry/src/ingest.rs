@@ -4,13 +4,12 @@
 //! One [`IngestEvent`] JSONL line per committed slide summarises what the
 //! admission layer (DESIGN.md §16) did to the raw stream so far:
 //! cumulative decision counters plus the instantaneous buffer gauges. The
-//! schema contract matches the slide/health event files: exactly the
-//! [`INGEST_SCHEMA_KEYS`] keys, every value a non-negative integer,
-//! validated by [`IngestEvent::validate_jsonl`] (and by the telemetry
-//! smoke job in CI). Time-valued gauges are scaled to ppm
-//! (micro-time-units) so the all-integers contract holds.
+//! line goes through the one JSONL codec ([`JsonlRecord`]) like every
+//! other stream; every value is a non-negative integer. Time-valued
+//! gauges are scaled to ppm (micro-time-units) so the all-integers
+//! contract holds.
 
-use crate::json::Json;
+use crate::record::{field, Field, JsonlRecord};
 
 /// One ingestion-health JSONL line.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -44,98 +43,24 @@ pub struct IngestEvent {
     pub shedding: u64,
 }
 
-/// The ingest JSONL schema: exactly these keys, all non-negative integers.
-pub const INGEST_SCHEMA_KEYS: [&str; 13] = [
-    "slide",
-    "records",
-    "admitted",
-    "reordered",
-    "late_dropped",
-    "dead_lettered",
-    "late_upserts",
-    "deduped",
-    "shed",
-    "malformed",
-    "buffered",
-    "watermark_lag_ppm",
-    "shedding",
-];
-
-impl IngestEvent {
-    /// Renders the event as one JSONL line (no trailing newline).
-    pub fn to_jsonl(&self) -> String {
-        format!(
-            "{{\"slide\":{},\"records\":{},\"admitted\":{},\"reordered\":{},\
-             \"late_dropped\":{},\"dead_lettered\":{},\"late_upserts\":{},\
-             \"deduped\":{},\"shed\":{},\"malformed\":{},\"buffered\":{},\
-             \"watermark_lag_ppm\":{},\"shedding\":{}}}",
-            self.slide,
-            self.records,
-            self.admitted,
-            self.reordered,
-            self.late_dropped,
-            self.dead_lettered,
-            self.late_upserts,
-            self.deduped,
-            self.shed,
-            self.malformed,
-            self.buffered,
-            self.watermark_lag_ppm,
-            self.shedding,
-        )
-    }
-
-    /// Validates one line against the schema: every key present as a
-    /// non-negative integer, no unknown keys.
-    pub fn validate_jsonl(line: &str) -> Result<(), String> {
-        let doc = Json::parse(line)?;
-        let Json::Obj(members) = &doc else {
-            return Err("ingest line is not a JSON object".to_string());
-        };
-        for key in INGEST_SCHEMA_KEYS {
-            match doc.get(key) {
-                Some(v) if v.as_u64().is_some() => {}
-                Some(_) => return Err(format!("key {key:?} is not a non-negative integer")),
-                None => return Err(format!("missing key {key:?}")),
-            }
-        }
-        if let Some((k, _)) = members
-            .iter()
-            .find(|(k, _)| !INGEST_SCHEMA_KEYS.contains(&k.as_str()))
-        {
-            return Err(format!("unknown key {k:?}"));
-        }
-        Ok(())
-    }
-
-    /// Panicking form of [`validate_jsonl`](Self::validate_jsonl).
-    pub fn assert_valid_jsonl(line: &str) {
-        if let Err(e) = Self::validate_jsonl(line) {
-            panic!("invalid ingest JSONL line {line:?}: {e}");
-        }
-    }
-
-    /// Parses a previously-emitted line back (round-trip helper).
-    pub fn from_jsonl(line: &str) -> Result<IngestEvent, String> {
-        Self::validate_jsonl(line)?;
-        let doc = Json::parse(line)?;
-        let num = |k: &str| doc.get(k).and_then(Json::as_u64).unwrap();
-        Ok(IngestEvent {
-            slide: num("slide"),
-            records: num("records"),
-            admitted: num("admitted"),
-            reordered: num("reordered"),
-            late_dropped: num("late_dropped"),
-            dead_lettered: num("dead_lettered"),
-            late_upserts: num("late_upserts"),
-            deduped: num("deduped"),
-            shed: num("shed"),
-            malformed: num("malformed"),
-            buffered: num("buffered"),
-            watermark_lag_ppm: num("watermark_lag_ppm"),
-            shedding: num("shedding"),
-        })
-    }
+/// The line: every key a non-negative integer.
+impl JsonlRecord for IngestEvent {
+    const NAME: &'static str = "ingest";
+    const FIELDS: &'static [Field<Self>] = &[
+        field!(uint slide),
+        field!(uint records),
+        field!(uint admitted),
+        field!(uint reordered),
+        field!(uint late_dropped),
+        field!(uint dead_lettered),
+        field!(uint late_upserts),
+        field!(uint deduped),
+        field!(uint shed),
+        field!(uint malformed),
+        field!(uint buffered),
+        field!(uint watermark_lag_ppm),
+        field!(uint shedding),
+    ];
 }
 
 /// Saturating ppm scaling for time-valued gauges.

@@ -16,9 +16,11 @@
 //!   rendered on demand as Prometheus text exposition
 //!   ([`Registry::render_prometheus`], validated by
 //!   [`prom::parse_prometheus`]), with an optional [`EventSink`].
-//! * [`JsonlSink`] — one JSON line per slide for offline analysis (the
-//!   CLI's `--metrics-out`); [`SlideEvent::validate_jsonl`] is the schema
-//!   checker CI runs against the produced files.
+//! * [`JsonlRecord`] — the one JSONL codec: each event stream (slide,
+//!   health, ingest, alert, provenance) is a field table, and the trait
+//!   renders, validates and parses every line from it.
+//! * [`JsonlSink`] — one JSON line per event for offline analysis (the
+//!   CLI's `--metrics-out` and `--provenance-out`).
 //! * `http` feature — [`PromServer`], a tiny std-only scrape endpoint.
 //!
 //! # Conventions
@@ -57,6 +59,7 @@ pub mod json;
 pub mod mem;
 pub mod prom;
 pub mod provenance;
+pub mod record;
 pub mod recorder;
 pub mod registry;
 pub mod sink;
@@ -73,17 +76,15 @@ pub use health::{
 pub use hist::{HistSnapshot, LogHistogram};
 #[cfg(feature = "http")]
 pub use http::PromServer;
-pub use ingest::{lag_ppm, IngestEvent, INGEST_SCHEMA_KEYS};
+pub use ingest::{lag_ppm, IngestEvent};
 pub use json::Json;
 pub use mem::{fmt_bytes, map_bytes, rss_bytes, FootprintNode, MemoryFootprint};
 pub use prom::{parse_prometheus, parse_prometheus_strict, MetricKind, Sample};
-pub use provenance::{
-    JsonlProvenanceSink, MemoryProvenanceSink, MsBfsReason, ProvenanceEvent, ProvenanceKind,
-    ProvenanceSink,
-};
+pub use provenance::{MsBfsReason, ProvenanceEvent, ProvenanceKind};
+pub use record::JsonlRecord;
 pub use recorder::{noop, NoopRecorder, Recorder};
 pub use registry::Registry;
-pub use sink::{EventSink, JsonlSink, MemorySink};
+pub use sink::{EventSink, JsonlSink, MemorySink, ProvenanceSink, Sink};
 pub use span::{SpanId, SpanRecord, Tracer};
 
 /// The trait-object handle engines store: cheap to clone, shareable with

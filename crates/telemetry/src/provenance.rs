@@ -7,9 +7,9 @@
 //! of work), MS-BFS start/termination, cluster split/merge/emergence/
 //! dissipation, and border adoption — tagged with the slide they belong
 //! to. Events ride the existing [`Recorder`](crate::Recorder) plumbing
-//! (`emit_provenance`) as a second JSONL schema with its own validator,
-//! and the CLI's `explain` subcommand reconstructs a causal narrative
-//! from the stream.
+//! (`emit_provenance`) and are written by the one JSONL codec
+//! ([`JsonlRecord`]) every telemetry stream uses; the CLI's `explain`
+//! subcommand reconstructs a causal narrative from the stream.
 //!
 //! # JSONL schema
 //!
@@ -19,29 +19,13 @@
 //! | key      | type   | meaning                                          |
 //! |----------|--------|--------------------------------------------------|
 //! | `slide`  | number | 1-based slide sequence number                    |
-//! | `kind`   | string | one of [`KINDS`]                                 |
+//! | `kind`   | string | [`ProvenanceKind::name`], e.g. `cluster_split`   |
 //! | `id`     | number | primary subject (point or cluster id; 0 if n/a)  |
 //! | `rep`    | number | secondary subject / class representative         |
 //! | `n`      | number | cardinality (size, starters, rounds, parts, …)   |
 //! | `reason` | string | MS-BFS termination reason (`""` otherwise)       |
 
-use crate::json::Json;
-use std::io::Write;
-use std::sync::Mutex;
-
-/// The closed set of `kind` strings the schema admits.
-pub const KINDS: [&str; 10] = [
-    "ex_core_detected",
-    "neo_core_detected",
-    "retro_class_formed",
-    "msbfs_started",
-    "msbfs_terminated",
-    "cluster_split",
-    "cluster_merge",
-    "cluster_emerged",
-    "cluster_died",
-    "adoption",
-];
+use crate::record::{field, Field, JsonlRecord, Kind, Value};
 
 /// Why an MS-BFS instance stopped (Alg. 3's two exits).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -192,105 +176,18 @@ impl ProvenanceKind {
             ProvenanceKind::Adoption { border, core } => (border, core, 0, ""),
         }
     }
-}
 
-/// One structural decision, tagged with the slide it happened in.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ProvenanceEvent {
-    /// 1-based slide sequence number (matches `SlideEvent::seq`).
-    pub slide: u64,
-    /// The decision.
-    pub kind: ProvenanceKind,
-}
-
-impl ProvenanceEvent {
-    /// Renders the event as one JSONL line (no trailing newline).
-    pub fn to_jsonl(&self) -> String {
-        let (id, rep, n, reason) = self.kind.fields();
-        format!(
-            "{{\"slide\": {}, \"kind\": \"{}\", \"id\": {}, \"rep\": {}, \"n\": {}, \
-             \"reason\": \"{}\"}}",
-            self.slide,
-            self.kind.name(),
-            id,
-            rep,
-            n,
-            reason,
-        )
-    }
-
-    /// Validates one JSONL line against the provenance schema: exactly the
-    /// six keys, correct types, `kind` in [`KINDS`], `reason` one of
-    /// `""`/`"all_met"`/`"exhausted"` (non-empty only on
-    /// `msbfs_terminated`).
-    pub fn validate_jsonl(line: &str) -> Result<(), String> {
-        let doc = Json::parse(line)?;
-        let Json::Obj(members) = &doc else {
-            return Err("provenance line is not an object".to_string());
-        };
-        let expect: [&str; 6] = ["slide", "kind", "id", "rep", "n", "reason"];
-        for key in expect {
-            if doc.get(key).is_none() {
-                return Err(format!("missing key {key:?}"));
-            }
-        }
-        for (key, _) in members {
-            if !expect.contains(&key.as_str()) {
-                return Err(format!("unknown key {key:?}"));
-            }
-        }
-        if members.len() != expect.len() {
-            return Err("duplicate keys".to_string());
-        }
-        for key in ["slide", "id", "rep", "n"] {
-            if doc.get(key).unwrap().as_u64().is_none() {
-                return Err(format!("{key} must be a non-negative integer"));
-            }
-        }
-        let kind = doc
-            .get("kind")
-            .unwrap()
-            .as_str()
-            .ok_or_else(|| "kind must be a string".to_string())?;
-        if !KINDS.contains(&kind) {
-            return Err(format!("unknown kind {kind:?}"));
-        }
-        let reason = doc
-            .get("reason")
-            .unwrap()
-            .as_str()
-            .ok_or_else(|| "reason must be a string".to_string())?;
-        match (kind, reason) {
-            ("msbfs_terminated", "all_met") | ("msbfs_terminated", "exhausted") => Ok(()),
-            ("msbfs_terminated", other) => Err(format!("bad termination reason {other:?}")),
-            (_, "") => Ok(()),
-            (_, other) => Err(format!("reason {other:?} on non-termination kind {kind:?}")),
-        }
-    }
-
-    /// Panicking form of [`validate_jsonl`](Self::validate_jsonl) for
-    /// tests and CI checkers, where an invalid line should abort with the
-    /// offending content in the message rather than thread a `Result`.
-    pub fn assert_valid_jsonl(line: &str) {
-        if let Err(e) = Self::validate_jsonl(line) {
-            panic!("invalid provenance JSONL line {line:?}: {e}");
-        }
-    }
-
-    /// Parses one JSONL line back into an event (validating as it goes).
-    pub fn from_jsonl(line: &str) -> Result<ProvenanceEvent, String> {
-        ProvenanceEvent::validate_jsonl(line)?;
-        let doc = Json::parse(line)?;
-        let num = |key: &str| doc.get(key).unwrap().as_u64().unwrap();
-        let (slide, id, rep, n) = (num("slide"), num("id"), num("rep"), num("n"));
-        let kind = match doc.get("kind").unwrap().as_str().unwrap() {
+    /// The kind named `name` (a schema `kind` string), built from the flat
+    /// `(id, rep, n, reason)` encoding — the inverse of `fields`.
+    fn from_fields(name: &str, (id, rep, n, reason): (u64, u64, u64, &str)) -> ProvenanceKind {
+        match name {
             "ex_core_detected" => ProvenanceKind::ExCoreDetected { id },
             "neo_core_detected" => ProvenanceKind::NeoCoreDetected { id },
             "retro_class_formed" => ProvenanceKind::RetroClassFormed { rep, size: n },
             "msbfs_started" => ProvenanceKind::MsBfsStarted { rep, starters: n },
             "msbfs_terminated" => ProvenanceKind::MsBfsTerminated {
                 rep,
-                reason: match doc.get("reason").unwrap().as_str().unwrap() {
+                reason: match reason {
                     "all_met" => MsBfsReason::AllMet,
                     _ => MsBfsReason::Exhausted,
                 },
@@ -316,98 +213,98 @@ impl ProvenanceEvent {
                 border: id,
                 core: rep,
             },
-        };
-        Ok(ProvenanceEvent { slide, kind })
+        }
+    }
+
+    /// Rebuilds this kind with one slot of its flat encoding edited.
+    fn edit(&mut self, slot: impl FnOnce(&mut (u64, u64, u64, &'static str))) {
+        let mut flat = self.fields();
+        slot(&mut flat);
+        *self = ProvenanceKind::from_fields(self.name(), flat);
     }
 }
 
-/// Receives every [`ProvenanceEvent`] a recorder is asked to emit — the
-/// provenance twin of [`EventSink`](crate::EventSink).
-pub trait ProvenanceSink: Send + Sync {
-    /// Consumes one event.
-    fn emit(&self, event: &ProvenanceEvent);
-
-    /// Flushes any buffering.
-    fn flush(&self) {}
+/// One structural decision, tagged with the slide it happened in.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ProvenanceEvent {
+    /// 1-based slide sequence number (matches `SlideEvent::seq`).
+    pub slide: u64,
+    /// The decision.
+    pub kind: ProvenanceKind,
 }
 
-/// Writes one provenance JSON line per event — the `--provenance-out`
-/// sink.
-pub struct JsonlProvenanceSink<W: Write + Send> {
-    out: Mutex<std::io::BufWriter<W>>,
-}
-
-impl JsonlProvenanceSink<std::fs::File> {
-    /// Creates (truncating) `path` and writes events to it.
-    pub fn create(path: &std::path::Path) -> std::io::Result<Self> {
-        Ok(JsonlProvenanceSink::new(std::fs::File::create(path)?))
-    }
-}
-
-impl<W: Write + Send> JsonlProvenanceSink<W> {
-    /// Wraps an arbitrary writer.
-    pub fn new(out: W) -> Self {
-        JsonlProvenanceSink {
-            out: Mutex::new(std::io::BufWriter::new(out)),
+impl Default for ProvenanceEvent {
+    fn default() -> Self {
+        ProvenanceEvent {
+            slide: 0,
+            kind: ProvenanceKind::ExCoreDetected { id: 0 },
         }
     }
 }
 
-impl<W: Write + Send> ProvenanceSink for JsonlProvenanceSink<W> {
-    fn emit(&self, event: &ProvenanceEvent) {
-        let mut out = self.out.lock().expect("provenance sink poisoned");
-        // Telemetry must never take the engine down; drop on I/O error.
-        let _ = writeln!(out, "{}", event.to_jsonl());
-    }
-
-    fn flush(&self) {
-        let _ = self.out.lock().expect("provenance sink poisoned").flush();
-    }
+/// Slot `$i` of the flat `(id, rep, n, reason)` encoding, as a field.
+macro_rules! slot {
+    ($key:literal, $i:tt, $kind:expr, $value:ident, $read:ident) => {
+        Field {
+            key: $key,
+            kind: $kind,
+            get: |e| Value::$value(e.kind.fields().$i),
+            set: |e, v| e.kind.edit(|f| f.$i = v.$read()),
+        }
+    };
 }
 
-/// Buffers provenance events in memory — the test sink.
-#[derive(Default)]
-pub struct MemoryProvenanceSink {
-    events: Mutex<Vec<ProvenanceEvent>>,
-}
+/// The six-key line of the module table. The setters run in table order,
+/// so `kind` picks the variant before `id`/`rep`/`n`/`reason` fill it.
+impl JsonlRecord for ProvenanceEvent {
+    const NAME: &'static str = "provenance";
+    const FIELDS: &'static [Field<Self>] = &[
+        field!(uint slide),
+        Field {
+            key: "kind",
+            kind: Kind::OneOf(&[
+                "ex_core_detected",
+                "neo_core_detected",
+                "retro_class_formed",
+                "msbfs_started",
+                "msbfs_terminated",
+                "cluster_split",
+                "cluster_merge",
+                "cluster_emerged",
+                "cluster_died",
+                "adoption",
+            ]),
+            get: |e| Value::Name(e.kind.name()),
+            set: |e, v| e.kind = ProvenanceKind::from_fields(v.name(), e.kind.fields()),
+        },
+        slot!("id", 0, Kind::Uint, Uint, uint),
+        slot!("rep", 1, Kind::Uint, Uint, uint),
+        slot!("n", 2, Kind::Uint, Uint, uint),
+        slot!(
+            "reason",
+            3,
+            Kind::OneOf(&["", "all_met", "exhausted"]),
+            Name,
+            name
+        ),
+    ];
 
-impl MemoryProvenanceSink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        MemoryProvenanceSink::default()
-    }
-
-    /// A copy of everything emitted so far.
-    pub fn events(&self) -> Vec<ProvenanceEvent> {
-        self.events
-            .lock()
-            .expect("provenance sink poisoned")
-            .clone()
-    }
-
-    /// Number of events emitted so far.
-    pub fn len(&self) -> usize {
-        self.events.lock().expect("provenance sink poisoned").len()
-    }
-
-    /// Whether nothing has been emitted.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl ProvenanceSink for MemoryProvenanceSink {
-    fn emit(&self, event: &ProvenanceEvent) {
-        self.events
-            .lock()
-            .expect("provenance sink poisoned")
-            .push(event.clone());
+    /// A reason on `msbfs_terminated` lines only, and always there.
+    fn check<'a>(value: impl Fn(&str) -> Value<'a>) -> Result<(), String> {
+        match (value("kind").str(), value("reason").str()) {
+            ("msbfs_terminated", "") => Err("msbfs_terminated without a reason".to_string()),
+            ("msbfs_terminated", _) | (_, "") => Ok(()),
+            (kind, reason) => Err(format!(
+                "reason {reason:?} on non-termination kind {kind:?}"
+            )),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sink::{JsonlSink, MemorySink, Sink};
 
     fn samples() -> Vec<ProvenanceEvent> {
         use ProvenanceKind::*;
@@ -478,14 +375,14 @@ mod tests {
         for bad in [
             // wrong kind
             good.replace("ex_core_detected", "excore"),
-            // missing key
-            good.replace("\"reason\": \"\"", "\"reason\": \"\", \"extra\": 1"),
+            // unknown key
+            good.replace("\"reason\":\"\"", "\"reason\":\"\",\"extra\":1"),
             // negative number
-            good.replace("\"id\": 2", "\"id\": -2"),
+            good.replace("\"id\":2", "\"id\":-2"),
             // string where number expected
-            good.replace("\"id\": 2", "\"id\": \"2\""),
+            good.replace("\"id\":2", "\"id\":\"2\""),
             // reason on non-termination kind
-            good.replace("\"reason\": \"\"", "\"reason\": \"all_met\""),
+            good.replace("\"reason\":\"\"", "\"reason\":\"all_met\""),
             // not an object
             "[1, 2]".to_string(),
         ] {
@@ -510,11 +407,12 @@ mod tests {
 
     #[test]
     fn jsonl_sink_writes_valid_lines() {
-        let sink = JsonlProvenanceSink::new(Vec::new());
+        let mut out = Vec::new();
+        let sink = JsonlSink::new(&mut out);
         for ev in samples() {
             sink.emit(&ev);
         }
-        let out = sink.out.into_inner().unwrap().into_inner().unwrap();
+        drop(sink);
         let text = String::from_utf8(out).unwrap();
         assert_eq!(text.lines().count(), samples().len());
         for line in text.lines() {
@@ -524,7 +422,7 @@ mod tests {
 
     #[test]
     fn memory_sink_accumulates() {
-        let sink = MemoryProvenanceSink::new();
+        let sink = MemorySink::<ProvenanceEvent>::new();
         assert!(sink.is_empty());
         for ev in samples() {
             sink.emit(&ev);

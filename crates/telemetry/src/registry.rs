@@ -2,9 +2,9 @@
 
 use crate::event::SlideEvent;
 use crate::hist::{HistSnapshot, LogHistogram};
-use crate::provenance::{ProvenanceEvent, ProvenanceSink};
+use crate::provenance::ProvenanceEvent;
 use crate::recorder::Recorder;
-use crate::sink::EventSink;
+use crate::sink::{EventSink, ProvenanceSink};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -269,14 +269,8 @@ mod tests {
 
     #[test]
     fn emit_counts_and_forwards_to_sink() {
-        let sink = Arc::new(MemorySink::new());
-        struct Fwd(Arc<MemorySink>);
-        impl EventSink for Fwd {
-            fn emit(&self, ev: &SlideEvent) {
-                self.0.emit(ev);
-            }
-        }
-        let r = Registry::with_sink(Box::new(Fwd(sink.clone())));
+        let sink: Arc<MemorySink> = Arc::new(MemorySink::new());
+        let r = Registry::with_sink(Box::new(sink.clone()));
         assert_eq!(r.events_emitted(), 0);
         r.emit(&SlideEvent::default());
         assert_eq!(r.events_emitted(), 1);
@@ -285,15 +279,9 @@ mod tests {
 
     #[test]
     fn provenance_counts_and_forwards_to_its_sink() {
-        use crate::provenance::{MemoryProvenanceSink, ProvenanceKind};
-        let sink = Arc::new(MemoryProvenanceSink::new());
-        struct Fwd(Arc<MemoryProvenanceSink>);
-        impl ProvenanceSink for Fwd {
-            fn emit(&self, ev: &ProvenanceEvent) {
-                self.0.emit(ev);
-            }
-        }
-        let r = Registry::new().with_provenance(Box::new(Fwd(sink.clone())));
+        use crate::provenance::ProvenanceKind;
+        let sink = Arc::new(MemorySink::<ProvenanceEvent>::new());
+        let r = Registry::new().with_provenance(Box::new(sink.clone()));
         assert_eq!(r.provenance_emitted(), 0);
         r.emit_provenance(&ProvenanceEvent {
             slide: 3,

@@ -1,23 +1,47 @@
-//! Pluggable sinks for structured slide events.
+//! Pluggable sinks for the structured event streams: one trait, one JSONL
+//! writer and one in-memory buffer, each generic over the event it carries.
 
 use crate::event::SlideEvent;
+use crate::provenance::ProvenanceEvent;
+use crate::record::JsonlRecord;
 use std::io::Write;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-/// Receives every [`SlideEvent`] a [`Registry`](crate::Registry) is asked
-/// to emit. Sinks must be shareable across threads (the engine publishes,
-/// an exporter thread may flush).
-pub trait EventSink: Send + Sync {
+/// Receives every event of type `E` a recorder is asked to emit. Sinks
+/// must be shareable across threads (the engine publishes, an exporter
+/// thread may flush).
+pub trait Sink<E>: Send + Sync {
     /// Consumes one event.
-    fn emit(&self, event: &SlideEvent);
+    fn emit(&self, event: &E);
 
     /// Flushes any buffering (called on drop of the owning registry and by
     /// drivers at end of run).
     fn flush(&self) {}
 }
 
+/// A sink of [`SlideEvent`]s, as [`crate::Registry::with_sink`] takes it.
+pub trait EventSink: Sink<SlideEvent> {}
+impl<S: Sink<SlideEvent> + ?Sized> EventSink for S {}
+
+/// A sink of [`ProvenanceEvent`]s, as [`crate::Registry::with_provenance`] takes it.
+pub trait ProvenanceSink: Sink<ProvenanceEvent> {}
+impl<S: Sink<ProvenanceEvent> + ?Sized> ProvenanceSink for S {}
+
+/// A shared sink: the registry owns one handle, a test or the CLI keeps
+/// another to read back what was emitted.
+impl<E, S: Sink<E> + ?Sized> Sink<E> for Arc<S> {
+    fn emit(&self, event: &E) {
+        (**self).emit(event);
+    }
+
+    fn flush(&self) {
+        (**self).flush();
+    }
+}
+
 /// Writes one JSON line per event to any `Write` target — the
-/// `--metrics-out FILE.jsonl` sink.
+/// `--metrics-out` and `--provenance-out` sink. An I/O error drops the
+/// line: telemetry must never take the engine down.
 pub struct JsonlSink<W: Write + Send> {
     out: Mutex<std::io::BufWriter<W>>,
 }
@@ -38,10 +62,9 @@ impl<W: Write + Send> JsonlSink<W> {
     }
 }
 
-impl<W: Write + Send> EventSink for JsonlSink<W> {
-    fn emit(&self, event: &SlideEvent) {
+impl<W: Write + Send, R: JsonlRecord> Sink<R> for JsonlSink<W> {
+    fn emit(&self, event: &R) {
         let mut out = self.out.lock().expect("jsonl sink poisoned");
-        // Telemetry must never take the engine down; drop on I/O error.
         let _ = writeln!(out, "{}", event.to_jsonl());
     }
 
@@ -50,40 +73,48 @@ impl<W: Write + Send> EventSink for JsonlSink<W> {
     }
 }
 
-/// Buffers events in memory — the test sink.
-#[derive(Default)]
-pub struct MemorySink {
-    events: Mutex<Vec<SlideEvent>>,
+/// Buffers events of type `E` in memory — the test sink.
+pub struct MemorySink<E = SlideEvent> {
+    events: Mutex<Vec<E>>,
 }
 
-impl MemorySink {
+impl<E> Default for MemorySink<E> {
+    fn default() -> Self {
+        MemorySink {
+            events: Mutex::new(Vec::new()),
+        }
+    }
+}
+
+impl<E: Clone> MemorySink<E> {
     /// An empty sink.
     pub fn new() -> Self {
         MemorySink::default()
     }
 
     /// A copy of everything emitted so far.
-    pub fn events(&self) -> Vec<SlideEvent> {
-        self.events.lock().expect("memory sink poisoned").clone()
+    pub fn events(&self) -> Vec<E> {
+        self.lock().clone()
     }
 
     /// Number of events emitted so far.
     pub fn len(&self) -> usize {
-        self.events.lock().expect("memory sink poisoned").len()
+        self.lock().len()
     }
 
     /// Whether nothing has been emitted.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<E>> {
+        self.events.lock().expect("memory sink poisoned")
+    }
 }
 
-impl EventSink for MemorySink {
-    fn emit(&self, event: &SlideEvent) {
-        self.events
-            .lock()
-            .expect("memory sink poisoned")
-            .push(event.clone());
+impl<E: Clone + Send> Sink<E> for MemorySink<E> {
+    fn emit(&self, event: &E) {
+        self.lock().push(event.clone());
     }
 }
 
@@ -114,7 +145,7 @@ mod tests {
 
     #[test]
     fn memory_sink_accumulates() {
-        let sink = MemorySink::new();
+        let sink: MemorySink = MemorySink::new();
         assert!(sink.is_empty());
         sink.emit(&SlideEvent::default());
         assert_eq!(sink.len(), 1);

@@ -58,7 +58,9 @@ pub mod prelude {
     };
     pub use crate::geom::{Point, PointId};
     pub use crate::metrics::{ari, nmi, purity};
-    pub use crate::telemetry::{IngestEvent, Recorder, Registry, SharedRecorder, SlideEvent};
+    pub use crate::telemetry::{
+        IngestEvent, JsonlRecord, Recorder, Registry, SharedRecorder, SlideEvent,
+    };
     pub use crate::window::{
         datasets, AdmissionConfig, Decision, DisorderConfig, HostileRecord, Ingest, IngestStats,
         LatePolicy, Record, SlideBatch, SlidingWindow, TimeWindow, TimeWindowError, TimedRecord,
