@@ -36,8 +36,8 @@ use disc_geom::{Aabb, FxHashMap, Point, PointId};
 /// only pays for itself once a few entries ride the same traversal.
 pub(crate) const BULK_MIN: usize = 8;
 
-/// Target fill for multi-way split groups; matches the slack `bulk_load`
-/// leaves for subsequent inserts.
+/// Target fill of `tile`'s groups, leaving slack for subsequent inserts
+/// (`bulk_load` packs through `tile` too).
 const BULK_FILL: usize = MAX_ENTRIES * 3 / 4;
 
 impl<const D: usize> RTree<D> {
@@ -91,9 +91,9 @@ impl<const D: usize> RTree<D> {
             }
             return;
         }
-        // Sort by the first axis (the same one-dimensional simplification as
-        // the STR packer) so consecutive entries tend to choose the same
-        // branch and the cached choice below keeps hitting.
+        // Sort by the first axis so consecutive entries tend to choose the
+        // same branch and the cached choice below keeps hitting. Packing
+        // is `tile`'s job: an overflowing node is re-tiled along every axis.
         entries.sort_by(|a, b| a.point[0].partial_cmp(&b.point[0]).unwrap());
         let sibs = self.bulk_insert_rec(self.root, self.height, entries);
         self.adopt_root_siblings(sibs);
@@ -504,40 +504,91 @@ impl<const D: usize> RTree<D> {
     }
 }
 
-/// One-dimensional multi-way tiling of an overflowing entry list: sorts by
-/// the axis of widest spread (of `coord(item, axis)`) and cuts into
-/// near-equal groups of at most [`BULK_FILL`]. With `n > MAX_ENTRIES` every
-/// group lands within `[MIN_ENTRIES, MAX_ENTRIES]`.
+/// Sort-Tile-Recursive packing of an overflowing entry list (Leutenegger
+/// et al., ICDE 1997) into near-equal groups of at most [`BULK_FILL`];
+/// with `n > MAX_ENTRIES` every group lands within
+/// `[MIN_ENTRIES, MAX_ENTRIES]`. See [`str_order`] for the cuts. Built from
+/// empty, this gives one packed tree rather than a stack of thin slabs.
 fn tile<T>(mut items: Vec<T>, coord: impl Fn(&T, usize) -> f64, dims: usize) -> Vec<Vec<T>> {
     debug_assert!(items.len() > MAX_ENTRIES);
-    let mut axis = 0usize;
-    let mut best_spread = f64::NEG_INFINITY;
-    for d in 0..dims {
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for it in &items {
-            let c = coord(it, d);
-            lo = lo.min(c);
-            hi = hi.max(c);
-        }
-        if hi - lo > best_spread {
-            best_spread = hi - lo;
-            axis = d;
-        }
-    }
-    items.sort_by(|a, b| coord(a, axis).partial_cmp(&coord(b, axis)).unwrap());
     let n = items.len();
     let g = n.div_ceil(BULK_FILL);
     let base = n / g;
     let rem = n % g;
     debug_assert!(base >= MIN_ENTRIES, "tile group below minimum fill");
+    let sizes: Vec<usize> = (0..g).map(|gi| base + usize::from(gi < rem)).collect();
+    let axes: Vec<usize> = (0..dims).collect();
+    str_order(&mut items, &sizes, &axes, &coord);
+
     let mut out = Vec::with_capacity(g);
     let mut it = items.into_iter();
-    for gi in 0..g {
-        let take = base + usize::from(gi < rem);
+    for take in sizes {
         out.push(it.by_ref().take(take).collect());
     }
     out
+}
+
+/// Orders `items` so that cutting them by `sizes` in sequence yields the
+/// STR groups. Sorts along the axis of widest spread (of `coord(item,
+/// axis)`, the first on ties), cuts the groups into slabs of whole groups
+/// along it and recurses per slab on the remaining `axes`; the last axis
+/// cuts the groups themselves.
+///
+/// The slab count aims at square tiles: side `(volume / g)^(1/k)` over the
+/// items' extent, `k` axes left. That is STR's `⌈g^(1/k)⌉` for a square
+/// set, and one group per slab for a flat one such as a stretch of
+/// trajectory, which cutting across its thin axis would turn into
+/// overlapping strips. Two groups always split once along the widest axis.
+fn str_order<T>(
+    items: &mut [T],
+    sizes: &[usize],
+    axes: &[usize],
+    coord: &impl Fn(&T, usize) -> f64,
+) {
+    let g = sizes.len();
+    if g < 2 {
+        return;
+    }
+    let spread: Vec<f64> = axes
+        .iter()
+        .map(|&a| {
+            let (lo, hi) = items
+                .iter()
+                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), it| {
+                    let c = coord(it, a);
+                    (lo.min(c), hi.max(c))
+                });
+            hi - lo
+        })
+        .collect();
+    let widest = (1..axes.len()).fold(0, |w, i| if spread[i] > spread[w] { i } else { w });
+    let axis = axes[widest];
+    items.sort_by(|a, b| coord(a, axis).total_cmp(&coord(b, axis)));
+    if axes.len() == 1 {
+        return;
+    }
+
+    let side = (spread.iter().product::<f64>() / g as f64).powf(1.0 / axes.len() as f64);
+    let slabs = if side > 0.0 {
+        ((spread[widest] / side).ceil() as usize).clamp(2, g)
+    } else {
+        g
+    };
+    let rest: Vec<usize> = axes.iter().copied().filter(|&a| a != axis).collect();
+    let (per, extra) = (g / slabs, g % slabs);
+    let (mut first_group, mut first_item) = (0usize, 0usize);
+    for si in 0..slabs {
+        let groups = &sizes[first_group..first_group + per + usize::from(si < extra)];
+        let len: usize = groups.iter().sum();
+        str_order(
+            &mut items[first_item..first_item + len],
+            groups,
+            &rest,
+            coord,
+        );
+        first_group += groups.len();
+        first_item += len;
+    }
 }
 
 #[cfg(test)]
@@ -733,6 +784,44 @@ mod tests {
         assert_eq!(t.stats().bulk_remove_batches, 1);
         assert_eq!(t.stats().removes, 150);
         assert!(t.stats().bulk_leaf_scans > 0);
+    }
+
+    /// Extent of each group along `axis`, in group order.
+    fn extents(groups: &[Vec<Point<2>>], axis: usize) -> Vec<(f64, f64)> {
+        groups
+            .iter()
+            .map(|g| {
+                let lo = g.iter().map(|p| p[axis]).fold(f64::INFINITY, f64::min);
+                let hi = g.iter().map(|p| p[axis]).fold(f64::NEG_INFINITY, f64::max);
+                (lo, hi)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn tile_cuts_a_square_set_along_both_axes() {
+        // 12 × 12 lattice: 12 groups of 12, in 4 slabs of 3.
+        let items: Vec<Point<2>> = (0..144)
+            .map(|i| Point::new([(i % 12) as f64, (i / 12) as f64]))
+            .collect();
+        let groups = tile(items, |p, axis| p[axis], 2);
+        assert_eq!(groups.len(), 12);
+        for (x, y) in extents(&groups, 0).into_iter().zip(extents(&groups, 1)) {
+            assert!(x.1 - x.0 <= 3.0 && y.1 - y.0 <= 4.0, "{x:?} × {y:?}");
+        }
+    }
+
+    #[test]
+    fn tile_keeps_a_flat_run_in_one_row() {
+        // A thin horizontal stretch: cutting it across y would give
+        // overlapping strips, so every group takes its own x-interval.
+        let items: Vec<Point<2>> = (0..48)
+            .map(|i| Point::new([i as f64, 0.01 * (i % 3) as f64]))
+            .collect();
+        let groups = tile(items, |p, axis| p[axis], 2);
+        assert_eq!(groups.len(), 4);
+        let xs = extents(&groups, 0);
+        assert!(xs.windows(2).all(|w| w[0].1 < w[1].0), "{xs:?}");
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //! two implementors:
 //!
 //! * [`RTree`] — a classic quadratic-split R-tree over `D`-dimensional points
-//!   with insert, delete (condense + reinsert), STR bulk load, plain ε-range
-//!   queries, and the epoch probe. One deliberate deviation from the paper's
+//!   with insert, delete (condense + reinsert), batched insert and bulk load
+//!   packed by one Sort-Tile-Recursive tiler, plain ε-range queries, and the
+//!   epoch probe. One deliberate deviation from the paper's
 //!   Alg. 4 is documented in [`epoch`]: entries store an *(epoch, owner)*
 //!   pair instead of a bare epoch so that two MS-BFS threads can still detect
 //!   that they met inside an already-visited subtree.

@@ -464,77 +464,21 @@ impl<const D: usize> RTree<D> {
     // Bulk load (STR)
     // ------------------------------------------------------------------
 
-    /// Builds a tree from scratch with Sort-Tile-Recursive packing.
+    /// Builds a tree from scratch with Sort-Tile-Recursive packing: a
+    /// batched insert into an empty tree, whose root-leaf overflow and the
+    /// levels grown above it are all packed by the one STR tiler.
     ///
     /// Used to fill the first sliding window quickly; subsequent strides go
-    /// through `insert`/`remove`.
+    /// through `insert`/`remove`. Counts as `items.len()` inserts and no
+    /// batch.
     pub fn bulk_load(items: Vec<(PointId, Point<D>)>) -> Self {
         let mut tree = RTree::new();
-        if items.is_empty() {
-            return tree;
-        }
-        tree.stats.inserts = items.len() as u64;
-        tree.len = items.len();
-
-        // Pack leaves.
-        let entries: Vec<LeafEntry<D>> = items
-            .into_iter()
-            .map(|(id, point)| LeafEntry {
-                point,
-                id,
-                epoch: Epoch::CLEAR,
-            })
-            .collect();
-        let leaf_cap = MAX_ENTRIES * 3 / 4; // leave slack for inserts
-        let mut level: Vec<(Aabb<D>, NodeIdx)> = str_pack(entries, leaf_cap, |chunk| {
-            let mut mbr = Aabb::empty();
-            for e in &chunk {
-                mbr.extend_point(&e.point);
-            }
-            (mbr, chunk)
-        })
-        .into_iter()
-        .map(|(mbr, chunk)| {
-            let idx = tree.alloc(Node {
-                kind: NodeKind::Leaf(chunk),
-            });
-            (mbr, idx)
-        })
-        .collect();
-        tree.height = 1;
-
-        // Pack internal levels until one node remains.
-        while level.len() > 1 {
-            let branches: Vec<Branch<D>> = level
-                .into_iter()
-                .map(|(mbr, child)| Branch {
-                    mbr,
-                    child,
-                    epoch: Epoch::CLEAR,
-                })
-                .collect();
-            level = str_pack(branches, leaf_cap, |chunk| {
-                let mut mbr = Aabb::empty();
-                for b in &chunk {
-                    mbr.extend(&b.mbr);
-                }
-                (mbr, chunk)
-            })
-            .into_iter()
-            .map(|(mbr, chunk)| {
-                let idx = tree.alloc(Node {
-                    kind: NodeKind::Internal(chunk),
-                });
-                (mbr, idx)
-            })
-            .collect();
-            tree.height += 1;
-        }
-
-        // Replace the default empty root with the packed one.
-        let packed_root = level[0].1;
-        tree.dealloc(tree.root);
-        tree.root = packed_root;
+        let n = items.len() as u64;
+        tree.bulk_insert(items);
+        tree.stats = Stats {
+            inserts: n,
+            ..Stats::default()
+        };
         tree
     }
 
@@ -770,36 +714,6 @@ fn pick_next<const D: usize>(
     Some(best)
 }
 
-/// Sort-Tile-Recursive grouping: sorts `items` by the first axis of their
-/// key boxes (already implicit in arrival order here we simply chunk after a
-/// single sort pass), then tiles into runs of `cap`.
-///
-/// For simplicity this uses a one-dimensional sort by the first coordinate
-/// of each item's box centre — adequate for packing (query performance is
-/// dominated by subsequent incremental maintenance anyway).
-fn str_pack<T, K>(items: Vec<T>, cap: usize, finish: impl Fn(Vec<T>) -> K) -> Vec<K>
-where
-    T: StrSortable,
-{
-    let mut items = items;
-    items.sort_by(|a, b| a.sort_key().partial_cmp(&b.sort_key()).unwrap());
-    let mut out = Vec::with_capacity(items.len() / cap + 1);
-    let mut chunk = Vec::with_capacity(cap);
-    for item in items {
-        chunk.push(item);
-        if chunk.len() == cap {
-            out.push(finish(std::mem::replace(
-                &mut chunk,
-                Vec::with_capacity(cap),
-            )));
-        }
-    }
-    if !chunk.is_empty() {
-        out.push(finish(chunk));
-    }
-    out
-}
-
 impl<const D: usize> disc_telemetry::MemoryFootprint for RTree<D> {
     /// Arena accounting: the node slab (plus free list), per-node entry
     /// vectors, and the epoch marks embedded in every entry (reported
@@ -827,22 +741,6 @@ impl<const D: usize> disc_telemetry::MemoryFootprint for RTree<D> {
                 FootprintNode::leaf("epoch_marks", marks),
             ],
         )
-    }
-}
-
-trait StrSortable {
-    fn sort_key(&self) -> f64;
-}
-
-impl<const D: usize> StrSortable for LeafEntry<D> {
-    fn sort_key(&self) -> f64 {
-        self.point[0]
-    }
-}
-
-impl<const D: usize> StrSortable for Branch<D> {
-    fn sort_key(&self) -> f64 {
-        self.mbr.center_along(0)
     }
 }
 

@@ -37,7 +37,7 @@ pub struct IngestEvent {
     /// Records currently held in the reorder buffer.
     pub buffered: u64,
     /// Watermark lag (time depth of the reorder buffer) in ppm of a time
-    /// unit, saturated.
+    /// unit, saturated at 2^53.
     pub watermark_lag_ppm: u64,
     /// 1 while overload shedding is engaged.
     pub shedding: u64,
@@ -63,15 +63,18 @@ impl JsonlRecord for IngestEvent {
     ];
 }
 
-/// Saturating ppm scaling for time-valued gauges.
+/// Largest gauge value the JSONL reader round-trips: 2^53, beyond which
+/// an f64-backed JSON number no longer holds every integer.
+const LAG_PPM_MAX: u64 = 1 << 53;
+
+/// Saturating ppm scaling for time-valued gauges. Saturates at 2^53 (an
+/// epoch-nanosecond lag, or an infinite one) so every value written reads
+/// back through [`IngestEvent::from_jsonl`].
 pub fn lag_ppm(lag: f64) -> u64 {
     if lag.is_nan() || lag <= 0.0 {
         return 0;
     }
-    if lag.is_infinite() {
-        return u64::MAX;
-    }
-    (lag * 1e6).min(u64::MAX as f64) as u64
+    (lag * 1e6).min(LAG_PPM_MAX as f64) as u64
 }
 
 #[cfg(test)]
@@ -130,6 +133,19 @@ mod tests {
         assert_eq!(lag_ppm(-3.0), 0);
         assert_eq!(lag_ppm(f64::NAN), 0);
         assert_eq!(lag_ppm(2.5), 2_500_000);
-        assert!(lag_ppm(f64::INFINITY) > 0);
+        assert_eq!(lag_ppm(f64::INFINITY), LAG_PPM_MAX);
+    }
+
+    #[test]
+    fn lag_ppm_round_trips_through_the_ingest_reader() {
+        for lag in [0.0, 2.5, 2e10, f64::INFINITY] {
+            let ev = IngestEvent {
+                watermark_lag_ppm: lag_ppm(lag),
+                ..sample()
+            };
+            let back = IngestEvent::from_jsonl(&ev.to_jsonl())
+                .unwrap_or_else(|e| panic!("lag {lag} did not read back: {e}"));
+            assert_eq!(back, ev, "lag {lag}");
+        }
     }
 }
