@@ -7,7 +7,7 @@ use crate::engine::Disc;
 use crate::label::ClusterId;
 use crate::stats::SlideStats;
 use crate::store::PointStore;
-use disc_geom::{FxHashSet, Point, PointId};
+use disc_geom::{Point, PointId};
 use disc_index::SpatialBackend;
 
 impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
@@ -42,29 +42,31 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
         let eps = self.cfg.eps;
         let tau = self.cfg.tau;
 
-        let mut remaining: FxHashSet<PointId> = ex_cores.iter().copied().collect();
+        // `absorbed` marks the ex-cores already in a class, and each class
+        // draws the next stamp to mark the members of its M⁻. The two mark
+        // disjoint points (ex-cores, cores of both windows), so they share
+        // the meta field; classes never outnumber ex-cores.
+        let absorbed = self.fresh_stamps(1 + ex_cores.len());
+        let mut m_seen = absorbed;
         // Buffers reused across classes.
         let mut r_minus: Vec<PointId> = Vec::new();
         let mut m_minus: Vec<PointId> = Vec::new();
-        let mut m_seen: FxHashSet<PointId> = FxHashSet::default();
         let mut ball_buf: Vec<PointId> = Vec::new();
-        let mut discovered_ex: Vec<PointId> = Vec::new();
         // Classes gathered in pass 1: `(previous cluster root, M⁻)`. The
         // roots must be read *before* any relabelling, so the connectivity
         // checks are deferred to pass 2.
         let mut classes: Vec<(u32, Vec<PointId>)> = Vec::new();
 
         // Seeds in slice order (ghosts first, then ids ascending — see
-        // COLLECT's canonical classification): deterministic regardless of
-        // the hash set's iteration order.
+        // COLLECT's canonical classification).
         for &seed in ex_cores {
-            if !remaining.remove(&seed) {
+            if !absorb(&mut self.points, seed, absorbed) {
                 continue; // already absorbed into an earlier class
             }
             stats.ex_classes += 1;
             r_minus.clear();
             m_minus.clear();
-            m_seen.clear();
+            m_seen += 1;
 
             // Gather R⁻(seed) by BFS over directly retro-reachable ex-cores
             // (one range search per member — Theorem 1 guarantees no other
@@ -79,7 +81,6 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
                 // The scan doubles as label maintenance for the ex-core
                 // itself: any current core in range can adopt it.
                 let mut my_adopter: Option<PointId> = None;
-                discovered_ex.clear();
                 let ball = ball_of(
                     &self.balls,
                     &mut self.tree,
@@ -96,9 +97,13 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
                         continue;
                     };
                     if q.is_ex_core(tau) {
-                        discovered_ex.push(qid);
+                        if q.stamp != absorbed {
+                            q.stamp = absorbed;
+                            r_minus.push(qid);
+                        }
                     } else if q.core_in_both(tau) {
-                        if m_seen.insert(qid) {
+                        if q.stamp != m_seen {
+                            q.stamp = m_seen;
                             m_minus.push(qid);
                         }
                         // Smallest qualifying id wins, so the adopter does
@@ -115,12 +120,7 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
                     } else if q.in_window && q.adopter == Some(r) {
                         // A border that leaned on this ex-core.
                         q.adopter = None;
-                        self.needs_adoption.insert(qid);
-                    }
-                }
-                for &qid in &discovered_ex {
-                    if remaining.remove(&qid) {
-                        r_minus.push(qid);
+                        self.needs_adoption.push(qid);
                     }
                 }
                 // The ball held every core in range: no adopter means noise.
@@ -284,20 +284,22 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
         let eps = self.cfg.eps;
         let tau = self.cfg.tau;
 
-        let mut remaining: FxHashSet<PointId> = neo_cores.iter().copied().collect();
+        // As in the ex-core phase, `absorbed` marks the neo-cores already in
+        // a class. `adopted_here` marks the orphans adopted during this
+        // phase: when several neo-cores reach the same orphan, the smallest
+        // id must win regardless of the order the classes are visited in
+        // (backend-independent determinism). Adopters that survived from
+        // earlier slides are never replaced. Neo-cores and orphans are
+        // disjoint, so the two stamps share the meta field.
+        let absorbed = self.fresh_stamps(2);
+        let adopted_here = absorbed + 1;
         let mut r_plus: Vec<PointId> = Vec::new();
         let mut m_cids: Vec<u32> = Vec::new();
         let mut ball_buf: Vec<PointId> = Vec::new();
-        let mut discovered_neo: Vec<PointId> = Vec::new();
-        // Orphans adopted during this phase: when several neo-cores reach
-        // the same orphan, the smallest id must win regardless of the order
-        // the classes are visited in (backend-independent determinism).
-        // Adopters that survived from earlier slides are never replaced.
-        let mut adopted_here: FxHashSet<PointId> = FxHashSet::default();
 
         // Seeds in slice order (ids ascending), like the ex-core phase.
         for &seed in neo_cores {
-            if !remaining.remove(&seed) {
+            if !absorb(&mut self.points, seed, absorbed) {
                 continue; // already absorbed into an earlier class
             }
             stats.neo_classes += 1;
@@ -313,7 +315,6 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
                 let r = r_plus[i];
                 i += 1;
 
-                discovered_neo.clear();
                 let ball = ball_of(
                     &self.balls,
                     &mut self.tree,
@@ -330,7 +331,10 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
                         continue;
                     };
                     if q.is_neo_core(tau) {
-                        discovered_neo.push(qid);
+                        if q.stamp != absorbed {
+                            q.stamp = absorbed;
+                            r_plus.push(qid);
+                        }
                     } else if q.core_in_both(tau) {
                         m_cids.push(q.cid.0);
                     } else if q.in_window && !q.is_core(tau) {
@@ -340,15 +344,10 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
                         // wins; adopters from earlier slides stand.
                         if q.adopter.is_none() {
                             q.adopter = Some(r);
-                            adopted_here.insert(qid);
-                        } else if adopted_here.contains(&qid) && q.adopter > Some(r) {
+                            q.stamp = adopted_here;
+                        } else if q.stamp == adopted_here && q.adopter > Some(r) {
                             q.adopter = Some(r);
                         }
-                    }
-                }
-                for &qid in &discovered_neo {
-                    if remaining.remove(&qid) {
-                        r_plus.push(qid);
                     }
                 }
             }
@@ -388,9 +387,9 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
                 let rec = self.points.get_mut(*id).expect("neo-core vanished");
                 debug_assert!(rec.is_core(tau));
                 rec.cid = assigned;
-                // A neo-core sheds any border bookkeeping it carried.
+                // A neo-core sheds any border bookkeeping it carried; if it
+                // is queued for adoption, the pass skips it as a core.
                 rec.adopter = None;
-                self.needs_adoption.remove(id);
             }
         }
     }
@@ -402,21 +401,26 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
     pub(crate) fn adoption_pass(&mut self, stats: &mut SlideStats) {
         let eps = self.cfg.eps;
         let tau = self.cfg.tau;
-        let mut pending: Vec<PointId> = self.needs_adoption.drain().collect();
-        // Canonical order (the set's iteration order is an insertion-history
-        // artifact). The pass only writes each pending point's own adopter,
-        // so neither the searched set nor any result depends on order — but
-        // pinning it keeps the provenance stream identical across runs.
+        let mut pending = std::mem::take(&mut self.needs_adoption);
+        // Canonical order (the list is in release order, an artifact of
+        // traversal order). The pass only writes each pending point's own
+        // adopter, so neither the searched set nor any result depends on
+        // order — but pinning it keeps the provenance stream identical
+        // across runs.
         pending.sort_unstable();
+        debug_assert!(
+            pending.windows(2).all(|w| w[0] < w[1]),
+            "a point was queued for adoption twice"
+        );
         // Skip the departed, the cores and the already adopted; the checks
         // are stable for the same reason, so they can run up front.
         pending.retain(|&id| {
             self.points
-                .get(id) // departed this slide → gone
+                .meta_of(id) // departed this slide → gone
                 .is_some_and(|rec| !rec.is_core(tau) && rec.adopter.is_none() && rec.in_window)
         });
         let mut ball: Vec<PointId> = Vec::new();
-        for id in pending {
+        for &id in &pending {
             let center = self.points.point_at(id);
             stats.adoption_searches += 1;
             ball.clear();
@@ -440,7 +444,18 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
                 });
             }
         }
+        // Hand the buffer back, so its capacity serves the next slide.
+        pending.clear();
+        self.needs_adoption = pending;
     }
+}
+
+/// Marks `id` absorbed into a class; `false` if it already was.
+fn absorb<const D: usize>(points: &mut PointStore<D>, id: PointId, absorbed: u32) -> bool {
+    let rec = points.get_mut(id).expect("class member vanished");
+    let fresh = rec.stamp != absorbed;
+    rec.stamp = absorbed;
+    fresh
 }
 
 /// The ε-ball of `center` as the cluster phases read it: the ball COLLECT

@@ -9,7 +9,7 @@
 use crate::balls::UNRECORDED;
 use crate::engine::Disc;
 use crate::record::PointRecord;
-use disc_geom::{FxHashMap, Point, PointId};
+use disc_geom::{Point, PointId};
 use disc_index::SpatialBackend;
 use disc_window::SlideBatch;
 
@@ -29,9 +29,16 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
     /// Runs COLLECT for one slide batch: bulk index mutations plus one
     /// multi-center ε-ball traversal per phase. A singleton batch is
     /// Alg. 1 read literally.
+    ///
+    /// Its bookkeeping is stamps in the meta column: one marks the stayers
+    /// the slide touched, and the next `incoming.len()` name the arrivals
+    /// by centre index (see [`insert_batched`](Self::insert_batched)).
     pub(crate) fn collect(&mut self, batch: &SlideBatch<D>) -> CollectOutcome {
         let tau = self.cfg.tau;
         let mut out = CollectOutcome::default();
+        self.touched.clear();
+        self.needs_adoption.clear();
+        let touch = self.fresh_stamps(1 + batch.incoming.len());
         // The traversals record the balls CLUSTER will read (see
         // `balls.rs`), except during a fill, whose every arrival may become
         // a neo-core (transient memory would be O(window · ball)), and in a
@@ -46,7 +53,7 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
 
         let sp = self.tracer.begin("delete");
         let before = self.tracer.enabled().then(|| *self.tree.stats());
-        self.delete_batched(batch, record, &mut out);
+        self.delete_batched(batch, record, touch, &mut out);
         if let Some(b) = before {
             self.tracer
                 .end_with_args(sp, &self.tree.stats().since(&b).span_args());
@@ -54,26 +61,25 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
 
         let sp = self.tracer.begin("insert");
         let before = self.tracer.enabled().then(|| *self.tree.stats());
-        self.insert_batched(batch, record);
+        self.insert_batched(batch, record, touch);
         if let Some(b) = before {
             self.tracer
                 .end_with_args(sp, &self.tree.stats().since(&b).span_args());
         }
 
         // --- Classification (Alg. 1 line 13) -----------------------------
-        // Departed ex-cores first (they are no longer in `touched`).
+        // Departed ex-cores first (they are never in `touched`).
         out.ex_cores.extend(out.ghosts.iter().copied());
-        // Canonical order: `touched` is a hash set whose iteration order is
-        // an artifact of insertion history, which the parallel gather path
+        // Canonical order: `touched` lists points in first-touch order, an
+        // artifact of traversal order, which the parallel gather path
         // changes. Sorting pins the classification order — and with it every
         // downstream seed order and cluster-id allocation — to the point ids
         // alone, so sequential and parallel slides emit identical output.
-        let mut touched: Vec<PointId> = self.touched.iter().copied().collect();
-        touched.sort_unstable();
+        self.touched.sort_unstable();
         // Unadopted non-cores are not queued: only a neo-core can be in range
         // of one, and it adopts it (invariant I, DESIGN.md §3).
-        for id in &touched {
-            let rec = self.points.at(*id);
+        for id in &self.touched {
+            let rec = self.points.meta_at(*id);
             if rec.is_ex_core(tau) {
                 out.ex_cores.push(*id);
             } else if rec.is_neo_core(tau) {
@@ -93,25 +99,31 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
 
     /// Deletions via one multi-center traversal plus one bulk tree removal.
     ///
-    /// All decrements run *before* any record is retired, so hits between
-    /// two departing points are skipped explicitly — their effects are
-    /// unobservable either way, because a departing ex-core resets its count
-    /// to zero and every other departure drops its record entirely. Adopter
-    /// invalidations on fellow departures are likewise skipped: the adoption
-    /// pass ignores retired records.
+    /// Every departure is marked out of the window first. Between slides no
+    /// record is out of the window (ghosts go at the end of CLUSTER), so a
+    /// hit on one is a departure. All decrements run *before* any record is
+    /// retired, so hits between two departing points are skipped — their
+    /// effects are unobservable either way, because a departing ex-core
+    /// resets its count to zero and every other departure drops its record
+    /// entirely. Adopter invalidations on fellow departures are likewise
+    /// skipped: the adoption pass ignores retired records.
     ///
     /// With `record`, every departing prev-core's hits that were cores of
     /// the previous window — stayers and fellow ghosts — go into its ball
     /// (`balls.rs` says why no others are needed). Its previous `n_ε`
     /// counts all its hits, so the ball is sized before the traversal
     /// writes it.
-    fn delete_batched(&mut self, batch: &SlideBatch<D>, record: bool, out: &mut CollectOutcome) {
+    fn delete_batched(
+        &mut self,
+        batch: &SlideBatch<D>,
+        record: bool,
+        touch: u32,
+        out: &mut CollectOutcome,
+    ) {
         if batch.outgoing.is_empty() {
             return;
         }
         let eps = self.cfg.eps;
-        // Departing id → whether it stays indexed as a ghost.
-        let mut outgoing: FxHashMap<PointId, bool> = FxHashMap::default();
         let mut ids: Vec<PointId> = Vec::with_capacity(batch.outgoing.len());
         let mut centers: Vec<Point<D>> = Vec::with_capacity(batch.outgoing.len());
         // Per-center ball size, then write cursor; the heads seal them below.
@@ -119,53 +131,53 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
         for (id, _) in &batch.outgoing {
             let rec = self
                 .points
-                .get(*id)
+                .get_mut(*id)
                 .unwrap_or_else(|| panic!("outgoing point {id} is not in the window"));
             debug_assert!(rec.in_window, "outgoing point {id} already retired");
-            outgoing.insert(*id, rec.prev_core);
-            ids.push(*id);
-            centers.push(rec.point);
+            rec.in_window = false;
             cursors.push(if record && rec.prev_core {
                 rec.n_eps as usize
             } else {
                 UNRECORDED
             });
+            ids.push(*id);
+            centers.push(self.points.point_at(*id));
         }
         self.balls.open_all(&mut cursors);
         let heads = cursors.clone();
 
         // Wide path: gather raw hits over a frozen snapshot, replay the
         // effects sequentially. Every effect here is commutative across
-        // hits (decrement, set insert, single-match adopter invalidation),
-        // and each center's hits keep their traversal order, so the chunked
-        // hit order is equivalent to the single bulk traversal's.
+        // hits (decrement, first-touch mark, single-match adopter
+        // invalidation), and each center's hits keep their traversal order,
+        // so the chunked hit order is equivalent to the single bulk
+        // traversal's.
         let wide_hits = (self.pool.width() > 1).then(|| self.par_ball_hits(&centers));
         let points = &mut self.points;
         let touched = &mut self.touched;
         let needs_adoption = &mut self.needs_adoption;
         let balls = &mut self.balls;
         let mut on_hit = |ci: usize, qid: PointId| {
-            let cursor = &mut cursors[ci];
-            // The center itself and every fellow departure: a ghost is a
-            // previous-window core that stays indexed, so it joins the ball.
-            if let Some(&ghost) = outgoing.get(&qid) {
-                if ghost && *cursor != UNRECORDED {
-                    balls.write(cursor, qid);
-                }
+            let Some(q) = points.get_mut(qid) else {
                 return;
+            };
+            // Every previous-window core joins the ball: stayers and ghosts
+            // (the center itself among them) alike.
+            let cursor = &mut cursors[ci];
+            if q.prev_core && *cursor != UNRECORDED {
+                balls.write(cursor, qid);
             }
-            if let Some(q) = points.get_mut(qid) {
-                if q.in_window {
-                    if q.prev_core && *cursor != UNRECORDED {
-                        balls.write(cursor, qid);
-                    }
-                    q.n_eps -= 1;
-                    touched.insert(qid);
-                    if q.adopter == Some(ids[ci]) {
-                        q.adopter = None;
-                        needs_adoption.insert(qid);
-                    }
-                }
+            if !q.in_window {
+                return; // a departure: the center or a fellow
+            }
+            q.n_eps -= 1;
+            if q.stamp != touch {
+                q.stamp = touch;
+                touched.push(qid);
+            }
+            if q.adopter == Some(ids[ci]) {
+                q.adopter = None;
+                needs_adoption.push(qid);
             }
         };
         match wide_hits {
@@ -181,11 +193,9 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
         // Departed ex-cores keep their entries (C_out ghosts).
         let mut evict: Vec<(PointId, Point<D>)> = Vec::new();
         for (ci, id) in ids.iter().enumerate() {
-            let rec = self.points.at(*id);
+            let rec = self.points.get_mut(*id).expect("record vanished");
             if rec.prev_core {
-                let ghost = self.points.get_mut(*id).expect("record vanished");
-                ghost.in_window = false;
-                ghost.n_eps = 0;
+                rec.n_eps = 0;
                 out.ghosts.push(*id);
                 if record {
                     self.balls.close(*id, heads[ci], cursors[ci]);
@@ -194,7 +204,6 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
                 evict.push((*id, centers[ci]));
                 self.points.remove(*id);
             }
-            self.touched.remove(id);
         }
         let evicted = self.tree.bulk_remove(&evict);
         debug_assert_eq!(evicted, evict.len(), "departing points must be indexed");
@@ -202,17 +211,20 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
 
     /// Insertions via one bulk tree insert plus one multi-center traversal.
     ///
-    /// The whole stride is indexed first, then a single traversal resolves
-    /// every neighbourhood. A pair of Δin points shows up twice (once from
-    /// each center), so the count is applied on one orientation only:
-    /// every pair is counted once. Opportunistic adopters are chosen
-    /// after the traversal, on settled counts: the smallest-id established
-    /// neighbour that is a final core. A newcomer without one can only have
-    /// neo-cores in range, which adopt it in the neo-core phase, so it is
-    /// never queued for the adoption pass.
+    /// The whole stride is indexed and stored first, then a single
+    /// traversal resolves every neighbourhood. Arrival `i` is stored with
+    /// stamp `touch + 1 + i`, so the one store lookup a hit costs both
+    /// tells an arrival from a stayer and names its centre; its count and
+    /// adopter are settled after the traversal. A pair of Δin points shows
+    /// up twice (once from each center), so the count is applied on one
+    /// orientation only: every pair is counted once. Opportunistic adopters
+    /// are chosen after the traversal, on settled counts: the smallest-id
+    /// established neighbour that is a final core. A newcomer without one
+    /// can only have neo-cores in range, which adopt it in the neo-core
+    /// phase, so it is never queued for the adoption pass.
     ///
     /// With `record`, every arrival that became a neo-core gets its ball.
-    fn insert_batched(&mut self, batch: &SlideBatch<D>, record: bool) {
+    fn insert_batched(&mut self, batch: &SlideBatch<D>, record: bool, touch: u32) {
         if batch.incoming.is_empty() {
             return;
         }
@@ -232,14 +244,14 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
             );
         }
         self.tree.bulk_insert(batch.incoming.clone());
+        let first = touch + 1;
+        let arrivals = batch.incoming.len() as u32;
+        for (i, (id, point)) in batch.incoming.iter().enumerate() {
+            self.points.insert(*id, PointRecord::new(*point)).stamp = first + i as u32;
+            self.touched.push(*id);
+        }
 
         let centers: Vec<Point<D>> = batch.incoming.iter().map(|(_, p)| *p).collect();
-        let center_of: FxHashMap<PointId, u32> = batch
-            .incoming
-            .iter()
-            .enumerate()
-            .map(|(i, (id, _))| (*id, i as u32))
-            .collect();
         let mut gained = vec![0u32; centers.len()];
         let mut hits: Vec<(u32, PointId)> = Vec::new();
         let mut intra: Vec<(u32, u32)> = Vec::new();
@@ -250,7 +262,12 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
         let points = &mut self.points;
         let touched = &mut self.touched;
         let mut on_hit = |ci: usize, qid: PointId| {
-            if let Some(&qi) = center_of.get(&qid) {
+            let Some(q) = points.get_mut(qid) else {
+                return;
+            };
+            // A stamp older than `first` wraps to at least `arrivals`.
+            let qi = q.stamp.wrapping_sub(first);
+            if qi < arrivals {
                 // Δin-Δin pair: record one orientation, apply both ends
                 // later. `qi == ci` is the center finding itself.
                 if (ci as u32) < qi {
@@ -258,13 +275,14 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
                 }
                 return;
             }
-            if let Some(q) = points.get_mut(qid) {
-                if q.in_window {
-                    q.n_eps += 1;
-                    gained[ci] += 1;
-                    touched.insert(qid);
-                    hits.push((ci as u32, qid));
+            if q.in_window {
+                q.n_eps += 1;
+                gained[ci] += 1;
+                if q.stamp != touch {
+                    q.stamp = touch;
+                    touched.push(qid);
                 }
+                hits.push((ci as u32, qid));
             }
         };
         match wide_hits {
@@ -295,12 +313,10 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
             self.record_neo_balls(batch, &gained, &hits, &intra);
         }
 
-        for (i, (id, point)) in batch.incoming.iter().enumerate() {
-            let mut fresh = PointRecord::new(*point);
+        for (i, (id, _)) in batch.incoming.iter().enumerate() {
+            let fresh = self.points.get_mut(*id).expect("arrival vanished");
             fresh.n_eps += gained[i];
             fresh.adopter = adopters[i];
-            self.points.insert(*id, fresh);
-            self.touched.insert(*id);
         }
     }
 
@@ -513,6 +529,80 @@ mod tests {
         let out = disc.collect(&batch(&[(5, 1.3)], &[(0, 0.0), (5, 5.0)]));
         assert_eq!(out.ghosts, vec![PointId(0)]);
         assert!((0..6).all(|i| recorded_ball(&disc, i).is_none()));
+    }
+
+    /// The touched list, which must name each point once.
+    fn touched(disc: &Disc<2>) -> Vec<u64> {
+        let mut ids: Vec<u64> = disc.touched.iter().map(|id| id.0).collect();
+        ids.sort_unstable();
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "listed twice: {ids:?}");
+        ids
+    }
+
+    #[test]
+    fn departing_border_and_noise_ids_may_reenter_in_their_own_slide() {
+        // 0, 1, 2 are cores; 9 borders 2; 5 is noise.
+        let fill = batch(&[(0, 0.0), (1, 0.5), (2, 1.0), (9, 1.9), (5, 5.0)], &[]);
+        let slide = batch(&[(9, 0.25), (5, 7.0)], &[(9, 1.9), (5, 5.0)]);
+        let mut disc: Disc<2> = Disc::new(DiscConfig::new(1.0, 3));
+        disc.apply(&fill);
+        assert_eq!(disc.points.at(PointId(2)).n_eps, 4);
+        // Both leave and come back at new places: 9 beside core 1, 5 on its
+        // own again. The arrivals must be told from the records they
+        // replace, which are gone before the insert traversal runs.
+        let out = disc.collect(&slide);
+        assert!(out.ghosts.is_empty() && out.ex_cores.is_empty());
+        assert_eq!(out.neo_cores, [PointId(9)]);
+        for (id, n) in [(0, 4), (1, 4), (2, 4), (9, 4), (5, 1)] {
+            assert_eq!(disc.points.at(PointId(id)).n_eps, n, "point {id}");
+        }
+        assert_eq!(disc.points.at(PointId(9)).point[0], 0.25);
+        assert_eq!(touched(&disc), [0, 1, 2, 5, 9]);
+
+        // Through the whole slide: 9 is a neo-core of the same cluster.
+        let mut disc: Disc<2> = Disc::new(DiscConfig::new(1.0, 3));
+        disc.apply(&fill);
+        let s = disc.apply(&slide);
+        assert_eq!(s.neo_cores, 1);
+        assert!(disc.is_core(PointId(9)));
+        assert_eq!(disc.label_of(PointId(9)), disc.label_of(PointId(0)));
+        disc.check_invariants();
+    }
+
+    #[test]
+    fn a_stayer_touched_by_both_traversals_is_classified_once() {
+        // τ = 3: 1 is a non-core with one neighbour (0). It loses 0 and
+        // gains 7 and 8 in the same slide, so both traversals touch it.
+        let mut disc: Disc<2> = Disc::new(DiscConfig::new(1.0, 3));
+        disc.apply(&batch(&[(0, -0.9), (1, 0.0)], &[]));
+        let out = disc.collect(&batch(&[(7, 0.5), (8, 0.9)], &[(0, -0.9)]));
+        assert_eq!(out.neo_cores, [1, 7, 8].map(PointId));
+        assert_eq!(touched(&disc), [1, 7, 8]);
+        assert_eq!(disc.points.at(PointId(1)).n_eps, 3);
+
+        // The mirror image: core 1 loses two neighbours and gains one, and
+        // is one ex-core.
+        let mut disc: Disc<2> = Disc::new(DiscConfig::new(1.0, 3));
+        disc.apply(&batch(&[(0, -0.9), (1, 0.0), (2, -0.5)], &[]));
+        let out = disc.collect(&batch(&[(7, 0.9)], &[(0, -0.9), (2, -0.5)]));
+        assert_eq!(out.ex_cores, [0, 2, 1].map(PointId));
+        assert_eq!(out.ghosts, [0, 2].map(PointId));
+        assert_eq!(touched(&disc), [1, 7]);
+    }
+
+    #[test]
+    fn collect_alone_draws_its_own_stamp() {
+        // Two COLLECTs with no slide around them: the second must not take
+        // the points the first touched as touched already.
+        let mut disc: Disc<2> = Disc::new(DiscConfig::new(1.0, 3));
+        disc.collect(&batch(&[(0, 0.0), (1, 0.5)], &[]));
+        assert_eq!(touched(&disc), [0, 1]);
+        let out = disc.collect(&batch(&[(2, 1.0)], &[]));
+        assert_eq!(touched(&disc), [0, 1, 2]);
+        assert_eq!(out.neo_cores, [0, 1, 2].map(PointId));
+        for id in 0..3 {
+            assert_eq!(disc.points.at(PointId(id)).n_eps, 3, "point {id}");
+        }
     }
 
     #[test]

@@ -101,9 +101,14 @@ pub struct Disc<const D: usize, B: SpatialBackend<D> = RTree<D>> {
     /// other unadopted non-core has either no core in range or a neo-core
     /// that adopts it in the neo-core phase (DESIGN.md §3, "Border
     /// adoption"), so it is never queued.
-    pub(crate) needs_adoption: FxHashSet<PointId>,
-    /// Points whose `n_ε` changed this slide (candidate ex-/neo-cores).
-    pub(crate) touched: FxHashSet<PointId>,
+    /// A point enters at most once: the release that queues it also clears
+    /// its adopter.
+    pub(crate) needs_adoption: Vec<PointId>,
+    /// Points whose `n_ε` changed this slide (candidate ex-/neo-cores),
+    /// each listed once: the first touch marks it with the slide's stamp.
+    pub(crate) touched: Vec<PointId>,
+    /// The last stamp drawn (see [`fresh_stamps`](Disc::fresh_stamps)).
+    stamp: u32,
     /// The ε-balls this slide's COLLECT enumerated, read by CLUSTER
     /// instead of searching again (`balls.rs`). Empty between slides.
     pub(crate) balls: BallStore,
@@ -156,8 +161,9 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
             points: PointStore::new(),
             tree: B::with_eps_hint(cfg.eps),
             clusters: Dsu::new(),
-            needs_adoption: FxHashSet::default(),
-            touched: FxHashSet::default(),
+            needs_adoption: Vec::new(),
+            touched: Vec::new(),
+            stamp: 0,
             balls: BallStore::default(),
             root_cache: RefCell::new(FxHashMap::default()),
             last_stats: SlideStats::default(),
@@ -194,7 +200,7 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
     /// thread-count-invariant.
     ///
     /// Callers replay the returned hits sequentially; every COLLECT effect
-    /// is commutative across hits (counts, set inserts, min-id adopter
+    /// is commutative across hits (counts, first-touch marks, min-id adopter
     /// selection), so chunked hit order is as good as the single bulk
     /// traversal's. This is the engine's only parallel phase.
     pub(crate) fn par_ball_hits(&mut self, centers: &[Point<D>]) -> Vec<(u32, PointId)> {
@@ -221,6 +227,29 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
             all.extend(hits);
         }
         all
+    }
+
+    /// Reserves `n` consecutive stamps and returns the first. Each is
+    /// larger than every stamp a point carries, so marking a point with one
+    /// is a visited-mark that needs no clearing (the paper's epoch trick,
+    /// Alg. 4, applied to the slide's own bookkeeping). When the counter
+    /// would wrap, every stamp in the store is blanked first; a phase draws
+    /// all its stamps in one call, so that never happens mid-phase.
+    pub(crate) fn fresh_stamps(&mut self, n: usize) -> u32 {
+        let n = u32::try_from(n).expect("stamp draw exceeds u32");
+        if u32::MAX - self.stamp < n {
+            self.points.clear_stamps();
+            self.stamp = 0;
+        }
+        let first = self.stamp + 1;
+        self.stamp += n;
+        first
+    }
+
+    /// Starts the stamp counter at `last`, as if that many had been drawn.
+    #[cfg(test)]
+    pub(crate) fn set_stamp_counter(&mut self, last: u32) {
+        self.stamp = last;
     }
 
     /// Builder-style [`set_recorder`](Disc::set_recorder).
@@ -334,9 +363,6 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
             ..SlideStats::default()
         };
 
-        self.touched.clear();
-        self.needs_adoption.clear();
-
         let sp_slide = self.tracer.begin("slide");
 
         let sp = self.tracer.begin("collect");
@@ -375,7 +401,7 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
         // Freeze core status for the next slide and drop any remaining
         // bookkeeping. Ghost records were dropped by the cluster step.
         let tau = self.cfg.tau;
-        for id in self.touched.drain() {
+        for id in self.touched.drain(..) {
             if let Some(rec) = self.points.get_mut(id) {
                 rec.prev_core = rec.in_window && rec.n_eps as usize >= tau;
             }
@@ -681,14 +707,15 @@ fn into_id_order<T>(rows: &mut [T], id: impl Fn(&T) -> PointId) {
 impl<const D: usize, B: SpatialBackend<D>> disc_telemetry::MemoryFootprint for Disc<D, B> {
     /// Engine-state heap bytes, decomposed into the components the
     /// `disc_mem_bytes{component=...}` gauges publish: point store, spatial
-    /// index, cluster DSU, the per-slide bookkeeping sets, and the memoised
-    /// root cache. Thread-pool stacks and transient slide scratch are out of
-    /// scope — this accounts for what the window *retains*.
+    /// index, cluster DSU, the per-slide bookkeeping lists, and the
+    /// memoised root cache. Thread-pool stacks and transient slide scratch
+    /// are out of scope — this accounts for what the window *retains*. The
+    /// lists are empty between slides but keep their capacity, so they
+    /// count.
     fn footprint(&self) -> disc_telemetry::FootprintNode {
         use disc_telemetry::{map_bytes, FootprintNode};
-        let set_entry = std::mem::size_of::<(PointId, ())>();
-        let sets = map_bytes(self.needs_adoption.capacity(), set_entry)
-            + map_bytes(self.touched.capacity(), set_entry);
+        let lists = (self.needs_adoption.capacity() + self.touched.capacity())
+            * std::mem::size_of::<PointId>();
         let cache = map_bytes(
             self.root_cache.borrow().capacity(),
             std::mem::size_of::<(u32, u32)>(),
@@ -699,7 +726,7 @@ impl<const D: usize, B: SpatialBackend<D>> disc_telemetry::MemoryFootprint for D
                 self.points.footprint(),
                 self.tree.footprint(),
                 self.clusters.footprint(),
-                FootprintNode::leaf("sets", sets),
+                FootprintNode::leaf("slide_lists", lists),
                 FootprintNode::leaf("root_cache", cache),
             ],
         )
@@ -1299,6 +1326,50 @@ mod tests {
         assert!(s.msbfs_instances >= 1, "stats {s:?}");
         assert!(s.msbfs_starters >= 2);
         assert!(s.msbfs_rounds >= 1);
+    }
+
+    #[test]
+    fn stamp_counter_wraps_without_changing_a_label_or_the_state() {
+        // Start the counter just short of u32::MAX at several offsets, so
+        // the wrap falls in different phases of the 53 slides. The
+        // stamp is scratch: labels, counters and the exported state (the
+        // checkpoint's content) must equal those of an engine that never
+        // wrapped, slide by slide.
+        let recs = datasets::maze(3_400, 6, 5);
+        let slides = |last: Option<u32>| {
+            let mut disc: Disc<2> = Disc::new(DiscConfig::new(0.6, 5));
+            if let Some(last) = last {
+                disc.set_stamp_counter(last);
+            }
+            let mut w = SlidingWindow::new(recs.clone(), 800, 50);
+            let mut batch = Some(w.fill());
+            let mut seen = Vec::new();
+            while let Some(b) = batch {
+                let stats = disc.apply(&b);
+                disc.check_invariants();
+                let counters = (
+                    stats.ex_cores,
+                    stats.neo_cores,
+                    stats.adoption_searches,
+                    stats.index.range_searches,
+                );
+                seen.push((disc.assignments(), counters, disc.export_state()));
+                batch = w.advance();
+            }
+            (seen, disc.stamp)
+        };
+        let (fresh, _) = slides(None);
+        assert_eq!(fresh.len(), 53);
+        for offset in [0, 1, 2, 3, 40, 57, 100, 1_000] {
+            let start = u32::MAX - offset;
+            let (wrapped, last) = slides(Some(start));
+            assert!(last < start, "offset {offset}: the counter never wrapped");
+            for (slide, (a, b)) in wrapped.iter().zip(&fresh).enumerate() {
+                assert_eq!(a.0, b.0, "offset {offset}, slide {slide}: labels");
+                assert_eq!(a.1, b.1, "offset {offset}, slide {slide}: counters");
+                assert_eq!(a.2, b.2, "offset {offset}, slide {slide}: state");
+            }
+        }
     }
 
     #[test]

@@ -48,6 +48,12 @@ pub struct PointMeta {
     pub cid: ClusterId,
     /// Adopting core for non-core points; `None` = noise/unresolved.
     pub adopter: Option<PointId>,
+    /// Slide scratch: the last stamp the engine marked this point with
+    /// (COLLECT's touched mark and arrival index, CLUSTER's absorbed and
+    /// seen marks). Meaningful only against a value drawn in the current
+    /// phase, so it is never cleared, never exported and never compared
+    /// across slides. It sits in what was padding: the meta stays 32 B.
+    pub stamp: u32,
 }
 
 impl PointMeta {
@@ -59,6 +65,7 @@ impl PointMeta {
             prev_core: false,
             cid: ClusterId(u32::MAX),
             adopter: None,
+            stamp: 0,
         }
     }
 
@@ -112,7 +119,7 @@ impl<const D: usize> PointRecord<D> {
         }
     }
 
-    /// The non-spatial half, column-ready.
+    /// The non-spatial half, column-ready, with a blank stamp.
     #[inline]
     pub fn meta(&self) -> PointMeta {
         PointMeta {
@@ -121,6 +128,7 @@ impl<const D: usize> PointRecord<D> {
             prev_core: self.prev_core,
             cid: self.cid,
             adopter: self.adopter,
+            stamp: 0,
         }
     }
 
@@ -163,6 +171,13 @@ mod tests {
         assert!(!r.prev_core);
         assert!(r.is_neo_core(1), "tau=1 makes every point a core");
         assert!(!r.is_neo_core(2));
+    }
+
+    #[test]
+    fn the_stamp_fits_in_the_padding() {
+        // Every window slot carries one meta: a field that widened it
+        // would cost 8 B per slot in `experiments memory`.
+        assert_eq!(std::mem::size_of::<PointMeta>(), 32);
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub struct SlideStats {
     pub adoption_time: std::time::Duration,
     /// Estimated engine-state heap bytes after the slide committed (the
     /// [`MemoryFootprint`](disc_telemetry::MemoryFootprint) total over
-    /// points, index, DSU and bookkeeping sets). Zero when the engine does
+    /// points, index, DSU and bookkeeping lists). Zero when the engine does
     /// not account (recorder disabled skips the walk).
     pub mem_bytes: u64,
 }

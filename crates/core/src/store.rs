@@ -129,10 +129,11 @@ impl<const D: usize> PointStore<D> {
         self.slot_of(id).is_some()
     }
 
-    /// Inserts a record. Panics if `id` is already present (the window
-    /// driver guarantees unique arrivals). Grows if the slot is taken by a
-    /// different live id — the live span exceeded the capacity.
-    pub fn insert(&mut self, id: PointId, rec: PointRecord<D>) {
+    /// Inserts a record and returns its meta. Panics if `id` is already
+    /// present (the window driver guarantees unique arrivals). Grows if the
+    /// slot is taken by a different live id — the live span exceeded the
+    /// capacity.
+    pub fn insert(&mut self, id: PointId, rec: PointRecord<D>) -> &mut PointMeta {
         loop {
             let slot = self.slot(id);
             let occupant = self.coords.id_at(slot);
@@ -140,7 +141,7 @@ impl<const D: usize> PointStore<D> {
                 self.coords.set_row(slot, id.raw(), &rec.point);
                 self.meta[slot] = rec.meta();
                 self.len += 1;
-                return;
+                return &mut self.meta[slot];
             }
             if occupant == id.raw() {
                 panic!("point {id} inserted twice");
@@ -207,6 +208,11 @@ impl<const D: usize> PointStore<D> {
             .zip(&self.meta)
             .filter(|&(&raw, _)| raw != EMPTY_ROW)
             .map(|(&raw, meta)| (PointId(raw), meta))
+    }
+
+    /// Blanks every slot's stamp (the engine's stamp counter wrapped).
+    pub fn clear_stamps(&mut self) {
+        self.meta.iter_mut().for_each(|m| m.stamp = 0);
     }
 
     /// Pre-sizes the store for an expected live span.
