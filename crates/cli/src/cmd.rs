@@ -1,6 +1,6 @@
 //! CLI command implementations.
 
-use crate::pipeline::{build_engine, drive, refuse_dropped_flags, Durable, Origin, Run};
+use crate::pipeline::{build_engine, drive, Durable, Origin, Run};
 use crate::Opts;
 use disc_core::{kdistance, DiscConfig, IndexBackend};
 use disc_telemetry::{JsonlRecord, ProvenanceEvent, ProvenanceKind, Registry};
@@ -60,7 +60,6 @@ impl DimCommand for ClusterCmd {
         let index = opts.index.as_deref().unwrap_or("rtree");
         let backend = IndexBackend::parse(index)
             .ok_or_else(|| format!("unknown --index {index:?} (rtree or grid)"))?;
-        refuse_dropped_flags(opts)?;
         let eps = opts.eps.ok_or("--eps is required")?;
         let tau = opts.tau.ok_or("--tau is required")?;
         let window = opts.window.ok_or("--window is required")?;

@@ -3,7 +3,7 @@
 //! result against an uninterrupted run.
 
 use crate::cmd::{effective_workers, DimCommand};
-use crate::pipeline::{build_engine, drive, refuse_dropped_flags, Durable, Origin, Run};
+use crate::pipeline::{build_engine, drive, Durable, Origin, Run};
 use crate::Opts;
 use disc_persist::{checkpoint_path, latest_checkpoint_seq, load_checkpoint};
 use disc_window::{csv, SlidingWindow};
@@ -19,7 +19,6 @@ impl DimCommand for ResumeCmd {
             .checkpoint_dir
             .as_ref()
             .ok_or("--checkpoint-dir is required")?;
-        refuse_dropped_flags(opts)?;
         let started = std::time::Instant::now();
         let seq = latest_checkpoint_seq(dir)
             .map_err(|e| format!("{}: {e}", dir.display()))?

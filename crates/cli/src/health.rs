@@ -30,7 +30,7 @@ use disc_telemetry::{
 };
 use disc_window::{SlideBatch, SlidingWindow};
 use std::io::Write;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 /// Window points sampled per quality audit (the oracle pass is O(n²) in
@@ -136,11 +136,7 @@ impl<const D: usize> Health<D> {
     /// `eps`/`tau` parameterise the audit oracle (the engine's own
     /// thresholds — on a durable resume they come from the checkpoint).
     pub fn from_opts(opts: &Opts, eps: f64, tau: usize) -> Result<Option<Self>, String> {
-        let wants_alerts = opts.alerts.is_some();
-        if !wants_alerts && (opts.alerts_out.is_some() || opts.alerts_fatal) {
-            return Err("--alerts-out/--alerts-fatal need --alerts RULES".to_string());
-        }
-        let active = opts.audit_every > 0 || wants_alerts || opts.health_out.is_some();
+        let active = opts.audit_every > 0 || opts.alerts.is_some() || opts.health_out.is_some();
         if !active {
             return Ok(None);
         }
@@ -154,16 +150,7 @@ impl<const D: usize> Health<D> {
             }
             None => None,
         };
-        let alerts_out = opts
-            .alerts_out
-            .as_ref()
-            .map(|p| JsonlWriter::create(p))
-            .transpose()?;
-        let health_out = opts
-            .health_out
-            .as_ref()
-            .map(|p| JsonlWriter::create(p))
-            .transpose()?;
+        let create = |p: &Option<PathBuf>| p.as_deref().map(JsonlWriter::create).transpose();
         Ok(Some(Health {
             eps,
             tau,
@@ -171,8 +158,8 @@ impl<const D: usize> Health<D> {
             alerts_fatal: opts.alerts_fatal,
             quiet: opts.quiet,
             engine,
-            alerts_out,
-            health_out,
+            alerts_out: create(&opts.alerts_out)?,
+            health_out: create(&opts.health_out)?,
             monitor: DriftMonitor::standard(DRIFT_WARMUP),
             lifecycle: Arc::new(Mutex::new(LifecycleAnalytics::new())),
             prev: Vec::new(),
@@ -477,15 +464,14 @@ mod tests {
 
     #[test]
     fn inactive_when_no_health_flags() {
-        let opts = crate::Opts::parse(&[]).unwrap();
+        let opts = crate::Opts::parse("cluster", &[]).unwrap();
         assert!(Health::<2>::from_opts(&opts, 1.0, 4).unwrap().is_none());
     }
 
     #[test]
     fn alerts_fatal_without_rules_is_an_error() {
         let args: Vec<String> = vec!["--alerts-fatal".into()];
-        let opts = crate::Opts::parse(&args).unwrap();
-        let err = Health::<2>::from_opts(&opts, 1.0, 4).err().unwrap();
+        let err = crate::Opts::parse("cluster", &args).err().unwrap();
         assert!(err.contains("--alerts"), "{err}");
     }
 
@@ -510,7 +496,7 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let opts = crate::Opts::parse(&args).unwrap();
+        let opts = crate::Opts::parse("cluster", &args).unwrap();
         let (eps, tau) = (0.8, 4);
         let mut h = Health::<2>::from_opts(&opts, eps, tau).unwrap().unwrap();
         let registry = Registry::new();
@@ -559,7 +545,7 @@ mod tests {
         let rules = dir.join("bad.toml");
         std::fs::write(&rules, "[[rule]]\nname = \"x\"\n").unwrap();
         let args: Vec<String> = vec!["--alerts".into(), rules.to_str().unwrap().into()];
-        let opts = crate::Opts::parse(&args).unwrap();
+        let opts = crate::Opts::parse("cluster", &args).unwrap();
         let err = Health::<2>::from_opts(&opts, 1.0, 4).err().unwrap();
         assert!(err.contains("bad.toml") && err.contains("metric"), "{err}");
     }

@@ -40,44 +40,23 @@ pub struct IngestOpts {
     pub out: Option<PathBuf>,
 }
 
-/// Parses the ingest flags. `Ok(None)` when `--timed` is absent; ingest
-/// flags without `--timed` are an error (they would silently do nothing).
+/// Parses the ingest flags; `Ok(None)` without `--timed` (the flag table
+/// refuses them there).
 pub fn ingest_opts(opts: &Opts) -> Result<Option<IngestOpts>, String> {
-    let any_flag = opts.lateness.is_some()
-        || opts.reorder_cap.is_some()
-        || opts.max_skew.is_some()
-        || opts.on_late.is_some()
-        || opts.dedup.is_some()
-        || opts.shed.is_some()
-        || opts.ingest_journal.is_some()
-        || opts.ingest_out.is_some();
     if !opts.timed {
-        if any_flag {
-            return Err(
-                "--lateness/--reorder-cap/--max-skew/--on-late/--dedup/--shed/\
-                 --ingest-journal/--ingest-out require --timed (they govern \
-                 event-time admission)"
-                    .to_string(),
-            );
-        }
         return Ok(None);
     }
-    let mut cfg = AdmissionConfig::default();
-    if let Some(l) = opts.lateness {
-        cfg.lateness = l;
-    }
-    if let Some(c) = opts.reorder_cap {
-        cfg.reorder_cap = c;
-    }
-    if let Some(s) = opts.max_skew {
-        cfg.max_skew = s;
-    }
+    let d = AdmissionConfig::default();
+    let mut cfg = AdmissionConfig {
+        lateness: opts.lateness.unwrap_or(d.lateness),
+        reorder_cap: opts.reorder_cap.unwrap_or(d.reorder_cap),
+        max_skew: opts.max_skew.unwrap_or(d.max_skew),
+        dedup: opts.dedup.unwrap_or(d.dedup),
+        ..d
+    };
     if let Some(p) = &opts.on_late {
         cfg.late = LatePolicy::parse(p)
             .ok_or_else(|| format!("--on-late {p:?}: expected drop, deadletter, or upsert"))?;
-    }
-    if let Some(d) = opts.dedup {
-        cfg.dedup = d;
     }
     if let Some(spec) = &opts.shed {
         let (high, low) = spec
@@ -339,14 +318,18 @@ impl IngestPipeline {
 mod tests {
     use super::*;
 
-    fn opts(args: &[&str]) -> Opts {
+    fn parse(args: &[&str]) -> Result<Opts, String> {
         let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-        Opts::parse(&owned).unwrap()
+        Opts::parse("cluster", &owned)
+    }
+
+    fn opts(args: &[&str]) -> Opts {
+        parse(args).unwrap()
     }
 
     #[test]
     fn ingest_flags_require_timed() {
-        let err = ingest_opts(&opts(&["--lateness", "5"])).unwrap_err();
+        let err = parse(&["--lateness", "5"]).err().unwrap();
         assert!(err.contains("--timed"), "{err}");
         assert!(ingest_opts(&opts(&[])).unwrap().is_none());
     }

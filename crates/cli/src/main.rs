@@ -1,21 +1,17 @@
 //! `disc` — sliding-window density clustering from the command line.
-//!
-//! ```text
-//! disc cluster --input points.csv --dim 2 --eps 0.5 --tau 6 \
-//!              --window 10000 --stride 500 [--method disc] [--out snap.csv]
-//! disc estimate --input points.csv --dim 2
-//! disc generate --dataset maze --n 50000 --out maze.csv
-//! ```
+//! `disc --help` lists each command with the flags it takes, as the flag
+//! table in `flags.rs` states them.
 //!
 //! Input CSV: one point per row, `dim` coordinate columns, optionally a
 //! trailing integer ground-truth label. Output snapshots carry a header
 //! `x0,..,cluster` with `-1` for noise.
 
-use std::path::PathBuf;
+use flags::Opts;
 use std::process::ExitCode;
 
 mod cmd;
 mod durable;
+mod flags;
 mod health;
 mod ingest;
 mod pipeline;
@@ -32,43 +28,15 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "\
-usage:
-  disc cluster  --input F --dim D --eps X --tau N --window W --stride S
-                [--method disc|incdbscan|extran|dbscan|rho2] [--rho X]
-                [--index rtree|grid] [--threads N] [RUN FLAGS]
-                (`disc run` is an alias for `disc cluster`)
-  disc resume   --checkpoint-dir DIR --input F [--dim D] [--threads N]
-                [RUN FLAGS]  (--eps/--tau/--window/--stride/--index, if
-                given, must equal the checkpoint's)
-  RUN FLAGS, shared by `cluster` and `resume`:
-                [--out F] [--quiet] [--stats-every N]
-                [--metrics-out F.jsonl]   (disc, extran, dbscan)
-                [--prom-addr HOST:PORT]
-                [--trace-out F.json] [--folded-out F.txt]
-                [--provenance-out F.jsonl]   (spans/provenance: disc only)
-                [--audit-every K] [--alerts RULES.toml|.json]
-                [--alerts-out F.jsonl] [--alerts-fatal] [--health-out F.jsonl]
-                [--checkpoint-dir DIR [--checkpoint-every N]]   (disc only)
-                [--wal F] [--fsync always|never|every=N]
-                [--timed] [--lateness X] [--reorder-cap N] [--max-skew X]
-                [--on-late drop|deadletter|upsert] [--dedup N]
-                [--shed HIGH:LOW] [--ingest-journal F] [--ingest-out F.jsonl]
-  disc diffsnap --a F --b F [--dim D]
-  disc explain  --trace F.jsonl [--slide N]
-  disc top      --metrics F.jsonl | --prom-addr HOST:PORT
-                [--health F.jsonl] [--ingest F.jsonl] [--refresh MS] [--once]
-  disc estimate --input F --dim D [--sample N]
-  disc generate --dataset maze|dtg|geolife|covid|iris|netflow|blobs|split_merge
-                --n N --out F [--seed N] [--timed]
-                [--disorder SKEW] [--dup-prob P] [--corrupt-prob P]
-  disc --help";
-
 fn run(args: &[String]) -> Result<(), String> {
     let Some(command) = args.first() else {
-        return Err(format!("missing command\n{USAGE}"));
+        return Err(format!("missing command\n{}", flags::usage()));
     };
-    let opts = Opts::parse(&args[1..])?;
+    if matches!(command.as_str(), "--help" | "-h" | "help") {
+        println!("{}", flags::usage());
+        return Ok(());
+    }
+    let opts = Opts::parse(command, &args[1..])?;
     match command.as_str() {
         "cluster" | "run" => dispatch_dim(&opts, cmd::ClusterCmd),
         "resume" => dispatch_dim(&opts, durable::ResumeCmd),
@@ -77,239 +45,8 @@ fn run(args: &[String]) -> Result<(), String> {
         "top" => top::top(&opts),
         "estimate" => dispatch_dim(&opts, cmd::EstimateCmd),
         "generate" => cmd::generate(&opts),
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command {other:?}\n{USAGE}")),
+        _ => unreachable!("Opts::parse refuses unknown commands"),
     }
-}
-
-/// Parsed command-line options (flat; commands validate what they need).
-pub struct Opts {
-    pub input: Option<PathBuf>,
-    pub out: Option<PathBuf>,
-    pub dim: usize,
-    pub eps: Option<f64>,
-    pub tau: Option<usize>,
-    pub window: Option<usize>,
-    pub stride: Option<usize>,
-    pub method: String,
-    /// Spatial backend (`--index`, default `rtree`); `None` when not given,
-    /// so `disc resume` can tell a request from the default.
-    pub index: Option<String>,
-    /// Worker threads for the DISC slide engine (`--threads`, 0 = auto).
-    /// `None` leaves the engine on its default (the `DISC_THREADS` env
-    /// var, else sequential). Output is bit-identical at every width.
-    pub threads: Option<usize>,
-    pub rho: f64,
-    pub dataset: Option<String>,
-    pub n: usize,
-    pub seed: u64,
-    pub sample: usize,
-    pub quiet: bool,
-    /// Per-slide telemetry events, one JSON line each (`--metrics-out`).
-    pub metrics_out: Option<PathBuf>,
-    /// Prometheus scrape listener address (`--prom-addr`).
-    pub prom_addr: Option<String>,
-    /// Print a rolled-up summary every N slides (`--stats-every`, 0 = off).
-    pub stats_every: u64,
-    /// Chrome `chrome://tracing` span export (`--trace-out`).
-    pub trace_out: Option<PathBuf>,
-    /// Folded-stack span export for flamegraph tooling (`--folded-out`).
-    pub folded_out: Option<PathBuf>,
-    /// Causal provenance JSONL export (`--provenance-out`).
-    pub provenance_out: Option<PathBuf>,
-    /// Provenance JSONL to read back (`disc explain --trace`).
-    pub trace: Option<PathBuf>,
-    /// Restrict `explain` to one slide (`--slide`).
-    pub slide: Option<u64>,
-    /// Directory for durable checkpoints (`--checkpoint-dir`).
-    pub checkpoint_dir: Option<PathBuf>,
-    /// Checkpoint cadence in slides (`--checkpoint-every`, default 1).
-    pub checkpoint_every: Option<u64>,
-    /// Slide write-ahead log file (`--wal`).
-    pub wal: Option<PathBuf>,
-    /// WAL and ingest-journal fsync policy: `always` (the default),
-    /// `never`, or `every=N` (`--fsync`).
-    pub fsync: Option<String>,
-    /// First snapshot for `disc diffsnap` (`--a`).
-    pub snap_a: Option<PathBuf>,
-    /// Second snapshot for `disc diffsnap` (`--b`).
-    pub snap_b: Option<PathBuf>,
-    /// Slide-event JSONL for `disc top` to tail (`--metrics`).
-    pub metrics: Option<PathBuf>,
-    /// `disc top` refresh cadence in milliseconds (`--refresh`).
-    pub refresh: u64,
-    /// Render one `disc top` frame and exit (`--once`).
-    pub once: bool,
-    /// Quality-audit cadence in slides (`--audit-every`, 0 = off).
-    pub audit_every: u64,
-    /// Declarative alert rules file, TOML or JSON (`--alerts`).
-    pub alerts: Option<PathBuf>,
-    /// Alert-event JSONL sink (`--alerts-out`; needs `--alerts`).
-    pub alerts_out: Option<PathBuf>,
-    /// Exit non-zero if any alert fired (`--alerts-fatal`; for CI).
-    pub alerts_fatal: bool,
-    /// Per-slide health-event JSONL sink (`--health-out`).
-    pub health_out: Option<PathBuf>,
-    /// Health-event JSONL for `disc top` to tail (`--health`).
-    pub health: Option<PathBuf>,
-    /// Input CSV carries an event time in column 0 (`--timed`); enables
-    /// the admission layer (DESIGN.md §16).
-    pub timed: bool,
-    /// Allowed lateness behind the newest event time (`--lateness`).
-    pub lateness: Option<f64>,
-    /// Reorder-buffer capacity in records (`--reorder-cap`).
-    pub reorder_cap: Option<usize>,
-    /// Reorder-buffer capacity in time-skew (`--max-skew`).
-    pub max_skew: Option<f64>,
-    /// Late-record policy: drop | deadletter | upsert (`--on-late`).
-    pub on_late: Option<String>,
-    /// Dedup ring size in records (`--dedup`, 0 = off).
-    pub dedup: Option<usize>,
-    /// Overload shedding water marks as HIGH:LOW records (`--shed`).
-    pub shed: Option<String>,
-    /// Admission-decision journal file (`--ingest-journal`).
-    pub ingest_journal: Option<PathBuf>,
-    /// Per-slide ingest-event JSONL sink (`--ingest-out`).
-    pub ingest_out: Option<PathBuf>,
-    /// Ingest-event JSONL for `disc top` to tail (`--ingest`).
-    pub ingest: Option<PathBuf>,
-    /// `generate`: shuffle event order within this time skew (`--disorder`).
-    pub disorder: Option<f64>,
-    /// `generate`: per-record duplication probability (`--dup-prob`).
-    pub dup_prob: f64,
-    /// `generate`: per-slot corrupt-line probability (`--corrupt-prob`).
-    pub corrupt_prob: f64,
-}
-
-impl Opts {
-    fn parse(args: &[String]) -> Result<Self, String> {
-        let mut o = Opts {
-            input: None,
-            out: None,
-            dim: 2,
-            eps: None,
-            tau: None,
-            window: None,
-            stride: None,
-            method: "disc".to_string(),
-            index: None,
-            threads: None,
-            rho: 0.001,
-            dataset: None,
-            n: 10_000,
-            seed: 42,
-            sample: 2_000,
-            quiet: false,
-            metrics_out: None,
-            prom_addr: None,
-            stats_every: 0,
-            trace_out: None,
-            folded_out: None,
-            provenance_out: None,
-            trace: None,
-            slide: None,
-            checkpoint_dir: None,
-            checkpoint_every: None,
-            wal: None,
-            fsync: None,
-            snap_a: None,
-            snap_b: None,
-            metrics: None,
-            refresh: 1000,
-            once: false,
-            audit_every: 0,
-            alerts: None,
-            alerts_out: None,
-            alerts_fatal: false,
-            health_out: None,
-            health: None,
-            timed: false,
-            lateness: None,
-            reorder_cap: None,
-            max_skew: None,
-            on_late: None,
-            dedup: None,
-            shed: None,
-            ingest_journal: None,
-            ingest_out: None,
-            ingest: None,
-            disorder: None,
-            dup_prob: 0.0,
-            corrupt_prob: 0.0,
-        };
-        let mut it = args.iter();
-        while let Some(flag) = it.next() {
-            let mut value = || {
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| format!("flag {flag} needs a value"))
-            };
-            match flag.as_str() {
-                "--input" => o.input = Some(PathBuf::from(value()?)),
-                "--out" => o.out = Some(PathBuf::from(value()?)),
-                "--dim" => o.dim = parse_num(flag, &value()?)?,
-                "--eps" => o.eps = Some(parse_num(flag, &value()?)?),
-                "--tau" => o.tau = Some(parse_num(flag, &value()?)?),
-                "--window" => o.window = Some(parse_num(flag, &value()?)?),
-                "--stride" => o.stride = Some(parse_num(flag, &value()?)?),
-                "--method" => o.method = value()?,
-                "--index" => o.index = Some(value()?),
-                "--threads" => o.threads = Some(parse_num(flag, &value()?)?),
-                "--rho" => o.rho = parse_num(flag, &value()?)?,
-                "--dataset" => o.dataset = Some(value()?),
-                "--n" => o.n = parse_num(flag, &value()?)?,
-                "--seed" => o.seed = parse_num(flag, &value()?)?,
-                "--sample" => o.sample = parse_num(flag, &value()?)?,
-                "--metrics-out" => o.metrics_out = Some(PathBuf::from(value()?)),
-                "--prom-addr" => o.prom_addr = Some(value()?),
-                "--stats-every" => o.stats_every = parse_num(flag, &value()?)?,
-                "--trace-out" => o.trace_out = Some(PathBuf::from(value()?)),
-                "--folded-out" => o.folded_out = Some(PathBuf::from(value()?)),
-                "--provenance-out" => o.provenance_out = Some(PathBuf::from(value()?)),
-                "--trace" => o.trace = Some(PathBuf::from(value()?)),
-                "--slide" => o.slide = Some(parse_num(flag, &value()?)?),
-                "--checkpoint-dir" => o.checkpoint_dir = Some(PathBuf::from(value()?)),
-                "--checkpoint-every" => o.checkpoint_every = Some(parse_num(flag, &value()?)?),
-                "--wal" => o.wal = Some(PathBuf::from(value()?)),
-                "--fsync" => o.fsync = Some(value()?),
-                "--a" => o.snap_a = Some(PathBuf::from(value()?)),
-                "--b" => o.snap_b = Some(PathBuf::from(value()?)),
-                "--metrics" => o.metrics = Some(PathBuf::from(value()?)),
-                "--refresh" => o.refresh = parse_num(flag, &value()?)?,
-                "--once" => o.once = true,
-                "--audit-every" => o.audit_every = parse_num(flag, &value()?)?,
-                "--alerts" => o.alerts = Some(PathBuf::from(value()?)),
-                "--alerts-out" => o.alerts_out = Some(PathBuf::from(value()?)),
-                "--alerts-fatal" => o.alerts_fatal = true,
-                "--health-out" => o.health_out = Some(PathBuf::from(value()?)),
-                "--health" => o.health = Some(PathBuf::from(value()?)),
-                "--timed" => o.timed = true,
-                "--lateness" => o.lateness = Some(parse_num(flag, &value()?)?),
-                "--reorder-cap" => o.reorder_cap = Some(parse_num(flag, &value()?)?),
-                "--max-skew" => o.max_skew = Some(parse_num(flag, &value()?)?),
-                "--on-late" => o.on_late = Some(value()?),
-                "--dedup" => o.dedup = Some(parse_num(flag, &value()?)?),
-                "--shed" => o.shed = Some(value()?),
-                "--ingest-journal" => o.ingest_journal = Some(PathBuf::from(value()?)),
-                "--ingest-out" => o.ingest_out = Some(PathBuf::from(value()?)),
-                "--ingest" => o.ingest = Some(PathBuf::from(value()?)),
-                "--disorder" => o.disorder = Some(parse_num(flag, &value()?)?),
-                "--dup-prob" => o.dup_prob = parse_num(flag, &value()?)?,
-                "--corrupt-prob" => o.corrupt_prob = parse_num(flag, &value()?)?,
-                "--quiet" => o.quiet = true,
-                other => return Err(format!("unknown flag {other:?}\n{USAGE}")),
-            }
-        }
-        Ok(o)
-    }
-}
-
-fn parse_num<T: std::str::FromStr>(flag: &str, s: &str) -> Result<T, String> {
-    s.parse()
-        .map_err(|_| format!("flag {flag}: cannot parse {s:?}"))
 }
 
 /// Runs a dimension-generic command for the `--dim` in force (2, 3 or 4).
@@ -327,14 +64,14 @@ mod tests {
     use super::*;
     use disc_telemetry::JsonlRecord;
 
-    fn parse(args: &[&str]) -> Result<Opts, String> {
+    fn parse(command: &str, args: &[&str]) -> Result<Opts, String> {
         let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-        Opts::parse(&owned)
+        Opts::parse(command, &owned)
     }
 
     #[test]
     fn defaults_are_sane() {
-        let o = parse(&[]).unwrap();
+        let o = parse("cluster", &[]).unwrap();
         assert_eq!(o.dim, 2);
         assert_eq!(o.method, "disc");
         assert_eq!(o.index, None);
@@ -345,11 +82,14 @@ mod tests {
 
     #[test]
     fn full_cluster_flag_set_parses() {
-        let o = parse(&[
-            "--input", "in.csv", "--dim", "3", "--eps", "0.5", "--tau", "7", "--window", "1000",
-            "--stride", "50", "--method", "rho2", "--rho", "0.1", "--index", "grid", "--out",
-            "out.csv", "--quiet",
-        ])
+        let o = parse(
+            "cluster",
+            &[
+                "--input", "in.csv", "--dim", "3", "--eps", "0.5", "--tau", "7", "--window",
+                "1000", "--stride", "50", "--method", "rho2", "--rho", "0.1", "--out", "out.csv",
+                "--quiet",
+            ],
+        )
         .unwrap();
         assert_eq!(o.input.as_ref().unwrap().to_str(), Some("in.csv"));
         assert_eq!(o.dim, 3);
@@ -359,8 +99,11 @@ mod tests {
         assert_eq!(o.stride, Some(50));
         assert_eq!(o.method, "rho2");
         assert_eq!(o.rho, 0.1);
-        assert_eq!(o.index.as_deref(), Some("grid"));
         assert!(o.quiet);
+        // ρ²-DBSCAN ignores the backend, so `--index` goes with a method
+        // built over it.
+        let o = parse("cluster", &["--method", "dbscan", "--index", "grid"]).unwrap();
+        assert_eq!(o.index.as_deref(), Some("grid"));
     }
 
     #[test]
@@ -371,7 +114,11 @@ mod tests {
         // like any other unknown name.
         use cmd::DimCommand;
         for index in ["kdtree", "curve"] {
-            let o = parse(&["--index", index, "--checkpoint-dir", "/tmp/unused"]).unwrap();
+            let o = parse(
+                "cluster",
+                &["--index", index, "--checkpoint-dir", "/tmp/unused"],
+            )
+            .unwrap();
             let err = cmd::ClusterCmd.run::<2>(&o).unwrap_err();
             assert!(
                 err.contains(&format!("{index:?}")) && err.contains("rtree or grid"),
@@ -382,19 +129,22 @@ mod tests {
 
     #[test]
     fn telemetry_flags_parse() {
-        let o = parse(&[
-            "--metrics-out",
-            "m.jsonl",
-            "--prom-addr",
-            "127.0.0.1:9977",
-            "--stats-every",
-            "10",
-        ])
+        let o = parse(
+            "cluster",
+            &[
+                "--metrics-out",
+                "m.jsonl",
+                "--prom-addr",
+                "127.0.0.1:9977",
+                "--stats-every",
+                "10",
+            ],
+        )
         .unwrap();
         assert_eq!(o.metrics_out.as_ref().unwrap().to_str(), Some("m.jsonl"));
         assert_eq!(o.prom_addr.as_deref(), Some("127.0.0.1:9977"));
         assert_eq!(o.stats_every, 10);
-        let o = parse(&[]).unwrap();
+        let o = parse("cluster", &[]).unwrap();
         assert!(o.metrics_out.is_none());
         assert!(o.prom_addr.is_none());
         assert_eq!(o.stats_every, 0);
@@ -402,12 +152,13 @@ mod tests {
 
     #[test]
     fn threads_flag_parses() {
-        assert_eq!(parse(&[]).unwrap().threads, None);
-        assert_eq!(parse(&["--threads", "4"]).unwrap().threads, Some(4));
+        let threads = |args: &[&str]| parse("cluster", args).map(|o| o.threads);
+        assert_eq!(threads(&[]).unwrap(), None);
+        assert_eq!(threads(&["--threads", "4"]).unwrap(), Some(4));
         // 0 is the documented "auto" sentinel, not an error.
-        assert_eq!(parse(&["--threads", "0"]).unwrap().threads, Some(0));
-        assert!(parse(&["--threads", "-1"]).is_err());
-        assert!(parse(&["--threads", "many"]).is_err());
+        assert_eq!(threads(&["--threads", "0"]).unwrap(), Some(0));
+        assert!(threads(&["--threads", "-1"]).is_err());
+        assert!(threads(&["--threads", "many"]).is_err());
     }
 
     /// The tentpole's user-facing guarantee: the same stream clustered at
@@ -463,9 +214,9 @@ mod tests {
 
     #[test]
     fn missing_value_is_an_error() {
-        assert!(parse(&["--eps"]).is_err());
-        assert!(parse(&["--eps", "not_a_number"]).is_err());
-        assert!(parse(&["--bogus"]).is_err());
+        assert!(parse("cluster", &["--eps"]).is_err());
+        assert!(parse("cluster", &["--eps", "not_a_number"]).is_err());
+        assert!(parse("cluster", &["--bogus"]).is_err());
     }
 
     #[test]
@@ -652,11 +403,15 @@ mod tests {
 
     #[test]
     fn top_flags_parse_and_require_a_source() {
-        let o = parse(&["--metrics", "m.jsonl", "--refresh", "250", "--once"]).unwrap();
+        let o = parse("top", &["--metrics", "m.jsonl", "--refresh", "250"]).unwrap();
         assert_eq!(o.metrics.as_ref().unwrap().to_str(), Some("m.jsonl"));
         assert_eq!(o.refresh, 250);
-        assert!(o.once);
-        let o = parse(&[]).unwrap();
+        assert!(
+            parse("top", &["--metrics", "m.jsonl", "--once"])
+                .unwrap()
+                .once
+        );
+        let o = parse("top", &[]).unwrap();
         assert!(o.metrics.is_none());
         assert_eq!(o.refresh, 1000);
         assert!(!o.once);
@@ -669,27 +424,27 @@ mod tests {
 
     #[test]
     fn observability_flags_parse() {
-        let o = parse(&[
-            "--trace-out",
-            "t.json",
-            "--folded-out",
-            "f.txt",
-            "--provenance-out",
-            "p.jsonl",
-            "--trace",
-            "p.jsonl",
-            "--slide",
-            "17",
-        ])
+        let o = parse(
+            "cluster",
+            &[
+                "--trace-out",
+                "t.json",
+                "--folded-out",
+                "f.txt",
+                "--provenance-out",
+                "p.jsonl",
+            ],
+        )
         .unwrap();
         assert_eq!(o.trace_out.as_ref().unwrap().to_str(), Some("t.json"));
         assert_eq!(o.folded_out.as_ref().unwrap().to_str(), Some("f.txt"));
         assert_eq!(o.provenance_out.as_ref().unwrap().to_str(), Some("p.jsonl"));
+        let o = parse("explain", &["--trace", "p.jsonl", "--slide", "17"]).unwrap();
         assert_eq!(o.trace.as_ref().unwrap().to_str(), Some("p.jsonl"));
         assert_eq!(o.slide, Some(17));
-        let o = parse(&[]).unwrap();
+        let o = parse("cluster", &[]).unwrap();
         assert!(o.trace_out.is_none() && o.provenance_out.is_none());
-        assert!(o.slide.is_none());
+        assert!(parse("explain", &[]).unwrap().slide.is_none());
     }
 
     /// End-to-end: `disc run --trace-out --folded-out --provenance-out`
@@ -806,27 +561,29 @@ mod tests {
 
     #[test]
     fn health_flags_parse() {
-        let o = parse(&[
-            "--audit-every",
-            "8",
-            "--alerts",
-            "rules.toml",
-            "--alerts-out",
-            "a.jsonl",
-            "--alerts-fatal",
-            "--health-out",
-            "h.jsonl",
-            "--health",
-            "h.jsonl",
-        ])
+        let o = parse(
+            "cluster",
+            &[
+                "--audit-every",
+                "8",
+                "--alerts",
+                "rules.toml",
+                "--alerts-out",
+                "a.jsonl",
+                "--alerts-fatal",
+                "--health-out",
+                "h.jsonl",
+            ],
+        )
         .unwrap();
         assert_eq!(o.audit_every, 8);
         assert_eq!(o.alerts.as_ref().unwrap().to_str(), Some("rules.toml"));
         assert_eq!(o.alerts_out.as_ref().unwrap().to_str(), Some("a.jsonl"));
         assert!(o.alerts_fatal);
         assert_eq!(o.health_out.as_ref().unwrap().to_str(), Some("h.jsonl"));
+        let o = parse("top", &["--metrics", "m.jsonl", "--health", "h.jsonl"]).unwrap();
         assert_eq!(o.health.as_ref().unwrap().to_str(), Some("h.jsonl"));
-        let o = parse(&[]).unwrap();
+        let o = parse("cluster", &[]).unwrap();
         assert_eq!(o.audit_every, 0);
         assert!(o.alerts.is_none() && o.alerts_out.is_none() && o.health_out.is_none());
         assert!(!o.alerts_fatal);
@@ -1223,28 +980,28 @@ mod tests {
 
     #[test]
     fn durability_flags_parse() {
-        let o = parse(&[
-            "--checkpoint-dir",
-            "ckpts",
-            "--checkpoint-every",
-            "5",
-            "--wal",
-            "slides.wal",
-            "--fsync",
-            "every=8",
-            "--a",
-            "a.csv",
-            "--b",
-            "b.csv",
-        ])
+        let o = parse(
+            "cluster",
+            &[
+                "--checkpoint-dir",
+                "ckpts",
+                "--checkpoint-every",
+                "5",
+                "--wal",
+                "slides.wal",
+                "--fsync",
+                "every=8",
+            ],
+        )
         .unwrap();
         assert_eq!(o.checkpoint_dir.as_ref().unwrap().to_str(), Some("ckpts"));
         assert_eq!(o.checkpoint_every, Some(5));
         assert_eq!(o.wal.as_ref().unwrap().to_str(), Some("slides.wal"));
         assert_eq!(o.fsync.as_deref(), Some("every=8"));
+        let o = parse("diffsnap", &["--a", "a.csv", "--b", "b.csv"]).unwrap();
         assert_eq!(o.snap_a.as_ref().unwrap().to_str(), Some("a.csv"));
         assert_eq!(o.snap_b.as_ref().unwrap().to_str(), Some("b.csv"));
-        let o = parse(&[]).unwrap();
+        let o = parse("cluster", &[]).unwrap();
         assert!(o.checkpoint_dir.is_none() && o.wal.is_none());
         assert_eq!(o.checkpoint_every, None);
         assert_eq!(o.fsync, None);

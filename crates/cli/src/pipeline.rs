@@ -27,43 +27,6 @@ use disc_window::{csv, SlidingWindow};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Refuses flags the pipeline would otherwise accept and then drop.
-pub(crate) fn refuse_dropped_flags(opts: &Opts) -> Result<(), String> {
-    if opts.checkpoint_every.is_some() && opts.checkpoint_dir.is_none() {
-        return Err("--checkpoint-every needs --checkpoint-dir".to_string());
-    }
-    if opts.wal.is_some() && opts.checkpoint_dir.is_none() {
-        return Err(
-            "--wal also needs --checkpoint-dir (recovery replays the WAL on top of a checkpoint)"
-                .to_string(),
-        );
-    }
-    if opts.fsync.is_some() && opts.wal.is_none() && opts.ingest_journal.is_none() {
-        return Err("--fsync needs --wal or --ingest-journal".to_string());
-    }
-    // IncDBSCAN and ρ²-DBSCAN publish no slide events.
-    if opts.metrics_out.is_some() && matches!(opts.method.as_str(), "incdbscan" | "rho2") {
-        return Err(format!(
-            "--metrics-out requires --method disc, extran or dbscan (got {:?})",
-            opts.method
-        ));
-    }
-    // Only DISC exports its state, records spans and emits provenance.
-    let disc_only = [
-        ("--checkpoint-dir", opts.checkpoint_dir.is_some()),
-        ("--trace-out", opts.trace_out.is_some()),
-        ("--folded-out", opts.folded_out.is_some()),
-        ("--provenance-out", opts.provenance_out.is_some()),
-    ];
-    match disc_only.iter().find(|(_, given)| *given) {
-        Some((flag, _)) if opts.method != "disc" => Err(format!(
-            "{flag} requires --method disc (got {:?})",
-            opts.method
-        )),
-        _ => Ok(()),
-    }
-}
-
 /// The `--fsync` policy of the WAL and the ingest journal.
 pub(crate) fn fsync_policy(opts: &Opts) -> Result<FsyncPolicy, String> {
     let spec = opts.fsync.as_deref().unwrap_or("always");

@@ -550,6 +550,53 @@ mod tests {
         }
     }
 
+    /// `disc top`'s refusal of `args`, which must name every flag in `named`.
+    fn top_refusal(args: &[&str], named: &[&str]) {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        let err = crate::Opts::parse("top", &args).err().unwrap();
+        for flag in named {
+            assert!(err.contains(flag) && err.contains("disc top"), "{err}");
+        }
+    }
+
+    /// Tail mode never reads the scrape address.
+    #[test]
+    fn top_refuses_prom_addr_with_metrics() {
+        top_refusal(
+            &["--metrics", "m.jsonl", "--prom-addr", "127.0.0.1:1"],
+            &["--metrics", "--prom-addr"],
+        );
+    }
+
+    /// Scrape mode has no health file to read.
+    #[test]
+    fn top_refuses_health_without_metrics() {
+        top_refusal(
+            &["--prom-addr", "127.0.0.1:1", "--health", "h.jsonl"],
+            &["--health", "--metrics"],
+        );
+        top_refusal(&["--health", "h.jsonl"], &["--health", "--metrics"]);
+    }
+
+    /// Scrape mode has no ingest file to read.
+    #[test]
+    fn top_refuses_ingest_without_metrics() {
+        top_refusal(
+            &["--prom-addr", "127.0.0.1:1", "--ingest", "i.jsonl"],
+            &["--ingest", "--metrics"],
+        );
+        top_refusal(&["--ingest", "i.jsonl"], &["--ingest", "--metrics"]);
+    }
+
+    /// One frame has no refresh cadence.
+    #[test]
+    fn top_refuses_refresh_with_once() {
+        top_refusal(
+            &["--metrics", "m.jsonl", "--refresh", "5", "--once"],
+            &["--refresh", "--once"],
+        );
+    }
+
     #[test]
     fn jsonl_frame_shows_tails_and_memory() {
         let events: Vec<SlideEvent> = (1..=100)

@@ -46,14 +46,7 @@ pub fn write_records<const D: usize>(path: &Path, records: &[Record<D>]) -> io::
 pub fn write_snapshot<const D: usize>(path: &Path, rows: &[(Point<D>, i64)]) -> io::Result<()> {
     let file = std::fs::File::create(path)?;
     let mut out = BufWriter::new(file);
-    writeln!(
-        out,
-        "{},cluster",
-        (0..D)
-            .map(|i| format!("x{i}"))
-            .collect::<Vec<_>>()
-            .join(",")
-    )?;
+    writeln!(out, "{}", snapshot_header::<D>())?;
     for (p, label) in rows {
         for i in 0..D {
             write!(out, "{},", p[i])?;
@@ -61,6 +54,11 @@ pub fn write_snapshot<const D: usize>(path: &Path, rows: &[(Point<D>, i64)]) -> 
         writeln!(out, "{label}")?;
     }
     out.flush()
+}
+
+/// A snapshot's first line: `x0,..,x{D-1},cluster`.
+fn snapshot_header<const D: usize>() -> String {
+    (0..D).map(|i| format!("x{i},")).collect::<String>() + "cluster"
 }
 
 /// Parses one coordinate cell, rejecting anything the engine itself would
@@ -323,15 +321,24 @@ mod tests {
 }
 
 /// Reads a snapshot written by [`write_snapshot`] back into
-/// `(point, cluster)` rows (skipping the header).
+/// `(point, cluster)` rows. Line 1 must be the header that writer puts
+/// there, `x0,..,x{D-1},cluster`: a file without it, or with another
+/// dimension's, is `InvalidData` naming line 1, never a first row lost.
 pub fn read_snapshot<const D: usize>(path: &Path) -> io::Result<Vec<(Point<D>, i64)>> {
     let file = std::fs::File::open(path)?;
-    let reader = io::BufReader::new(file);
+    let mut lines = io::BufReader::new(file).lines();
+    let header = snapshot_header::<D>();
+    if lines.next().transpose()?.as_deref().map(str::trim_end) != Some(&header) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("line 1: expected the snapshot header {header:?}"),
+        ));
+    }
     let mut out = Vec::new();
-    for (lineno, line) in reader.lines().enumerate() {
+    for (lineno, line) in lines.enumerate().map(|(i, l)| (i + 1, l)) {
         let line = line?;
-        if lineno == 0 || line.trim().is_empty() {
-            continue; // header
+        if line.trim().is_empty() {
+            continue;
         }
         let fields: Vec<&str> = line.split(',').collect();
         if fields.len() != D + 1 {
@@ -440,10 +447,17 @@ mod hardening_tests {
             ("s_nul.csv", b"x0,x1,cluster\n1.0,\0,3\n"),
             ("s_float_label.csv", b"x0,x1,cluster\n1.0,2.0,3.5\n"),
             ("s_short.csv", b"x0,x1,cluster\n1.0\n"),
+            // A headerless file: line 1 is a row, not a header to skip.
+            ("s_headerless.csv", b"1.0,2.0,3\n4.0,5.0,-1\n"),
+            ("s_wrong_dim_header.csv", b"x0,x1,x2,cluster\n1.0,2.0,3\n"),
+            ("s_empty.csv", b""),
         ];
         for (name, bytes) in corpus {
             let path = write_corpus(name, bytes);
-            assert!(read_snapshot::<2>(&path).is_err(), "{name}: accepted");
+            match read_snapshot::<2>(&path) {
+                Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{name}: {e}"),
+                Ok(rows) => panic!("{name}: accepted as {rows:?}"),
+            }
             std::fs::remove_file(&path).unwrap();
         }
     }
