@@ -10,7 +10,7 @@ use std::collections::VecDeque;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use disc_geom::{Point, PointId};
-use disc_index::RTree;
+use disc_index::{RTree, SpatialBackend};
 use disc_window::datasets;
 
 const EPS: f64 = 0.45;

@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use disc_geom::{Point, PointId};
-use disc_index::{ProbeOutcome, RTree};
+use disc_index::{ProbeOutcome, RTree, SpatialBackend};
 use disc_window::datasets;
 
 fn build_tree(n: usize) -> (RTree<2>, Vec<Point<2>>) {

@@ -107,8 +107,17 @@ pub fn explain(opts: &Opts) -> Result<(), String> {
             .map_err(|e| format!("{}:{}: {e}", path.display(), i + 1))?;
         events.push(ev);
     }
+    // A resume with no slide left to apply writes an empty stream: there is
+    // nothing to narrate, but the file is valid.
     if events.is_empty() {
-        return Err(format!("{}: no provenance events", path.display()));
+        if let Some(slide) = opts.slide {
+            return Err(format!(
+                "slide {slide} not in {}: the file covers no slides",
+                path.display()
+            ));
+        }
+        println!("{}: 0 provenance events", path.display());
+        return Ok(());
     }
     match opts.slide {
         Some(slide) => {

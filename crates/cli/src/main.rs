@@ -1127,6 +1127,75 @@ mod tests {
         .unwrap();
     }
 
+    /// A resume that finds no slide left writes an empty
+    /// `--provenance-out`; `disc explain` must read it (0 events, exit 0)
+    /// and refuse only a `--slide` the file cannot cover.
+    #[test]
+    fn explain_reads_the_empty_provenance_of_a_resume_with_nothing_left() {
+        let dir = std::env::temp_dir().join("disc_cli_empty_provenance_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let data = dir.join("stream.csv");
+        let ckpts = dir.join("ckpts");
+        let wal = dir.join("slides.wal");
+        let prov = dir.join("prov.jsonl");
+        let (data_s, ckpts_s, wal_s, prov_s) = (
+            data.to_str().unwrap(),
+            ckpts.to_str().unwrap(),
+            wal.to_str().unwrap(),
+            prov.to_str().unwrap(),
+        );
+        run_strs(&[
+            "generate",
+            "--dataset",
+            "blobs",
+            "--n",
+            "600",
+            "--out",
+            data_s,
+        ])
+        .unwrap();
+        // A durable run that finishes the whole stream...
+        run_strs(&[
+            "run",
+            "--input",
+            data_s,
+            "--eps",
+            "1.0",
+            "--tau",
+            "4",
+            "--window",
+            "300",
+            "--stride",
+            "100",
+            "--quiet",
+            "--checkpoint-dir",
+            ckpts_s,
+            "--wal",
+            wal_s,
+        ])
+        .unwrap();
+        // ...so the resume after it applies nothing and traces nothing.
+        run_strs(&[
+            "resume",
+            "--checkpoint-dir",
+            ckpts_s,
+            "--wal",
+            wal_s,
+            "--input",
+            data_s,
+            "--quiet",
+            "--provenance-out",
+            prov_s,
+        ])
+        .unwrap();
+        assert_eq!(std::fs::read_to_string(&prov).unwrap(), "");
+
+        run_strs(&["explain", "--trace", prov_s]).unwrap();
+        let err = run_strs(&["explain", "--trace", prov_s, "--slide", "1"]).unwrap_err();
+        assert!(err.contains("covers no slides"), "got: {err}");
+    }
+
     #[test]
     fn corrupted_checkpoint_fails_resume_loudly() {
         let dir = std::env::temp_dir().join("disc_cli_corrupt_test");

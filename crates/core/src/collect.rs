@@ -378,6 +378,7 @@ mod tests {
     use crate::config::DiscConfig;
     use crate::engine::Disc;
     use disc_geom::{Point, PointId};
+    use disc_index::SpatialBackend;
     use disc_window::SlideBatch;
 
     fn batch(incoming: &[(u64, f64)], outgoing: &[(u64, f64)]) -> SlideBatch<2> {

@@ -466,26 +466,32 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
     /// noise point departing in the same batch (outgoing retires first),
     /// but not that of a departing core.
     fn validate(&self, batch: &SlideBatch<D>) -> Result<(), SlideError> {
-        // Departing id → whether it was a core of the previous window.
-        let mut outgoing: FxHashMap<PointId, bool> = FxHashMap::default();
-        for (id, _) in &batch.outgoing {
-            let Some(rec) = self.points.get(*id).filter(|r| r.in_window) else {
+        // Sorted scratch id lists, not hash tables: each side is scanned in
+        // order and the first offence wins.
+        let in_window = |id: &PointId| self.points.meta_of(*id).filter(|m| m.in_window);
+        let (outgoing, repeat) = sorted_ids(batch.outgoing.iter().map(|(id, _)| *id));
+        for (i, (id, _)) in batch.outgoing.iter().enumerate() {
+            if in_window(id).is_none() {
                 return Err(SlideError::UnknownOutgoing(*id));
-            };
-            if outgoing.insert(*id, rec.prev_core).is_some() {
+            }
+            if repeat == Some(i) {
                 return Err(SlideError::DuplicateOutgoing(*id));
             }
         }
-        let mut fresh: FxHashSet<PointId> = FxHashSet::default();
-        for (id, point) in &batch.incoming {
+        let (_, repeat) = sorted_ids(batch.incoming.iter().map(|(id, _)| *id));
+        for (i, (id, point)) in batch.incoming.iter().enumerate() {
             if !point.is_finite() {
                 return Err(SlideError::NonFinite(*id));
             }
-            if outgoing.get(id) == Some(&true) {
+            // Every departing id is a window point (checked above), so only
+            // a window point needs the search.
+            let present = in_window(id);
+            let departing =
+                present.is_some() && outgoing.binary_search_by_key(id, |&(out, _)| out).is_ok();
+            if departing && present.is_some_and(|m| m.prev_core) {
                 return Err(SlideError::ReenteringCore(*id));
             }
-            let present = self.points.get(*id).map(|r| r.in_window).unwrap_or(false);
-            if (present && !outgoing.contains_key(id)) || !fresh.insert(*id) {
+            if (present.is_some() && !departing) || repeat == Some(i) {
                 return Err(SlideError::DuplicateIncoming(*id));
             }
         }
@@ -688,6 +694,20 @@ impl<const D: usize> LabelResolver<'_, D> {
             None => PointLabel::Noise,
         }
     }
+}
+
+/// One side of a batch as `(id, position)` pairs sorted by id, plus the
+/// earliest position whose id already occurred before it: the
+/// `Duplicate*` offence an in-order scan of that side meets first.
+fn sorted_ids(ids: impl Iterator<Item = PointId>) -> (Vec<(PointId, usize)>, Option<usize>) {
+    let mut sorted: Vec<(PointId, usize)> = ids.enumerate().map(|(i, id)| (id, i)).collect();
+    sorted.sort_unstable();
+    let repeat = sorted
+        .windows(2)
+        .filter(|w| w[0].0 == w[1].0)
+        .map(|w| w[1].1)
+        .min();
+    (sorted, repeat)
 }
 
 /// Puts rows read out in ring-slot order into arrival-id order. Under a
@@ -1019,6 +1039,82 @@ mod tests {
             .try_apply(&batch(&[(0, [3.0, 0.0])], &[(0, [0.0, 0.0])]))
             .is_ok());
         assert_eq!(disc.window_len(), 1);
+    }
+
+    /// `validate` as it was written over a hash map of departures and a
+    /// hash set of arrivals: the reference for the sorted-list version.
+    fn validate_with_hash_sets(disc: &Disc<2>, batch: &SlideBatch<2>) -> Result<(), SlideError> {
+        let mut outgoing: FxHashMap<PointId, bool> = FxHashMap::default();
+        for (id, _) in &batch.outgoing {
+            let Some(rec) = disc.points.get(*id).filter(|r| r.in_window) else {
+                return Err(SlideError::UnknownOutgoing(*id));
+            };
+            if outgoing.insert(*id, rec.prev_core).is_some() {
+                return Err(SlideError::DuplicateOutgoing(*id));
+            }
+        }
+        let mut fresh: FxHashSet<PointId> = FxHashSet::default();
+        for (id, point) in &batch.incoming {
+            if !point.is_finite() {
+                return Err(SlideError::NonFinite(*id));
+            }
+            if outgoing.get(id) == Some(&true) {
+                return Err(SlideError::ReenteringCore(*id));
+            }
+            let present = disc.points.get(*id).map(|r| r.in_window).unwrap_or(false);
+            if (present && !outgoing.contains_key(id)) || !fresh.insert(*id) {
+                return Err(SlideError::DuplicateIncoming(*id));
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn validate_matches_the_hash_set_reference_on_random_batches() {
+        // Ids 0..40 in the window: a dense run of cores and sparse noise,
+        // so departures include cores and non-cores. Batches draw ids from
+        // 0..56, repeat them and poison coordinates at random.
+        let mut disc: Disc<2> = Disc::new(DiscConfig::new(1.0, 3));
+        let fill: Vec<(u64, [f64; 2])> = (0..40u64)
+            .map(|i| match i % 2 {
+                0 => (i, [i as f64 * 0.1, 0.0]),
+                _ => (i, [i as f64 * 10.0, 50.0]),
+            })
+            .collect();
+        disc.apply(&batch(&fill, &[]));
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |n: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        let mut seen = FxHashMap::default();
+        for _ in 0..4000 {
+            let mut side = |poison: bool| -> Vec<(u64, [f64; 2])> {
+                (0..next(6))
+                    .map(|_| {
+                        let x = if poison && next(12) == 0 {
+                            f64::NAN
+                        } else {
+                            0.0
+                        };
+                        (next(56), [x, 0.0])
+                    })
+                    .collect()
+            };
+            let (incoming, outgoing) = (side(true), side(false));
+            let b = batch(&incoming, &outgoing);
+            let want = validate_with_hash_sets(&disc, &b);
+            assert_eq!(disc.validate(&b), want, "batch {incoming:?} / {outgoing:?}");
+            let outcome = want.err().map(|e| std::mem::discriminant(&e));
+            *seen.entry(outcome).or_insert(0usize) += 1;
+        }
+        assert_eq!(
+            seen.len(),
+            6,
+            "every outcome, Ok and each error, was drawn: {seen:?}"
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! chosen ε).
 
 use disc_geom::{Point, PointId};
-use disc_index::RTree;
+use disc_index::{RTree, SpatialBackend};
 use disc_window::Record;
 
 /// Result of parameter estimation.

@@ -1,5 +1,6 @@
-//! Batched mutation and query layer: bulk insert, bulk remove, and the
-//! multi-center ε-ball traversal.
+//! The R-tree's batched layer: the recursions behind
+//! [`SpatialBackend::bulk_insert`] and [`SpatialBackend::bulk_remove`], and
+//! the Sort-Tile-Recursive packer every overflow goes through.
 //!
 //! The per-point slide path pays one root-to-leaf traversal per element:
 //! every insert descends the tree once, every delete walks its candidate
@@ -8,24 +9,26 @@
 //! that is `O(s·log n)` traversals with heavily overlapping paths. The
 //! batched layer amortises the overlap — one traversal per *batch*:
 //!
-//! * [`RTree::bulk_insert`] sorts the stride by a cheap spatial key so
-//!   consecutive points land in the same subtree, shares the
-//!   choose-subtree descent across each run, and resolves overflow with a
-//!   single multi-way re-tile per node instead of a cascade of binary
-//!   splits.
-//! * [`RTree::bulk_remove`] partitions the outgoing set across children in
-//!   one top-down pass and defers condensation: underfull nodes found on
-//!   the unwind are collected once and their survivors reinserted in a
-//!   single grouped pass at the end (the teardown-tree treatment).
-//! * [`RTree::for_each_in_balls`] answers many ε-balls in one walk,
-//!   narrowing the active-center list per branch, so shared upper-level
-//!   nodes are visited once instead of once per center.
+//! * `bulk_insert` sorts the stride by a cheap spatial key so consecutive
+//!   points land in the same subtree, shares the choose-subtree descent
+//!   across each run, and resolves overflow with a single multi-way
+//!   re-tile per node instead of a cascade of binary splits.
+//! * `bulk_remove` partitions the outgoing set across children in one
+//!   top-down pass and defers condensation: underfull nodes found on the
+//!   unwind are collected once and their survivors reinserted in a single
+//!   grouped pass at the end (the teardown-tree treatment).
+//! * `scan_balls` (in the R-tree's trait impl) answers many ε-balls in one
+//!   walk, narrowing the active-center list per branch, so shared
+//!   upper-level nodes are visited once instead of once per center.
 //!
 //! All three are exact: they produce the same answer set (and, for the
 //! mutations, a structurally valid tree over the same entries) as their
 //! per-point counterparts — only the traversal order differs. Work done
 //! here is accounted in the `bulk_*` counters of [`crate::Stats`] so the
 //! per-point and batched costs can be compared side by side.
+//!
+//! [`SpatialBackend::bulk_insert`]: crate::SpatialBackend::bulk_insert
+//! [`SpatialBackend::bulk_remove`]: crate::SpatialBackend::bulk_remove
 
 use crate::node::{Branch, Epoch, LeafEntry, Node, NodeIdx, NodeKind};
 use crate::tree::RTree;
@@ -41,41 +44,6 @@ pub(crate) const BULK_MIN: usize = 8;
 const BULK_FILL: usize = MAX_ENTRIES * 3 / 4;
 
 impl<const D: usize> RTree<D> {
-    // ------------------------------------------------------------------
-    // Bulk insert
-    // ------------------------------------------------------------------
-
-    /// Inserts a batch of points in one top-down traversal.
-    ///
-    /// Equivalent to calling [`insert`](Self::insert) per element (and falls
-    /// back to exactly that for tiny batches); larger batches are sorted by
-    /// a cheap spatial key so runs of nearby points share the
-    /// choose-subtree descent, and overflowing nodes are re-tiled once into
-    /// multiple siblings instead of splitting repeatedly.
-    pub fn bulk_insert(&mut self, items: Vec<(PointId, Point<D>)>) {
-        if items.len() < BULK_MIN {
-            for (id, p) in items {
-                self.insert(id, p);
-            }
-            return;
-        }
-        self.stats.bulk_insert_batches += 1;
-        self.stats.inserts += items.len() as u64;
-        self.len += items.len();
-        let entries: Vec<LeafEntry<D>> = items
-            .into_iter()
-            .map(|(id, point)| {
-                debug_assert!(point.is_finite(), "refusing to index a non-finite point");
-                LeafEntry {
-                    point,
-                    id,
-                    epoch: Epoch::CLEAR,
-                }
-            })
-            .collect();
-        self.bulk_insert_entries(entries);
-    }
-
     /// Core of the batched insert. Entries keep whatever epoch marks they
     /// carry (a reinserted orphan's visited status is a property of the
     /// point, not of its slot) and `len`/`inserts` bookkeeping is the
@@ -266,62 +234,10 @@ impl<const D: usize> RTree<D> {
         self.root = level[0].1;
     }
 
-    // ------------------------------------------------------------------
-    // Bulk remove
-    // ------------------------------------------------------------------
-
-    /// Removes a batch of `(id, point)` entries in one top-down traversal.
-    ///
-    /// Condensation is deferred: underfull nodes discovered on the unwind
-    /// are collected into a single orphan list, dropped from their parents,
-    /// and the surviving entries reinserted in one grouped pass at the end —
-    /// instead of [`remove`](Self::remove)'s per-delete orphan/reinsert
-    /// storm. Orphans keep their epoch marks, exactly like `remove`.
-    ///
-    /// Returns how many of the requested entries were found and removed
-    /// (ids absent from the tree are skipped, matching `remove`'s `false`).
-    pub fn bulk_remove(&mut self, items: &[(PointId, Point<D>)]) -> usize {
-        if items.len() < BULK_MIN {
-            return items.iter().filter(|(id, p)| self.remove(*id, *p)).count();
-        }
-        self.stats.bulk_remove_batches += 1;
-        let mut pending: FxHashMap<PointId, Point<D>> =
-            items.iter().map(|(id, p)| (*id, *p)).collect();
-        let mut orphans: Vec<LeafEntry<D>> = Vec::new();
-        let removed =
-            self.bulk_remove_rec(self.root, self.height, items, &mut pending, &mut orphans);
-        self.stats.removes += removed as u64;
-        self.len -= removed;
-
-        // A batched delete can condense away *every* branch of an internal
-        // root (all entries end up in `orphans`); restart from an empty leaf.
-        if self.height > 1 && self.node(self.root).len() == 0 {
-            let old_root = self.root;
-            self.dealloc(old_root);
-            self.root = self.alloc(Node::new_leaf());
-            self.height = 1;
-        }
-        // Shrink the root while it is an internal node with a single child.
-        while self.height > 1 {
-            let only_child = match &self.node(self.root).kind {
-                NodeKind::Internal(v) if v.len() == 1 => v[0].child,
-                _ => break,
-            };
-            let old_root = self.root;
-            self.root = only_child;
-            self.dealloc(old_root);
-            self.height -= 1;
-        }
-
-        // One grouped reinsert for every survivor of a condensed node.
-        self.bulk_insert_entries(orphans);
-        removed
-    }
-
     /// Recursive batched remove. `cands` is the subset of the batch that can
     /// live under `idx`; `pending` tracks ids not yet found anywhere.
     /// Returns the number of entries removed under this node.
-    fn bulk_remove_rec(
+    pub(crate) fn bulk_remove_rec(
         &mut self,
         idx: NodeIdx,
         level: usize,
@@ -402,105 +318,6 @@ impl<const D: usize> RTree<D> {
             }
         }
         removed
-    }
-
-    // ------------------------------------------------------------------
-    // Multi-center ball traversal
-    // ------------------------------------------------------------------
-
-    /// Calls `f(center_idx, id, &point)` for every pair of a center and an
-    /// indexed point within Euclidean distance `eps` (inclusive).
-    ///
-    /// One traversal serves all centers: each node is visited at most once,
-    /// with the active-center list narrowed per branch, so upper-level nodes
-    /// shared by many balls are descended once instead of once per center.
-    /// Counts as `centers.len()` range searches to keep the Fig. 7 headline
-    /// metric comparable with the per-point path; the traversal savings show
-    /// up in `bulk_nodes_visited`/`bulk_leaf_scans`.
-    pub fn for_each_in_balls(
-        &mut self,
-        centers: &[Point<D>],
-        eps: f64,
-        f: impl FnMut(usize, PointId, &Point<D>),
-    ) {
-        let mut stats = *self.stats();
-        self.scan_balls(centers, eps, f, &mut stats);
-        *self.stats_mut() = stats;
-    }
-
-    /// Read-only flavour of [`for_each_in_balls`](Self::for_each_in_balls)
-    /// with caller-supplied counters: the multi-center walk only reads the
-    /// node arena, so the parallel COLLECT path can partition a slide's
-    /// centers into chunks and run one `scan_balls` per worker on a shared
-    /// `&self`, merging the per-worker [`Stats`] in chunk order afterwards.
-    pub fn scan_balls(
-        &self,
-        centers: &[Point<D>],
-        eps: f64,
-        mut f: impl FnMut(usize, PointId, &Point<D>),
-        stats: &mut crate::Stats,
-    ) {
-        if centers.is_empty() {
-            return;
-        }
-        stats.range_searches += centers.len() as u64;
-        stats.multi_ball_queries += 1;
-        stats.multi_ball_centers += centers.len() as u64;
-        let eps2 = eps * eps;
-        let mut nodes_visited = 0u64;
-        let mut leaf_scans = 0u64;
-        // Explicit-stack DFS; active-center sublists are pooled so the walk
-        // does not allocate per branch.
-        let mut stack: Vec<(NodeIdx, Vec<u32>)> =
-            vec![(self.root, (0..centers.len() as u32).collect())];
-        let mut pool: Vec<Vec<u32>> = Vec::new();
-        while let Some((idx, active)) = stack.pop() {
-            nodes_visited += 1;
-            match &self.nodes[idx as usize].kind {
-                NodeKind::Leaf(entries) => {
-                    leaf_scans += entries.len() as u64;
-                    // Center-major so each center stays in registers across
-                    // the entry scan, matching the single-center loop shape.
-                    for &ci in &active {
-                        let c = &centers[ci as usize];
-                        for e in entries {
-                            if c.dist2(&e.point) <= eps2 {
-                                f(ci as usize, e.id, &e.point);
-                            }
-                        }
-                    }
-                }
-                NodeKind::Internal(branches) => {
-                    // Cheap whole-branch reject against the union box of the
-                    // active balls before the per-center distance tests.
-                    let mut union_box = Aabb::empty();
-                    for &ci in &active {
-                        union_box.extend(&Aabb::ball_bounds(&centers[ci as usize], eps));
-                    }
-                    for b in branches {
-                        if !b.mbr.intersects(&union_box) {
-                            continue;
-                        }
-                        let mut sub = pool.pop().unwrap_or_default();
-                        sub.clear();
-                        sub.extend(
-                            active
-                                .iter()
-                                .copied()
-                                .filter(|&ci| b.mbr.dist2_to_point(&centers[ci as usize]) <= eps2),
-                        );
-                        if sub.is_empty() {
-                            pool.push(sub);
-                        } else {
-                            stack.push((b.child, sub));
-                        }
-                    }
-                }
-            }
-            pool.push(active);
-        }
-        stats.bulk_nodes_visited += nodes_visited;
-        stats.bulk_leaf_scans += leaf_scans;
     }
 }
 
@@ -594,6 +411,7 @@ fn str_order<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SpatialBackend;
 
     fn pts(n: u64, salt: u64) -> Vec<(PointId, Point<2>)> {
         let mut state = 0x2545_f491_4f6c_dd1du64 ^ salt;
@@ -609,7 +427,8 @@ mod tests {
     }
 
     fn sorted_ids(tree: &mut RTree<2>, q: &Point<2>, eps: f64) -> Vec<PointId> {
-        let mut ids = tree.ball_ids(q, eps);
+        let mut ids = Vec::new();
+        tree.ball_ids_into(q, eps, &mut ids);
         ids.sort();
         ids
     }
@@ -711,8 +530,7 @@ mod tests {
             t.check_invariants();
             assert_eq!(t.len(), window);
             let q = all[lo + window / 2].1;
-            let mut got = t.ball_ids(&q, 8.0);
-            got.sort();
+            let got = sorted_ids(&mut t, &q, 8.0);
             let mut want: Vec<PointId> = all[lo..hi]
                 .iter()
                 .filter(|(_, p)| q.within(p, 8.0))

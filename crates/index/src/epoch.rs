@@ -76,31 +76,9 @@ impl EpochProbe {
 }
 
 impl<const D: usize> RTree<D> {
-    /// Starts a new MS-BFS instance: allocates a fresh tick. All epoch
-    /// marks from earlier instances become stale implicitly.
-    pub fn begin_epoch(&mut self) -> EpochProbe {
-        self.tick_counter += 1;
-        EpochProbe {
-            tick: self.tick_counter,
-        }
-    }
-
-    /// Marks a single point as visited by `owner` for this instance —
-    /// MS-BFS seeds its starters with this (Alg. 3 line 4 enqueues every
-    /// starter as already-visited), so a probe that reaches another
-    /// thread's starter reports it as foreign and the threads merge on
-    /// first contact.
-    pub fn mark_visited(
-        &mut self,
-        probe: EpochProbe,
-        center: &Point<D>,
-        id: PointId,
-        owner: u32,
-    ) -> bool {
-        self.mark_rec(self.root, probe.tick, center, id, owner)
-    }
-
-    fn mark_rec(
+    /// Marks the entry for `id` under `idx` as visited by `owner` at
+    /// `tick`; returns whether it was found.
+    pub(crate) fn mark_rec(
         &mut self,
         idx: NodeIdx,
         tick: u64,
@@ -137,39 +115,12 @@ impl<const D: usize> RTree<D> {
         }
     }
 
-    /// One epoch-based ε-range search on behalf of MS-BFS thread `thread`
-    /// (pass the thread's *current union-find root*).
-    ///
-    /// * `resolve` maps a stored owner slot to its current union-find root.
-    /// * `is_vertex` restricts the traversal to graph vertices (core
-    ///   points); non-vertex points in range are ignored and never marked,
-    ///   so they can never produce spurious thread meetings.
-    ///
-    /// Fresh vertices are marked `(tick, thread)`; foreign vertices are
-    /// reported but left untouched (they belong to the other thread — the
-    /// union-find merge makes ownership consistent).
+    /// The recursion behind
+    /// [`SpatialBackend::epoch_probe`](crate::SpatialBackend::epoch_probe):
+    /// marks fresh vertices under `idx`, reports foreign ones, prunes
+    /// branches stamped by `thread`, and stamps branches on backtrack.
     #[allow(clippy::too_many_arguments)]
-    pub fn epoch_probe(
-        &mut self,
-        probe: EpochProbe,
-        center: &Point<D>,
-        eps: f64,
-        thread: u32,
-        resolve: &mut dyn FnMut(u32) -> u32,
-        is_vertex: &mut dyn FnMut(PointId) -> bool,
-        out: &mut ProbeOutcome<D>,
-    ) {
-        self.stats.range_searches += 1;
-        self.stats.epoch_probes += 1;
-        let eps2 = eps * eps;
-        let root = self.root;
-        self.probe_rec(
-            root, probe.tick, center, eps2, thread, resolve, is_vertex, out,
-        );
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn probe_rec(
+    pub(crate) fn probe_rec(
         &mut self,
         idx: NodeIdx,
         tick: u64,
@@ -294,6 +245,7 @@ impl<const D: usize> RTree<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SpatialBackend;
     use disc_geom::Point;
 
     fn grid_tree(n: usize) -> RTree<2> {

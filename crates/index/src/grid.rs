@@ -27,6 +27,7 @@
 use crate::epoch::{EpochProbe, ProbeOutcome};
 use crate::node::Epoch;
 use crate::stats::Stats;
+use crate::SpatialBackend;
 use disc_geom::{Aabb, FxHashMap, Point, PointId};
 
 /// One stored point plus its epoch mark.
@@ -58,9 +59,8 @@ impl<const D: usize> Cell<D> {
 
 /// A uniform grid over `D`-dimensional points with ε-aligned cells.
 ///
-/// Construct through
-/// [`SpatialBackend::with_eps_hint`](crate::SpatialBackend::with_eps_hint)
-/// or [`GridIndex::with_cell`]; the cell edge length should equal the ε the
+/// Construct through [`SpatialBackend::with_eps_hint`] or
+/// [`GridIndex::with_cell`]; the cell edge length should equal the ε the
 /// owning engine queries with.
 #[derive(Clone, Debug)]
 pub struct GridIndex<const D: usize> {
@@ -96,35 +96,9 @@ impl<const D: usize> GridIndex<D> {
         self.cell
     }
 
-    /// Number of stored points.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the grid holds no points.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Number of occupied cells (diagnostics; memory is proportional).
     pub fn occupied_cells(&self) -> usize {
         self.cells.len()
-    }
-
-    /// Read access to the operation counters.
-    pub fn stats(&self) -> &Stats {
-        &self.stats
-    }
-
-    /// Resets the operation counters.
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
-    }
-
-    /// Mutable access to the operation counters: the parallel engine merges
-    /// per-worker [`Stats`] deltas back here after a read-only scan phase.
-    pub fn stats_mut(&mut self) -> &mut Stats {
-        &mut self.stats
     }
 
     /// Integer cell coordinates of `point`.
@@ -147,92 +121,6 @@ impl<const D: usize> GridIndex<D> {
             hi[d] = (key[d] + 1) as f64 * self.cell;
         }
         Aabb::new(lo, hi)
-    }
-
-    /// Inserts a point. Duplicate `(id, point)` pairs are the caller's
-    /// responsibility; the grid stores whatever it is given.
-    pub fn insert(&mut self, id: PointId, point: Point<D>) {
-        debug_assert!(point.is_finite(), "refusing to index a non-finite point");
-        self.stats.inserts += 1;
-        let key = self.key_of(&point);
-        let cell = self.cells.entry(key).or_insert_with(Cell::new);
-        cell.entries.push(GridEntry {
-            id,
-            point,
-            epoch: Epoch::CLEAR,
-        });
-        // A fresh (unvisited) entry invalidates any uniform-ownership stamp.
-        cell.epoch = Epoch::CLEAR;
-        self.len += 1;
-    }
-
-    /// Removes the entry for `id` at `point`; returns whether it was found.
-    pub fn remove(&mut self, id: PointId, point: Point<D>) -> bool {
-        let key = self.key_of(&point);
-        let Some(cell) = self.cells.get_mut(&key) else {
-            return false;
-        };
-        let Some(pos) = cell.entries.iter().position(|e| e.id == id) else {
-            return false;
-        };
-        cell.entries.swap_remove(pos);
-        if cell.entries.is_empty() {
-            self.cells.remove(&key);
-        }
-        self.stats.removes += 1;
-        self.len -= 1;
-        true
-    }
-
-    /// Inserts a batch. Grid inserts are already O(1), so this is the plain
-    /// loop; it still counts as one batched mutation for the accounting,
-    /// and one traversal unit (cell access) per item so the counter stays
-    /// comparable with the R-tree's batched-descent accounting.
-    pub fn bulk_insert(&mut self, items: Vec<(PointId, Point<D>)>) {
-        if items.is_empty() {
-            return;
-        }
-        self.stats.bulk_insert_batches += 1;
-        self.stats.bulk_nodes_visited += items.len() as u64;
-        for (id, p) in items {
-            self.insert(id, p);
-        }
-    }
-
-    /// Removes a batch; returns how many entries were found and removed.
-    ///
-    /// Accounting mirrors the R-tree bulk path: every cell access is a
-    /// `bulk_nodes_visited` unit, every entry examined while locating an id
-    /// (the whole cell on a miss) is a `bulk_leaf_scans` unit.
-    pub fn bulk_remove(&mut self, items: &[(PointId, Point<D>)]) -> usize {
-        if items.is_empty() {
-            return 0;
-        }
-        self.stats.bulk_remove_batches += 1;
-        let mut removed = 0;
-        for (id, p) in items {
-            self.stats.bulk_nodes_visited += 1;
-            let key = self.key_of(p);
-            let Some(cell) = self.cells.get_mut(&key) else {
-                continue;
-            };
-            let pos = cell.entries.iter().position(|e| e.id == *id);
-            self.stats.bulk_leaf_scans += match pos {
-                Some(p) => p as u64 + 1,
-                None => cell.entries.len() as u64,
-            };
-            let Some(pos) = pos else {
-                continue;
-            };
-            cell.entries.swap_remove(pos);
-            if cell.entries.is_empty() {
-                self.cells.remove(&key);
-            }
-            self.stats.removes += 1;
-            self.len -= 1;
-            removed += 1;
-        }
-        removed
     }
 
     /// Visits every cell key of the integer box covering the ε-ball around
@@ -268,28 +156,113 @@ impl<const D: usize> GridIndex<D> {
             }
         }
     }
+}
 
-    /// Calls `f(id, point)` for every stored point within `eps` of `center`
-    /// (inclusive), in unspecified order.
-    pub fn for_each_in_ball(
-        &mut self,
-        center: &Point<D>,
-        eps: f64,
-        f: impl FnMut(PointId, &Point<D>),
-    ) {
-        let mut stats = self.stats;
-        self.scan_ball(center, eps, f, &mut stats);
-        self.stats = stats;
+impl<const D: usize> SpatialBackend<D> for GridIndex<D> {
+    const NAME: &'static str = "grid";
+
+    fn with_eps_hint(eps_hint: f64) -> Self {
+        GridIndex::with_cell(eps_hint)
     }
 
-    /// Read-only flavour of [`for_each_in_ball`](Self::for_each_in_ball)
-    /// with caller-supplied counters; shareable across workers on `&self`
-    /// (see the R-tree counterpart for the parallel-engine contract).
-    pub fn scan_ball(
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn stats(&self) -> &Stats {
+        &self.stats
+    }
+
+    fn stats_mut(&mut self) -> &mut Stats {
+        &mut self.stats
+    }
+
+    fn insert(&mut self, id: PointId, point: Point<D>) {
+        debug_assert!(point.is_finite(), "refusing to index a non-finite point");
+        self.stats.inserts += 1;
+        let key = self.key_of(&point);
+        let cell = self.cells.entry(key).or_insert_with(Cell::new);
+        cell.entries.push(GridEntry {
+            id,
+            point,
+            epoch: Epoch::CLEAR,
+        });
+        // A fresh (unvisited) entry invalidates any uniform-ownership stamp.
+        cell.epoch = Epoch::CLEAR;
+        self.len += 1;
+    }
+
+    fn remove(&mut self, id: PointId, point: Point<D>) -> bool {
+        let key = self.key_of(&point);
+        let Some(cell) = self.cells.get_mut(&key) else {
+            return false;
+        };
+        let Some(pos) = cell.entries.iter().position(|e| e.id == id) else {
+            return false;
+        };
+        cell.entries.swap_remove(pos);
+        if cell.entries.is_empty() {
+            self.cells.remove(&key);
+        }
+        self.stats.removes += 1;
+        self.len -= 1;
+        true
+    }
+
+    /// Grid inserts are already O(1), so this is the plain loop; it still
+    /// counts as one batched mutation for the accounting, and one traversal
+    /// unit (cell access) per item so the counter stays comparable with the
+    /// R-tree's batched-descent accounting.
+    fn bulk_insert(&mut self, items: Vec<(PointId, Point<D>)>) {
+        if items.is_empty() {
+            return;
+        }
+        self.stats.bulk_insert_batches += 1;
+        self.stats.bulk_nodes_visited += items.len() as u64;
+        for (id, p) in items {
+            self.insert(id, p);
+        }
+    }
+
+    /// Accounting mirrors the R-tree bulk path: every cell access is a
+    /// `bulk_nodes_visited` unit, every entry examined while locating an id
+    /// (the whole cell on a miss) is a `bulk_leaf_scans` unit.
+    fn bulk_remove(&mut self, items: &[(PointId, Point<D>)]) -> usize {
+        if items.is_empty() {
+            return 0;
+        }
+        self.stats.bulk_remove_batches += 1;
+        let mut removed = 0;
+        for (id, p) in items {
+            self.stats.bulk_nodes_visited += 1;
+            let key = self.key_of(p);
+            let Some(cell) = self.cells.get_mut(&key) else {
+                continue;
+            };
+            let pos = cell.entries.iter().position(|e| e.id == *id);
+            self.stats.bulk_leaf_scans += match pos {
+                Some(p) => p as u64 + 1,
+                None => cell.entries.len() as u64,
+            };
+            let Some(pos) = pos else {
+                continue;
+            };
+            cell.entries.swap_remove(pos);
+            if cell.entries.is_empty() {
+                self.cells.remove(&key);
+            }
+            self.stats.removes += 1;
+            self.len -= 1;
+            removed += 1;
+        }
+        removed
+    }
+
+    fn scan_ball<F: FnMut(PointId, &Point<D>)>(
         &self,
         center: &Point<D>,
         eps: f64,
-        mut f: impl FnMut(PointId, &Point<D>),
+        mut f: F,
         stats: &mut Stats,
     ) {
         stats.range_searches += 1;
@@ -316,45 +289,14 @@ impl<const D: usize> GridIndex<D> {
         stats.distance_checks += dist_checks;
     }
 
-    /// Clears `out` and fills it with the ids within `eps` of `center`.
-    pub fn ball_ids_into(&mut self, center: &Point<D>, eps: f64, out: &mut Vec<PointId>) {
-        out.clear();
-        self.for_each_in_ball(center, eps, |id, _| out.push(id));
-    }
-
-    /// Counts the points within `eps` of `center`.
-    pub fn ball_count(&mut self, center: &Point<D>, eps: f64) -> usize {
-        let mut n = 0usize;
-        self.for_each_in_ball(center, eps, |_, _| n += 1);
-        n
-    }
-
-    /// Multi-center ε-ball traversal; see
-    /// [`SpatialBackend::for_each_in_balls`](crate::SpatialBackend::for_each_in_balls).
-    ///
     /// Cells have no shared upper levels to amortise, so the centers are
     /// served one by one; the batched-path counters still record the call so
-    /// the ablation tables can compare like with like. Counts as
-    /// `centers.len()` range searches, matching the R-tree path.
-    pub fn for_each_in_balls(
-        &mut self,
-        centers: &[Point<D>],
-        eps: f64,
-        f: impl FnMut(usize, PointId, &Point<D>),
-    ) {
-        let mut stats = self.stats;
-        self.scan_balls(centers, eps, f, &mut stats);
-        self.stats = stats;
-    }
-
-    /// Read-only flavour of [`for_each_in_balls`](Self::for_each_in_balls)
-    /// with caller-supplied counters; shareable across workers on `&self`
-    /// (see the R-tree counterpart for the parallel-engine contract).
-    pub fn scan_balls(
+    /// the ablation tables can compare like with like.
+    fn scan_balls<F: FnMut(usize, PointId, &Point<D>)>(
         &self,
         centers: &[Point<D>],
         eps: f64,
-        mut f: impl FnMut(usize, PointId, &Point<D>),
+        mut f: F,
         stats: &mut Stats,
     ) {
         if centers.is_empty() {
@@ -388,8 +330,7 @@ impl<const D: usize> GridIndex<D> {
         stats.bulk_leaf_scans += leaf_scans;
     }
 
-    /// Iterates over every stored `(id, point)` pair (diagnostics/tests).
-    pub fn for_each(&self, mut f: impl FnMut(PointId, &Point<D>)) {
+    fn for_each<F: FnMut(PointId, &Point<D>)>(&self, mut f: F) {
         for cell in self.cells.values() {
             for e in &cell.entries {
                 f(e.id, &e.point);
@@ -397,18 +338,12 @@ impl<const D: usize> GridIndex<D> {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Epoch probing (grid-native marks)
-    // ------------------------------------------------------------------
-
-    /// Starts a new MS-BFS instance (fresh tick; prior marks become stale).
-    pub fn begin_epoch(&mut self) -> EpochProbe {
+    fn begin_epoch(&mut self) -> EpochProbe {
         self.tick_counter += 1;
         EpochProbe::with_tick(self.tick_counter)
     }
 
-    /// Marks the entry for `id` (stored at `center`) as visited by `owner`.
-    pub fn mark_visited(
+    fn mark_visited(
         &mut self,
         probe: EpochProbe,
         center: &Point<D>,
@@ -433,10 +368,7 @@ impl<const D: usize> GridIndex<D> {
         true
     }
 
-    /// One epoch-based ε-range search for MS-BFS thread `thread`; same
-    /// fresh/foreign/prune contract as the R-tree (see [`crate::epoch`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn epoch_probe(
+    fn epoch_probe(
         &mut self,
         probe: EpochProbe,
         center: &Point<D>,
@@ -521,18 +453,18 @@ impl<const D: usize> GridIndex<D> {
         self.stats.subtrees_pruned += pruned;
     }
 
-    /// Validates internal invariants exhaustively (test helper).
-    pub fn check_invariants(&self) {
+    fn check_invariants(&self) {
         let mut n = 0usize;
         for (key, cell) in &self.cells {
             assert!(!cell.entries.is_empty(), "empty cell survived at {key:?}");
             let cbox = self.cell_box(key);
             for e in &cell.entries {
-                let mut expect = [0i64; D];
-                for (d, k) in expect.iter_mut().enumerate() {
-                    *k = (e.point[d] * self.inv_cell).floor() as i64;
-                }
-                assert_eq!(&expect, key, "entry {} filed in the wrong cell", e.id);
+                assert_eq!(
+                    &self.key_of(&e.point),
+                    key,
+                    "entry {} filed in the wrong cell",
+                    e.id
+                );
                 assert!(
                     cbox.contains_point(&e.point) || cbox.dist2_to_point(&e.point) < 1e-12,
                     "entry {} outside its cell box",
@@ -569,127 +501,6 @@ impl<const D: usize> disc_telemetry::MemoryFootprint for GridIndex<D> {
                 FootprintNode::leaf("stamps", slots * epoch),
             ],
         )
-    }
-}
-
-impl<const D: usize> crate::SpatialBackend<D> for GridIndex<D> {
-    const NAME: &'static str = "grid";
-
-    fn with_eps_hint(eps_hint: f64) -> Self {
-        GridIndex::with_cell(eps_hint)
-    }
-
-    fn len(&self) -> usize {
-        GridIndex::len(self)
-    }
-
-    fn stats(&self) -> &Stats {
-        GridIndex::stats(self)
-    }
-
-    fn reset_stats(&mut self) {
-        GridIndex::reset_stats(self)
-    }
-
-    fn stats_mut(&mut self) -> &mut Stats {
-        GridIndex::stats_mut(self)
-    }
-
-    fn insert(&mut self, id: PointId, point: Point<D>) {
-        GridIndex::insert(self, id, point)
-    }
-
-    fn remove(&mut self, id: PointId, point: Point<D>) -> bool {
-        GridIndex::remove(self, id, point)
-    }
-
-    fn bulk_insert(&mut self, items: Vec<(PointId, Point<D>)>) {
-        GridIndex::bulk_insert(self, items)
-    }
-
-    fn bulk_remove(&mut self, items: &[(PointId, Point<D>)]) -> usize {
-        GridIndex::bulk_remove(self, items)
-    }
-
-    fn for_each_in_ball<F: FnMut(PointId, &Point<D>)>(
-        &mut self,
-        center: &Point<D>,
-        eps: f64,
-        f: F,
-    ) {
-        GridIndex::for_each_in_ball(self, center, eps, f)
-    }
-
-    fn scan_ball<F: FnMut(PointId, &Point<D>)>(
-        &self,
-        center: &Point<D>,
-        eps: f64,
-        f: F,
-        stats: &mut Stats,
-    ) {
-        GridIndex::scan_ball(self, center, eps, f, stats)
-    }
-
-    fn ball_ids_into(&mut self, center: &Point<D>, eps: f64, out: &mut Vec<PointId>) {
-        GridIndex::ball_ids_into(self, center, eps, out)
-    }
-
-    fn ball_count(&mut self, center: &Point<D>, eps: f64) -> usize {
-        GridIndex::ball_count(self, center, eps)
-    }
-
-    fn for_each_in_balls<F: FnMut(usize, PointId, &Point<D>)>(
-        &mut self,
-        centers: &[Point<D>],
-        eps: f64,
-        f: F,
-    ) {
-        GridIndex::for_each_in_balls(self, centers, eps, f)
-    }
-
-    fn scan_balls<F: FnMut(usize, PointId, &Point<D>)>(
-        &self,
-        centers: &[Point<D>],
-        eps: f64,
-        f: F,
-        stats: &mut Stats,
-    ) {
-        GridIndex::scan_balls(self, centers, eps, f, stats)
-    }
-
-    fn for_each<F: FnMut(PointId, &Point<D>)>(&self, f: F) {
-        GridIndex::for_each(self, f)
-    }
-
-    fn begin_epoch(&mut self) -> EpochProbe {
-        GridIndex::begin_epoch(self)
-    }
-
-    fn mark_visited(
-        &mut self,
-        probe: EpochProbe,
-        center: &Point<D>,
-        id: PointId,
-        owner: u32,
-    ) -> bool {
-        GridIndex::mark_visited(self, probe, center, id, owner)
-    }
-
-    fn epoch_probe(
-        &mut self,
-        probe: EpochProbe,
-        center: &Point<D>,
-        eps: f64,
-        thread: u32,
-        resolve: &mut dyn FnMut(u32) -> u32,
-        is_vertex: &mut dyn FnMut(PointId) -> bool,
-        out: &mut ProbeOutcome<D>,
-    ) {
-        GridIndex::epoch_probe(self, probe, center, eps, thread, resolve, is_vertex, out)
-    }
-
-    fn check_invariants(&self) {
-        GridIndex::check_invariants(self)
     }
 }
 

@@ -64,7 +64,7 @@ impl<const D: usize> RTree<D> {
     /// sorted by ascending distance. Returns fewer than `k` entries only
     /// when the tree is smaller than `k`.
     pub fn nearest(&mut self, center: &Point<D>, k: usize) -> Vec<(PointId, f64)> {
-        if k == 0 || self.is_empty() {
+        if k == 0 || self.len == 0 {
             return Vec::new();
         }
         self.stats.range_searches += 1;
@@ -138,6 +138,7 @@ impl<const D: usize> RTree<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SpatialBackend;
 
     fn grid(n: usize) -> RTree<2> {
         let mut t = RTree::new();

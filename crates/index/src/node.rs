@@ -5,9 +5,6 @@ use disc_geom::{Aabb, Point, PointId};
 /// Index of a node in the tree's arena.
 pub(crate) type NodeIdx = u32;
 
-/// Sentinel for "no node".
-pub(crate) const NO_NODE: NodeIdx = u32::MAX;
-
 /// Epoch mark carried by every entry (leaf and internal).
 ///
 /// `tick` identifies the MS-BFS instance that last visited the entry; a tick

@@ -4,8 +4,28 @@
 //! *structure* of the neighbourhood index — only on exact ε-range answers,
 //! batched mutation, and epoch-stamped "visited" probing. [`SpatialBackend`]
 //! captures exactly that contract so the engine can be instantiated over any
-//! index: the paper's R-tree ([`RTree`]), the uniform grid
+//! index: the paper's R-tree ([`RTree`](crate::RTree)), the uniform grid
 //! ([`GridIndex`](crate::GridIndex)), or future backends.
+//!
+//! The trait is the index API: every operation it names is defined once per
+//! backend, inside that backend's `impl SpatialBackend`, and nowhere else.
+//! Callers bring it into scope (`use disc_index::SpatialBackend`) to query a
+//! concrete `RTree` or `GridIndex`.
+//!
+//! ## Required and provided methods
+//!
+//! * **Required** — each backend implements `len`, `stats`, `stats_mut`,
+//!   `insert`, `remove`, `bulk_insert`, `bulk_remove`, the two read-only
+//!   scans `scan_ball` / `scan_balls`, `for_each`, the epoch trio
+//!   `begin_epoch` / `mark_visited` / `epoch_probe`, and
+//!   `check_invariants`.
+//! * **Provided** — `is_empty`, `reset_stats`, `from_batch` and the four
+//!   counted queries `for_each_in_ball`, `ball_ids_into`, `ball_count` and
+//!   `for_each_in_balls` are written once here, over `scan_*` and
+//!   `stats_mut`: each runs the scan against a copy of the index's
+//!   counters and stores the copy back, so it answers and counts exactly
+//!   as its `scan_*` twin. The R-tree overrides `from_batch` with its
+//!   `bulk_load`, which counts the build as plain inserts.
 //!
 //! ## Contract
 //!
@@ -33,16 +53,14 @@
 
 use crate::epoch::{EpochProbe, ProbeOutcome};
 use crate::stats::Stats;
-use crate::tree::RTree;
 use disc_geom::{Point, PointId};
 
 /// An exact ε-range index over `D`-dimensional points, with the batched
 /// mutation and epoch-probe entry points DISC needs.
 ///
-/// Closure-taking methods are generic (not `dyn`) so call sites written
-/// against the concrete [`RTree`] keep compiling unchanged; the trait is
-/// consequently not object-safe — backends are selected by type parameter,
-/// which is also what lets the compiler specialise the hot paths.
+/// Closure-taking methods are generic (not `dyn`), so every call site is
+/// monomorphic and the compiler can specialise the hot paths; the trait is
+/// consequently not object-safe — backends are selected by type parameter.
 ///
 /// `Send + Sync` is part of the contract: the parallel slide engine shares a
 /// frozen `&B` snapshot across workers during its read-only scan phases
@@ -83,16 +101,18 @@ pub trait SpatialBackend<const D: usize>: Send + Sync + disc_telemetry::MemoryFo
     /// Read access to the operation counters.
     fn stats(&self) -> &Stats;
 
-    /// Resets the operation counters.
-    fn reset_stats(&mut self);
-
     /// Mutable access to the operation counters, so per-worker [`Stats`]
     /// deltas from the `scan_*` methods can be merged back (in task order —
     /// see [`Stats::merge`]) after a parallel phase.
     fn stats_mut(&mut self) -> &mut Stats;
 
+    /// Resets the operation counters.
+    fn reset_stats(&mut self) {
+        self.stats_mut().reset();
+    }
+
     /// Inserts a point. Duplicate `(id, point)` pairs are the caller's
-    /// responsibility.
+    /// responsibility; the index stores whatever it is given.
     fn insert(&mut self, id: PointId, point: Point<D>);
 
     /// Removes the entry for `id` at `point`; returns whether it was found.
@@ -101,18 +121,16 @@ pub trait SpatialBackend<const D: usize>: Send + Sync + disc_telemetry::MemoryFo
     /// Inserts a batch, amortising traversal work where the backend can.
     fn bulk_insert(&mut self, items: Vec<(PointId, Point<D>)>);
 
-    /// Removes a batch; returns how many entries were found and removed.
+    /// Removes a batch; returns how many entries were found and removed
+    /// (ids absent from the index are skipped).
     fn bulk_remove(&mut self, items: &[(PointId, Point<D>)]) -> usize;
 
-    /// Calls `f(id, point)` for every stored point within `eps` of
-    /// `center` (inclusive), in unspecified order.
-    fn for_each_in_ball<F: FnMut(PointId, &Point<D>)>(&mut self, center: &Point<D>, eps: f64, f: F);
-
-    /// Read-only flavour of [`for_each_in_ball`](Self::for_each_in_ball):
-    /// identical answers and traversal order, but counters accumulate into
-    /// the caller-supplied `stats` instead of the index's own. This is the
-    /// parallel-engine entry point — many workers may scan one shared `&self`
-    /// concurrently, each with a private `Stats`, merged afterwards.
+    /// Calls `f(id, point)` for every stored point within `eps` of `center`
+    /// (inclusive), in the backend's traversal order, adding one range
+    /// search and the traversal's work to `stats` instead of the index's
+    /// own counters. Only reads the index, so many workers may scan one
+    /// shared `&self` concurrently, each with a private `Stats` merged
+    /// afterwards.
     fn scan_ball<F: FnMut(PointId, &Point<D>)>(
         &self,
         center: &Point<D>,
@@ -120,6 +138,34 @@ pub trait SpatialBackend<const D: usize>: Send + Sync + disc_telemetry::MemoryFo
         f: F,
         stats: &mut Stats,
     );
+
+    /// Multi-center flavour of [`scan_ball`](Self::scan_ball): calls
+    /// `f(ci, id, point)` for every `(center index, stored point)` pair with
+    /// `point` within `eps` of `centers[ci]`, so a point in range of several
+    /// centers is reported once per center. Counts `centers.len()` range
+    /// searches — one per center, the paper's Fig. 7 unit — and one
+    /// multi-ball query; backends overlap the per-center work where they
+    /// can, and that traversal shows up in the `bulk_*` counters.
+    fn scan_balls<F: FnMut(usize, PointId, &Point<D>)>(
+        &self,
+        centers: &[Point<D>],
+        eps: f64,
+        f: F,
+        stats: &mut Stats,
+    );
+
+    /// [`scan_ball`](Self::scan_ball) counted into the index's own
+    /// [`Stats`].
+    fn for_each_in_ball<F: FnMut(PointId, &Point<D>)>(
+        &mut self,
+        center: &Point<D>,
+        eps: f64,
+        f: F,
+    ) {
+        let mut stats = *self.stats();
+        self.scan_ball(center, eps, f, &mut stats);
+        *self.stats_mut() = stats;
+    }
 
     /// Clears `out` and fills it with the ids within `eps` of `center`.
     fn ball_ids_into(&mut self, center: &Point<D>, eps: f64, out: &mut Vec<PointId>) {
@@ -134,27 +180,18 @@ pub trait SpatialBackend<const D: usize>: Send + Sync + disc_telemetry::MemoryFo
         n
     }
 
-    /// Multi-center ε-ball traversal: calls `f(ci, id, point)` for every
-    /// `(center index, stored point)` pair with `point` within `eps` of
-    /// `centers[ci]`. A point in range of several centers is reported once
-    /// per center. Backends overlap the per-center work where they can.
+    /// [`scan_balls`](Self::scan_balls) counted into the index's own
+    /// [`Stats`].
     fn for_each_in_balls<F: FnMut(usize, PointId, &Point<D>)>(
         &mut self,
         centers: &[Point<D>],
         eps: f64,
         f: F,
-    );
-
-    /// Read-only flavour of [`for_each_in_balls`](Self::for_each_in_balls)
-    /// with caller-supplied counters; same sharing contract as
-    /// [`scan_ball`](Self::scan_ball).
-    fn scan_balls<F: FnMut(usize, PointId, &Point<D>)>(
-        &self,
-        centers: &[Point<D>],
-        eps: f64,
-        f: F,
-        stats: &mut Stats,
-    );
+    ) {
+        let mut stats = *self.stats();
+        self.scan_balls(centers, eps, f, &mut stats);
+        *self.stats_mut() = stats;
+    }
 
     /// Iterates over every stored `(id, point)` pair (diagnostics/tests).
     fn for_each<F: FnMut(PointId, &Point<D>)>(&self, f: F);
@@ -164,7 +201,10 @@ pub trait SpatialBackend<const D: usize>: Send + Sync + disc_telemetry::MemoryFo
     fn begin_epoch(&mut self) -> EpochProbe;
 
     /// Marks the entry for `id` (stored at `center`) as visited by `owner`
-    /// for this instance; returns whether the entry was found.
+    /// for this instance; returns whether the entry was found. MS-BFS seeds
+    /// its starters with this (Alg. 3 line 4 enqueues every starter as
+    /// already visited), so a probe that reaches another thread's starter
+    /// reports it as foreign and the threads merge on first contact.
     fn mark_visited(
         &mut self,
         probe: EpochProbe,
@@ -174,8 +214,18 @@ pub trait SpatialBackend<const D: usize>: Send + Sync + disc_telemetry::MemoryFo
     ) -> bool;
 
     /// One epoch-based ε-range search on behalf of MS-BFS thread `thread`
-    /// (its *current union-find root*). See the module docs for the
-    /// fresh/foreign/prune semantics shared by all backends.
+    /// (its *current union-find root*), counted as a range search and an
+    /// epoch probe.
+    ///
+    /// * `resolve` maps a stored owner slot to its current union-find root.
+    /// * `is_vertex` restricts the search to graph vertices (core points);
+    ///   non-vertex points in range are ignored and never marked, so they
+    ///   can never produce spurious thread meetings.
+    ///
+    /// Fresh vertices are marked `(tick, thread)`; foreign vertices are
+    /// reported but left untouched (they belong to the other thread — the
+    /// union-find merge makes ownership consistent). See the module docs
+    /// for the pruning rule shared by all backends.
     #[allow(clippy::too_many_arguments)]
     fn epoch_probe(
         &mut self,
@@ -188,138 +238,46 @@ pub trait SpatialBackend<const D: usize>: Send + Sync + disc_telemetry::MemoryFo
         out: &mut ProbeOutcome<D>,
     );
 
-    /// Validates internal invariants exhaustively (test helper).
+    /// Validates internal invariants exhaustively; panics on a breach
+    /// (test helper, O(n)).
     fn check_invariants(&self);
-}
-
-impl<const D: usize> SpatialBackend<D> for RTree<D> {
-    const NAME: &'static str = "rtree";
-
-    fn with_eps_hint(_eps_hint: f64) -> Self {
-        RTree::new()
-    }
-
-    fn from_batch(_eps_hint: f64, items: Vec<(PointId, Point<D>)>) -> Self {
-        RTree::bulk_load(items)
-    }
-
-    fn len(&self) -> usize {
-        RTree::len(self)
-    }
-
-    fn stats(&self) -> &Stats {
-        RTree::stats(self)
-    }
-
-    fn reset_stats(&mut self) {
-        RTree::reset_stats(self)
-    }
-
-    fn stats_mut(&mut self) -> &mut Stats {
-        RTree::stats_mut(self)
-    }
-
-    fn insert(&mut self, id: PointId, point: Point<D>) {
-        RTree::insert(self, id, point)
-    }
-
-    fn remove(&mut self, id: PointId, point: Point<D>) -> bool {
-        RTree::remove(self, id, point)
-    }
-
-    fn bulk_insert(&mut self, items: Vec<(PointId, Point<D>)>) {
-        RTree::bulk_insert(self, items)
-    }
-
-    fn bulk_remove(&mut self, items: &[(PointId, Point<D>)]) -> usize {
-        RTree::bulk_remove(self, items)
-    }
-
-    fn for_each_in_ball<F: FnMut(PointId, &Point<D>)>(
-        &mut self,
-        center: &Point<D>,
-        eps: f64,
-        f: F,
-    ) {
-        RTree::for_each_in_ball(self, center, eps, f)
-    }
-
-    fn scan_ball<F: FnMut(PointId, &Point<D>)>(
-        &self,
-        center: &Point<D>,
-        eps: f64,
-        f: F,
-        stats: &mut Stats,
-    ) {
-        RTree::scan_ball(self, center, eps, f, stats)
-    }
-
-    fn ball_ids_into(&mut self, center: &Point<D>, eps: f64, out: &mut Vec<PointId>) {
-        RTree::ball_ids_into(self, center, eps, out)
-    }
-
-    fn ball_count(&mut self, center: &Point<D>, eps: f64) -> usize {
-        RTree::ball_count(self, center, eps)
-    }
-
-    fn for_each_in_balls<F: FnMut(usize, PointId, &Point<D>)>(
-        &mut self,
-        centers: &[Point<D>],
-        eps: f64,
-        f: F,
-    ) {
-        RTree::for_each_in_balls(self, centers, eps, f)
-    }
-
-    fn scan_balls<F: FnMut(usize, PointId, &Point<D>)>(
-        &self,
-        centers: &[Point<D>],
-        eps: f64,
-        f: F,
-        stats: &mut Stats,
-    ) {
-        RTree::scan_balls(self, centers, eps, f, stats)
-    }
-
-    fn for_each<F: FnMut(PointId, &Point<D>)>(&self, f: F) {
-        RTree::for_each(self, f)
-    }
-
-    fn begin_epoch(&mut self) -> EpochProbe {
-        RTree::begin_epoch(self)
-    }
-
-    fn mark_visited(
-        &mut self,
-        probe: EpochProbe,
-        center: &Point<D>,
-        id: PointId,
-        owner: u32,
-    ) -> bool {
-        RTree::mark_visited(self, probe, center, id, owner)
-    }
-
-    fn epoch_probe(
-        &mut self,
-        probe: EpochProbe,
-        center: &Point<D>,
-        eps: f64,
-        thread: u32,
-        resolve: &mut dyn FnMut(u32) -> u32,
-        is_vertex: &mut dyn FnMut(PointId) -> bool,
-        out: &mut ProbeOutcome<D>,
-    ) {
-        RTree::epoch_probe(self, probe, center, eps, thread, resolve, is_vertex, out)
-    }
-
-    fn check_invariants(&self) {
-        RTree::check_invariants(self)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RTree;
+
+    /// Each provided query answers with the ids of its `scan_*` twin, in the
+    /// same order, and moves the index's counters by exactly the delta the
+    /// twin reports into caller-side `Stats`.
+    fn provided_queries_match_their_scans<B: SpatialBackend<2>>(ix: &mut B, centers: &[Point<2>]) {
+        let eps = 1.0;
+        for c in centers {
+            let (mut want, mut delta) = (Vec::new(), Stats::default());
+            ix.scan_ball(c, eps, |id, _| want.push(id), &mut delta);
+            assert_eq!(delta.range_searches, 1);
+
+            let (before, mut got) = (*ix.stats(), Vec::new());
+            ix.for_each_in_ball(c, eps, |id, _| got.push(id));
+            assert_eq!((&got, ix.stats().since(&before)), (&want, delta));
+
+            let before = *ix.stats();
+            ix.ball_ids_into(c, eps, &mut got);
+            assert_eq!((&got, ix.stats().since(&before)), (&want, delta));
+
+            let before = *ix.stats();
+            assert_eq!(ix.ball_count(c, eps), want.len());
+            assert_eq!(ix.stats().since(&before), delta);
+        }
+
+        let (mut want, mut delta) = (Vec::new(), Stats::default());
+        ix.scan_balls(centers, eps, |ci, id, _| want.push((ci, id)), &mut delta);
+        assert_eq!(delta.multi_ball_centers, centers.len() as u64);
+        let (before, mut got) = (*ix.stats(), Vec::new());
+        ix.for_each_in_balls(centers, eps, |ci, id, _| got.push((ci, id)));
+        assert_eq!((got, ix.stats().since(&before)), (want, delta));
+    }
 
     /// Drives a backend through the whole contract generically; both
     /// implementors go through the same motions.
@@ -331,6 +289,9 @@ mod tests {
         }
         assert_eq!(ix.len(), 20);
         assert!(!ix.is_empty());
+        // Centers in dense, sparse and empty space, one repeated.
+        let probes = [[2.0, 0.0], [0.0, 0.0], [9.5, 0.3], [2.0, 0.0], [50.0, 50.0]];
+        provided_queries_match_their_scans(&mut ix, &probes.map(Point::new));
 
         // Exact inclusive ball answers.
         let mut ids = Vec::new();
@@ -457,6 +418,8 @@ mod tests {
             })
             .collect();
         ix.bulk_insert(items.clone());
+        let centers: Vec<Point<2>> = items.iter().step_by(5).map(|(_, p)| *p).collect();
+        provided_queries_match_their_scans(&mut ix, &centers);
         ix.ball_count(&Point::new([1.4, 1.4]), 1.0);
         ix.for_each_in_balls(
             &[Point::new([0.0, 0.0]), Point::new([2.8, 2.8])],

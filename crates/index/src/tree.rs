@@ -1,15 +1,19 @@
-//! The R-tree proper: insert, delete, bulk load, and plain range queries.
+//! The R-tree proper: insert, delete, bulk load, and its
+//! [`SpatialBackend`] implementation (the batched and epoch recursions it
+//! calls live in [`crate::bulk`] and [`crate::epoch`]).
 
-use crate::node::{Branch, Epoch, LeafEntry, Node, NodeIdx, NodeKind, NO_NODE};
+use crate::bulk::BULK_MIN;
+use crate::epoch::{EpochProbe, ProbeOutcome};
+use crate::node::{Branch, Epoch, LeafEntry, Node, NodeIdx, NodeKind};
 use crate::stats::Stats;
-use crate::{MAX_ENTRIES, MIN_ENTRIES};
-use disc_geom::{Aabb, Point, PointId};
+use crate::{SpatialBackend, MAX_ENTRIES, MIN_ENTRIES};
+use disc_geom::{Aabb, FxHashMap, Point, PointId};
 
 /// An in-memory R-tree over `D`-dimensional points.
 ///
 /// ```
 /// use disc_geom::{Point, PointId};
-/// use disc_index::RTree;
+/// use disc_index::{RTree, SpatialBackend};
 ///
 /// let mut tree: RTree<2> = RTree::new();
 /// tree.insert(PointId(0), Point::new([0.0, 0.0]));
@@ -32,7 +36,7 @@ pub struct RTree<const D: usize> {
     pub(crate) len: usize,
     pub(crate) height: usize,
     /// Monotone counter handing out epoch ticks to MS-BFS instances.
-    pub(crate) tick_counter: u64,
+    tick_counter: u64,
     pub(crate) stats: Stats,
 }
 
@@ -57,35 +61,9 @@ impl<const D: usize> RTree<D> {
         }
     }
 
-    /// Number of indexed points.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the tree holds no points.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Height of the tree (1 for a single leaf root).
     pub fn height(&self) -> usize {
         self.height
-    }
-
-    /// Read access to the operation counters.
-    pub fn stats(&self) -> &Stats {
-        &self.stats
-    }
-
-    /// Resets the operation counters.
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
-    }
-
-    /// Mutable access to the operation counters, for folding per-worker
-    /// counter sets gathered by the `scan_*` paths back into the totals.
-    pub fn stats_mut(&mut self) -> &mut Stats {
-        &mut self.stats
     }
 
     pub(crate) fn alloc(&mut self, node: Node<D>) -> NodeIdx {
@@ -117,18 +95,6 @@ impl<const D: usize> RTree<D> {
     // ------------------------------------------------------------------
     // Insert
     // ------------------------------------------------------------------
-
-    /// Inserts a point. Duplicate `(id, point)` pairs are the caller's
-    /// responsibility; the tree stores whatever it is given.
-    pub fn insert(&mut self, id: PointId, point: Point<D>) {
-        debug_assert!(point.is_finite(), "refusing to index a non-finite point");
-        self.stats.inserts += 1;
-        let split = self.insert_rec(self.root, self.height, id, point);
-        if let Some((sib_mbr, sib)) = split {
-            self.grow_root(sib_mbr, sib);
-        }
-        self.len += 1;
-    }
 
     pub(crate) fn grow_root(&mut self, sib_mbr: Aabb<D>, sib: NodeIdx) {
         let old_root = self.root;
@@ -295,55 +261,6 @@ impl<const D: usize> RTree<D> {
     // Delete
     // ------------------------------------------------------------------
 
-    /// Removes the entry with the given id located at `point`.
-    ///
-    /// Returns `true` if the entry was found. Underfull nodes are condensed:
-    /// their surviving points are collected and reinserted, the classic
-    /// Guttman treatment, which keeps the tree healthy under the heavy
-    /// delete churn of a sliding window.
-    pub fn remove(&mut self, id: PointId, point: Point<D>) -> bool {
-        let mut orphans: Vec<LeafEntry<D>> = Vec::new();
-        let found = self.remove_rec(self.root, self.height, id, &point, &mut orphans);
-        if !found {
-            debug_assert!(orphans.is_empty());
-            return false;
-        }
-        self.stats.removes += 1;
-        self.len -= 1;
-
-        // Shrink the root while it is an internal node with a single child.
-        while self.height > 1 {
-            let (only_child, n) = match &self.node(self.root).kind {
-                NodeKind::Internal(v) if v.len() == 1 => (v[0].child, 1),
-                NodeKind::Internal(v) => (NO_NODE, v.len()),
-                NodeKind::Leaf(_) => break,
-            };
-            if n == 1 {
-                let old_root = self.root;
-                self.root = only_child;
-                self.dealloc(old_root);
-                self.height -= 1;
-            } else {
-                break;
-            }
-        }
-
-        // Reinsert points orphaned by condensed nodes. Each reinsert keeps
-        // its original epoch mark: the point's visited status is a property
-        // of the point, not of its slot.
-        let count = orphans.len();
-        for e in orphans {
-            let split = self.insert_rec_entry(self.root, self.height, e);
-            if let Some((mbr, sib)) = split {
-                self.grow_root(mbr, sib);
-            }
-        }
-        // insert_rec_entry does not bump len/inserts; orphans were already
-        // counted when first inserted.
-        let _ = count;
-        true
-    }
-
     /// Like `insert_rec` but re-inserting an existing leaf entry (keeps id,
     /// point, and epoch mark).
     pub(crate) fn insert_rec_entry(
@@ -460,6 +377,20 @@ impl<const D: usize> RTree<D> {
         self.dealloc(idx);
     }
 
+    /// Shrinks the root while it is an internal node with a single child.
+    pub(crate) fn shrink_root(&mut self) {
+        while self.height > 1 {
+            let only_child = match &self.node(self.root).kind {
+                NodeKind::Internal(v) if v.len() == 1 => v[0].child,
+                _ => break,
+            };
+            let old_root = self.root;
+            self.root = only_child;
+            self.dealloc(old_root);
+            self.height -= 1;
+        }
+    }
+
     // ------------------------------------------------------------------
     // Bulk load (STR)
     // ------------------------------------------------------------------
@@ -480,44 +411,6 @@ impl<const D: usize> RTree<D> {
             ..Stats::default()
         };
         tree
-    }
-
-    // ------------------------------------------------------------------
-    // Plain range queries
-    // ------------------------------------------------------------------
-
-    /// Calls `f(id, &point)` for every indexed point within Euclidean
-    /// distance `eps` (inclusive) of `center`. Counts as one range search.
-    pub fn for_each_in_ball(
-        &mut self,
-        center: &Point<D>,
-        eps: f64,
-        f: impl FnMut(PointId, &Point<D>),
-    ) {
-        let mut stats = self.stats;
-        self.scan_ball(center, eps, f, &mut stats);
-        self.stats = stats;
-    }
-
-    /// Read-only flavour of [`for_each_in_ball`](Self::for_each_in_ball):
-    /// the traversal never touches the tree, and the counters go into the
-    /// caller-supplied `stats` instead of the tree's own. This is what the
-    /// parallel slide engine shares across workers — many `scan_ball`
-    /// calls may run on `&self` concurrently, each with a private counter
-    /// set, merged back afterwards (see [`Stats::merge`]).
-    pub fn scan_ball(
-        &self,
-        center: &Point<D>,
-        eps: f64,
-        mut f: impl FnMut(PointId, &Point<D>),
-        stats: &mut Stats,
-    ) {
-        stats.range_searches += 1;
-        let eps2 = eps * eps;
-        let mut counters = (0u64, 0u64); // (nodes visited, distance checks)
-        Self::ball_rec(&self.nodes, self.root, center, eps2, &mut f, &mut counters);
-        stats.nodes_visited += counters.0;
-        stats.distance_checks += counters.1;
     }
 
     /// Allocation-free read-only descent (hot path: one call per node).
@@ -549,32 +442,6 @@ impl<const D: usize> RTree<D> {
         }
     }
 
-    /// Collects the ids of points within `eps` of `center`.
-    pub fn ball_ids(&mut self, center: &Point<D>, eps: f64) -> Vec<PointId> {
-        let mut out = Vec::new();
-        self.ball_ids_into(center, eps, &mut out);
-        out
-    }
-
-    /// Like [`ball_ids`](Self::ball_ids) but clears and fills a
-    /// caller-provided buffer, so query loops reuse one allocation.
-    pub fn ball_ids_into(&mut self, center: &Point<D>, eps: f64, out: &mut Vec<PointId>) {
-        out.clear();
-        self.for_each_in_ball(center, eps, |id, _| out.push(id));
-    }
-
-    /// Counts the points within `eps` of `center`.
-    pub fn ball_count(&mut self, center: &Point<D>, eps: f64) -> usize {
-        let mut n = 0usize;
-        self.for_each_in_ball(center, eps, |_, _| n += 1);
-        n
-    }
-
-    /// Iterates over every stored `(id, point)` pair (diagnostics/tests).
-    pub fn for_each(&self, mut f: impl FnMut(PointId, &Point<D>)) {
-        self.for_each_rec(self.root, &mut f);
-    }
-
     fn for_each_rec(&self, idx: NodeIdx, f: &mut impl FnMut(PointId, &Point<D>)) {
         match &self.node(idx).kind {
             NodeKind::Leaf(entries) => {
@@ -588,17 +455,6 @@ impl<const D: usize> RTree<D> {
                 }
             }
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Invariant checking (tests & debug builds)
-    // ------------------------------------------------------------------
-
-    /// Exhaustively validates the structural invariants; panics on breach.
-    /// Only used by tests — O(n).
-    pub fn check_invariants(&self) {
-        let n = self.check_rec(self.root, self.height, true);
-        assert_eq!(n, self.len, "len out of sync with stored entries");
     }
 
     fn check_rec(&self, idx: NodeIdx, level: usize, is_root: bool) -> usize {
@@ -630,6 +486,261 @@ impl<const D: usize> RTree<D> {
                 total
             }
         }
+    }
+}
+
+impl<const D: usize> SpatialBackend<D> for RTree<D> {
+    const NAME: &'static str = "rtree";
+
+    fn with_eps_hint(_eps_hint: f64) -> Self {
+        RTree::new()
+    }
+
+    fn from_batch(_eps_hint: f64, items: Vec<(PointId, Point<D>)>) -> Self {
+        RTree::bulk_load(items)
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn stats(&self) -> &Stats {
+        &self.stats
+    }
+
+    fn stats_mut(&mut self) -> &mut Stats {
+        &mut self.stats
+    }
+
+    fn insert(&mut self, id: PointId, point: Point<D>) {
+        debug_assert!(point.is_finite(), "refusing to index a non-finite point");
+        self.stats.inserts += 1;
+        let split = self.insert_rec(self.root, self.height, id, point);
+        if let Some((sib_mbr, sib)) = split {
+            self.grow_root(sib_mbr, sib);
+        }
+        self.len += 1;
+    }
+
+    /// Underfull nodes are condensed: their surviving points are collected
+    /// and reinserted, the classic Guttman treatment, which keeps the tree
+    /// healthy under the heavy delete churn of a sliding window.
+    fn remove(&mut self, id: PointId, point: Point<D>) -> bool {
+        let mut orphans: Vec<LeafEntry<D>> = Vec::new();
+        if !self.remove_rec(self.root, self.height, id, &point, &mut orphans) {
+            debug_assert!(orphans.is_empty());
+            return false;
+        }
+        self.stats.removes += 1;
+        self.len -= 1;
+        self.shrink_root();
+        // Reinsert points orphaned by condensed nodes. Each reinsert keeps
+        // its original epoch mark (the point's visited status is a property
+        // of the point, not of its slot) and is not counted again.
+        for e in orphans {
+            let split = self.insert_rec_entry(self.root, self.height, e);
+            if let Some((mbr, sib)) = split {
+                self.grow_root(mbr, sib);
+            }
+        }
+        true
+    }
+
+    /// Batches smaller than `BULK_MIN` take the per-point path. Larger ones
+    /// are sorted by a cheap spatial key so runs of nearby points share the
+    /// choose-subtree descent, and overflowing nodes are re-tiled once into
+    /// multiple siblings instead of splitting repeatedly.
+    fn bulk_insert(&mut self, items: Vec<(PointId, Point<D>)>) {
+        if items.len() < BULK_MIN {
+            for (id, p) in items {
+                self.insert(id, p);
+            }
+            return;
+        }
+        self.stats.bulk_insert_batches += 1;
+        self.stats.inserts += items.len() as u64;
+        self.len += items.len();
+        let entries: Vec<LeafEntry<D>> = items
+            .into_iter()
+            .map(|(id, point)| {
+                debug_assert!(point.is_finite(), "refusing to index a non-finite point");
+                LeafEntry {
+                    point,
+                    id,
+                    epoch: Epoch::CLEAR,
+                }
+            })
+            .collect();
+        self.bulk_insert_entries(entries);
+    }
+
+    /// One top-down traversal with deferred condensation: underfull nodes
+    /// discovered on the unwind are collected into a single orphan list,
+    /// dropped from their parents, and the surviving entries reinserted in
+    /// one grouped pass at the end — instead of `remove`'s per-delete
+    /// orphan/reinsert storm. Orphans keep their epoch marks.
+    fn bulk_remove(&mut self, items: &[(PointId, Point<D>)]) -> usize {
+        if items.len() < BULK_MIN {
+            return items.iter().filter(|(id, p)| self.remove(*id, *p)).count();
+        }
+        self.stats.bulk_remove_batches += 1;
+        let mut pending: FxHashMap<PointId, Point<D>> =
+            items.iter().map(|(id, p)| (*id, *p)).collect();
+        let mut orphans: Vec<LeafEntry<D>> = Vec::new();
+        let removed =
+            self.bulk_remove_rec(self.root, self.height, items, &mut pending, &mut orphans);
+        self.stats.removes += removed as u64;
+        self.len -= removed;
+
+        // A batched delete can condense away *every* branch of an internal
+        // root (all entries end up in `orphans`); restart from an empty leaf.
+        if self.height > 1 && self.node(self.root).len() == 0 {
+            let old_root = self.root;
+            self.dealloc(old_root);
+            self.root = self.alloc(Node::new_leaf());
+            self.height = 1;
+        }
+        self.shrink_root();
+        self.bulk_insert_entries(orphans);
+        removed
+    }
+
+    fn scan_ball<F: FnMut(PointId, &Point<D>)>(
+        &self,
+        center: &Point<D>,
+        eps: f64,
+        mut f: F,
+        stats: &mut Stats,
+    ) {
+        stats.range_searches += 1;
+        let eps2 = eps * eps;
+        let mut counters = (0u64, 0u64); // (nodes visited, distance checks)
+        Self::ball_rec(&self.nodes, self.root, center, eps2, &mut f, &mut counters);
+        stats.nodes_visited += counters.0;
+        stats.distance_checks += counters.1;
+    }
+
+    /// One traversal serves all centers: each node is visited at most once,
+    /// with the active-center list narrowed per branch, so upper-level nodes
+    /// shared by many balls are descended once instead of once per center.
+    fn scan_balls<F: FnMut(usize, PointId, &Point<D>)>(
+        &self,
+        centers: &[Point<D>],
+        eps: f64,
+        mut f: F,
+        stats: &mut Stats,
+    ) {
+        if centers.is_empty() {
+            return;
+        }
+        stats.range_searches += centers.len() as u64;
+        stats.multi_ball_queries += 1;
+        stats.multi_ball_centers += centers.len() as u64;
+        let eps2 = eps * eps;
+        let mut nodes_visited = 0u64;
+        let mut leaf_scans = 0u64;
+        // Explicit-stack DFS; active-center sublists are pooled so the walk
+        // does not allocate per branch.
+        let mut stack: Vec<(NodeIdx, Vec<u32>)> =
+            vec![(self.root, (0..centers.len() as u32).collect())];
+        let mut pool: Vec<Vec<u32>> = Vec::new();
+        while let Some((idx, active)) = stack.pop() {
+            nodes_visited += 1;
+            match &self.nodes[idx as usize].kind {
+                NodeKind::Leaf(entries) => {
+                    leaf_scans += entries.len() as u64;
+                    // Center-major so each center stays in registers across
+                    // the entry scan, matching the single-center loop shape.
+                    for &ci in &active {
+                        let c = &centers[ci as usize];
+                        for e in entries {
+                            if c.dist2(&e.point) <= eps2 {
+                                f(ci as usize, e.id, &e.point);
+                            }
+                        }
+                    }
+                }
+                NodeKind::Internal(branches) => {
+                    // Cheap whole-branch reject against the union box of the
+                    // active balls before the per-center distance tests.
+                    let mut union_box = Aabb::empty();
+                    for &ci in &active {
+                        union_box.extend(&Aabb::ball_bounds(&centers[ci as usize], eps));
+                    }
+                    for b in branches {
+                        if !b.mbr.intersects(&union_box) {
+                            continue;
+                        }
+                        let mut sub = pool.pop().unwrap_or_default();
+                        sub.clear();
+                        sub.extend(
+                            active
+                                .iter()
+                                .copied()
+                                .filter(|&ci| b.mbr.dist2_to_point(&centers[ci as usize]) <= eps2),
+                        );
+                        if sub.is_empty() {
+                            pool.push(sub);
+                        } else {
+                            stack.push((b.child, sub));
+                        }
+                    }
+                }
+            }
+            pool.push(active);
+        }
+        stats.bulk_nodes_visited += nodes_visited;
+        stats.bulk_leaf_scans += leaf_scans;
+    }
+
+    fn for_each<F: FnMut(PointId, &Point<D>)>(&self, mut f: F) {
+        self.for_each_rec(self.root, &mut f);
+    }
+
+    fn begin_epoch(&mut self) -> EpochProbe {
+        self.tick_counter += 1;
+        EpochProbe::with_tick(self.tick_counter)
+    }
+
+    fn mark_visited(
+        &mut self,
+        probe: EpochProbe,
+        center: &Point<D>,
+        id: PointId,
+        owner: u32,
+    ) -> bool {
+        self.mark_rec(self.root, probe.tick(), center, id, owner)
+    }
+
+    fn epoch_probe(
+        &mut self,
+        probe: EpochProbe,
+        center: &Point<D>,
+        eps: f64,
+        thread: u32,
+        resolve: &mut dyn FnMut(u32) -> u32,
+        is_vertex: &mut dyn FnMut(PointId) -> bool,
+        out: &mut ProbeOutcome<D>,
+    ) {
+        self.stats.range_searches += 1;
+        self.stats.epoch_probes += 1;
+        let root = self.root;
+        let eps2 = eps * eps;
+        self.probe_rec(
+            root,
+            probe.tick(),
+            center,
+            eps2,
+            thread,
+            resolve,
+            is_vertex,
+            out,
+        );
+    }
+
+    fn check_invariants(&self) {
+        let n = self.check_rec(self.root, self.height, true);
+        assert_eq!(n, self.len, "len out of sync with stored entries");
     }
 }
 
@@ -748,6 +859,14 @@ impl<const D: usize> disc_telemetry::MemoryFootprint for RTree<D> {
 mod tests {
     use super::*;
 
+    /// The ids within `eps` of `q`, sorted.
+    fn ids(t: &mut RTree<2>, q: &Point<2>, eps: f64) -> Vec<PointId> {
+        let mut out = Vec::new();
+        t.ball_ids_into(q, eps, &mut out);
+        out.sort();
+        out
+    }
+
     fn pts(n: u64) -> Vec<(PointId, Point<2>)> {
         // Deterministic pseudo-random points via a simple LCG.
         let mut state = 0x2545_f491_4f6c_dd1du64;
@@ -779,9 +898,10 @@ mod tests {
         t.insert(PointId(2), Point::new([1.0, 0.0]));
         t.insert(PointId(3), Point::new([5.0, 5.0]));
         assert_eq!(t.len(), 3);
-        let mut ids = t.ball_ids(&Point::new([0.0, 0.0]), 1.5);
-        ids.sort();
-        assert_eq!(ids, vec![PointId(1), PointId(2)]);
+        assert_eq!(
+            ids(&mut t, &Point::new([0.0, 0.0]), 1.5),
+            vec![PointId(1), PointId(2)]
+        );
         t.check_invariants();
     }
 
@@ -795,8 +915,7 @@ mod tests {
         t.check_invariants();
         for (qi, (_, q)) in items.iter().enumerate().step_by(37) {
             let _ = qi;
-            let mut got = t.ball_ids(q, 7.5);
-            got.sort();
+            let got = ids(&mut t, q, 7.5);
             let mut want: Vec<PointId> = items
                 .iter()
                 .filter(|(_, p)| q.within(p, 7.5))
@@ -822,8 +941,7 @@ mod tests {
         let live: Vec<&(PointId, Point<2>)> =
             items.iter().filter(|(id, _)| id.raw() % 2 == 1).collect();
         for (_, q) in live.iter().step_by(19) {
-            let mut got = t.ball_ids(q, 9.0);
-            got.sort();
+            let got = ids(&mut t, q, 9.0);
             let mut want: Vec<PointId> = live
                 .iter()
                 .filter(|(_, p)| q.within(p, 9.0))
@@ -876,11 +994,7 @@ mod tests {
             incr.insert(*id, *p);
         }
         for (_, q) in items.iter().step_by(53) {
-            let mut a = bulk.ball_ids(q, 6.0);
-            let mut b = incr.ball_ids(q, 6.0);
-            a.sort();
-            b.sort();
-            assert_eq!(a, b);
+            assert_eq!(ids(&mut bulk, q, 6.0), ids(&mut incr, q, 6.0));
         }
     }
 
@@ -906,7 +1020,7 @@ mod tests {
         }
         t.reset_stats();
         let _ = t.ball_count(&Point::new([1.0, 1.0]), 2.0);
-        let _ = t.ball_ids(&Point::new([2.0, 2.0]), 2.0);
+        let _ = ids(&mut t, &Point::new([2.0, 2.0]), 2.0);
         assert_eq!(t.stats().range_searches, 2);
         assert_eq!(t.stats().epoch_probes, 0);
         assert!(t.stats().nodes_visited >= 2);
@@ -938,115 +1052,5 @@ mod tests {
         t.check_invariants();
         let hits = t.ball_count(&Point::new([10.0, 5.0, -10.0, 0.0]), 2.0);
         assert!(hits >= 1);
-    }
-}
-
-impl<const D: usize> RTree<D> {
-    /// Calls `f(id, &point)` for every indexed point inside `rect`
-    /// (inclusive bounds). Counts as one range search.
-    ///
-    /// ```
-    /// use disc_geom::{Aabb, Point, PointId};
-    /// use disc_index::RTree;
-    ///
-    /// let mut tree: RTree<2> = RTree::new();
-    /// for i in 0..10 {
-    ///     tree.insert(PointId(i), Point::new([i as f64, 0.0]));
-    /// }
-    /// let rect = Aabb::new(Point::new([2.5, -1.0]), Point::new([6.5, 1.0]));
-    /// let mut hits = Vec::new();
-    /// tree.for_each_in_rect(&rect, |id, _| hits.push(id.raw()));
-    /// hits.sort();
-    /// assert_eq!(hits, vec![3, 4, 5, 6]);
-    /// ```
-    pub fn for_each_in_rect(&mut self, rect: &Aabb<D>, mut f: impl FnMut(PointId, &Point<D>)) {
-        self.stats.range_searches += 1;
-        let mut counters = (0u64, 0u64);
-        Self::rect_rec(&self.nodes, self.root, rect, &mut f, &mut counters);
-        self.stats.nodes_visited += counters.0;
-        self.stats.distance_checks += counters.1;
-    }
-
-    fn rect_rec(
-        nodes: &[Node<D>],
-        idx: NodeIdx,
-        rect: &Aabb<D>,
-        f: &mut impl FnMut(PointId, &Point<D>),
-        counters: &mut (u64, u64),
-    ) {
-        counters.0 += 1;
-        match &nodes[idx as usize].kind {
-            NodeKind::Leaf(entries) => {
-                counters.1 += entries.len() as u64;
-                for e in entries {
-                    if rect.contains_point(&e.point) {
-                        f(e.id, &e.point);
-                    }
-                }
-            }
-            NodeKind::Internal(branches) => {
-                for b in branches {
-                    if b.mbr.intersects(rect) {
-                        Self::rect_rec(nodes, b.child, rect, f, counters);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Collects the ids of points inside `rect`.
-    pub fn rect_ids(&mut self, rect: &Aabb<D>) -> Vec<PointId> {
-        let mut out = Vec::new();
-        self.rect_ids_into(rect, &mut out);
-        out
-    }
-
-    /// Like [`rect_ids`](Self::rect_ids) but clears and fills a
-    /// caller-provided buffer, so query loops reuse one allocation.
-    pub fn rect_ids_into(&mut self, rect: &Aabb<D>, out: &mut Vec<PointId>) {
-        out.clear();
-        self.for_each_in_rect(rect, |id, _| out.push(id));
-    }
-}
-
-#[cfg(test)]
-mod rect_tests {
-    use super::*;
-
-    #[test]
-    fn rect_query_matches_linear_scan() {
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            (state >> 33) as f64 / (1u64 << 31) as f64 * 50.0
-        };
-        let items: Vec<(PointId, Point<2>)> = (0..400)
-            .map(|i| (PointId(i), Point::new([next(), next()])))
-            .collect();
-        let mut tree = RTree::bulk_load(items.clone());
-        for (lo, hi) in [
-            ([5.0, 5.0], [20.0, 30.0]),
-            ([0.0, 0.0], [50.0, 50.0]),
-            ([48.0, 48.0], [49.0, 49.0]),
-        ] {
-            let rect = Aabb::new(Point::new(lo), Point::new(hi));
-            let mut got = tree.rect_ids(&rect);
-            got.sort();
-            let mut want: Vec<PointId> = items
-                .iter()
-                .filter(|(_, p)| rect.contains_point(p))
-                .map(|(id, _)| *id)
-                .collect();
-            want.sort();
-            assert_eq!(got, want);
-        }
-    }
-
-    #[test]
-    fn empty_rect_returns_nothing() {
-        let mut tree: RTree<2> = RTree::new();
-        tree.insert(PointId(0), Point::new([1.0, 1.0]));
-        let rect = Aabb::new(Point::new([5.0, 5.0]), Point::new([6.0, 6.0]));
-        assert!(tree.rect_ids(&rect).is_empty());
     }
 }

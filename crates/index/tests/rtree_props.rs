@@ -3,7 +3,7 @@
 //! return exactly the unvisited subset.
 
 use disc_geom::{Point, PointId};
-use disc_index::{ProbeOutcome, RTree};
+use disc_index::{ProbeOutcome, RTree, SpatialBackend};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -57,7 +57,8 @@ proptest! {
                 }
                 Op::Query { x, y, eps } => {
                     let q = Point::new([x, y]);
-                    let mut got = tree.ball_ids(&q, eps);
+                    let mut got = Vec::new();
+                    tree.ball_ids_into(&q, eps, &mut got);
                     got.sort();
                     let mut want: Vec<PointId> = oracle
                         .iter()
@@ -113,9 +114,10 @@ proptest! {
 
             for &(x, y, eps) in &queries {
                 let q = Point::new([x, y]);
-                let mut got = bulk.ball_ids(&q, eps);
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                bulk.ball_ids_into(&q, eps, &mut got);
                 got.sort();
-                let mut want = per.ball_ids(&q, eps);
+                per.ball_ids_into(&q, eps, &mut want);
                 want.sort();
                 prop_assert_eq!(got, want);
             }

@@ -5,7 +5,7 @@
 //! several of them.
 
 use disc_geom::{Point, PointId};
-use disc_index::{RTree, Stats};
+use disc_index::{RTree, SpatialBackend, Stats};
 
 const EPS: f64 = 0.6;
 

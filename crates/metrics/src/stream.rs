@@ -132,7 +132,7 @@ pub fn noise_fraction(assignments: &[(PointId, i64)]) -> f64 {
 }
 
 /// Sizes of the non-noise clusters, as `(label, size)` sorted by label —
-/// the census [`LifecycleAnalytics`](disc_telemetry) folds each slide.
+/// the census `disc_telemetry::LifecycleAnalytics` folds each slide.
 pub fn cluster_sizes(assignments: &[(PointId, i64)]) -> Vec<(i64, u64)> {
     let mut sizes: FxHashMap<i64, u64> = FxHashMap::default();
     for &(_, label) in assignments {

@@ -16,7 +16,7 @@
 //! * [`reorder`] — the disorder-tolerant admission layer: a bounded
 //!   reorder buffer behind a watermark, with late/duplicate/malformed
 //!   policies and overload shedding (DESIGN.md §16);
-//! * [`disorder`] — the seeded chaos transformer that manufactures
+//! * [`disorder`](mod@disorder) — the seeded chaos transformer that manufactures
 //!   hostile arrival sequences for the property suites.
 
 pub mod csv;

@@ -233,7 +233,7 @@ fn csv_roundtrip_preserves_clustering_inputs() {
 
 #[test]
 fn index_is_usable_standalone() {
-    use disc::index::RTree;
+    use disc::index::{RTree, SpatialBackend};
     let mut tree: RTree<3> = RTree::new();
     for i in 0..500u64 {
         let f = i as f64;
