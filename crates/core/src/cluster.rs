@@ -428,12 +428,11 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
                 .for_each_in_ball(&center, eps, |qid, _| ball.push(qid));
             let mut adopter: Option<PointId> = None;
             for &qid in &ball {
-                if qid != id && adopter.is_none_or(|a| qid < a) {
-                    if let Some(q) = self.points.get(qid) {
-                        if q.is_core(tau) {
-                            adopter = Some(qid);
-                        }
-                    }
+                if qid != id
+                    && adopter.is_none_or(|a| qid < a)
+                    && self.points.meta_of(qid).is_some_and(|q| q.is_core(tau))
+                {
+                    adopter = Some(qid);
                 }
             }
             self.points.get_mut(id).expect("record vanished").adopter = adopter;

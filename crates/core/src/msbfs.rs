@@ -13,7 +13,11 @@
 //!   searches that meet merge their queues (tracked in a thread union-find).
 //!   Terminates as soon as one search remains — a *shrink* is confirmed
 //!   after exploring only the region between the starters, not the whole
-//!   cluster.
+//!   cluster. Before any probe, starters within ε of each other are linked
+//!   into groups: such a pair of cores shares a core-graph edge, so the
+//!   merge their threads' first probes would find is already certain. One
+//!   group answers the check with no index work at all; otherwise each
+//!   group runs as one thread, all its members pre-marked and queued.
 //! * **sequential BFS** (ablation): full single-source BFS per component.
 //! * each of the above with or without **epoch-based probing** of the
 //!   R-tree (visited marks in the index vs. a side hash set).
@@ -22,7 +26,7 @@
 
 use crate::dsu::Dsu;
 use crate::engine::Disc;
-use disc_geom::{FxHashMap, PointId};
+use disc_geom::{FxHashMap, Point, PointId};
 use disc_index::{ProbeOutcome, SpatialBackend};
 use std::collections::VecDeque;
 
@@ -54,17 +58,11 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
     /// Checks how many connected components of the current core graph the
     /// `starters` fall into, dispatching on the configured strategy.
     ///
-    /// `starters` must be current core points, pairwise distinct.
+    /// `starters` must be current core points, pairwise distinct. CLUSTER
+    /// checks only starter sets of two or more; MS-BFS answers a single
+    /// starter, like any set of linked starters, with no index work.
     pub(crate) fn check_connectivity(&mut self, starters: &[PointId]) -> Connectivity {
         debug_assert!(!starters.is_empty());
-        if starters.len() == 1 {
-            return Connectivity {
-                ncc: 1,
-                detached: Vec::new(),
-                survivor_rep: starters[0],
-                rounds: 0,
-            };
-        }
         match (self.cfg.enable_msbfs, self.cfg.enable_epoch_probe) {
             (true, true) => self.msbfs(starters, true),
             (true, false) => self.msbfs(starters, false),
@@ -74,14 +72,31 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
     }
 
     /// Multi-starter BFS (Alg. 3). `use_epoch` selects the probing flavour.
+    ///
+    /// Starters within ε of each other are grouped first (see
+    /// [`link_starters`]): one group means the check is already answered,
+    /// with no index work at all; otherwise each group runs as one thread.
     fn msbfs(&mut self, starters: &[PointId], use_epoch: bool) -> Connectivity {
         let eps = self.cfg.eps;
         let tau = self.cfg.tau;
-        let k = starters.len();
+
+        let centers: Vec<Point<D>> = starters.iter().map(|&s| self.points.point_at(s)).collect();
+        let (group_of, groups) = link_starters(&centers, eps);
+        if groups == 1 {
+            return Connectivity {
+                ncc: 1,
+                detached: Vec::new(),
+                survivor_rep: starters[0],
+                rounds: 0,
+            };
+        }
 
         let mut threads = Dsu::new();
-        let mut queues: Vec<VecDeque<PointId>> = Vec::with_capacity(k);
-        let mut visited: Vec<Vec<PointId>> = Vec::with_capacity(k);
+        let mut queues: Vec<VecDeque<PointId>> = vec![VecDeque::new(); groups];
+        let mut visited: Vec<Vec<PointId>> = vec![Vec::new(); groups];
+        for _ in 0..groups {
+            threads.alloc();
+        }
         // Side ownership map for the non-epoch flavour.
         let mut owner_of: FxHashMap<PointId, u32> = FxHashMap::default();
 
@@ -90,21 +105,15 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
         } else {
             None
         };
-        for (slot, &s) in starters.iter().enumerate() {
-            let t = threads.alloc();
-            debug_assert_eq!(t as usize, slot);
-            let mut q = VecDeque::new();
-            q.push_back(s);
-            queues.push(q);
-            visited.push(vec![s]);
+        for ((&s, center), &t) in starters.iter().zip(&centers).zip(&group_of) {
+            queues[t as usize].push_back(s);
+            visited[t as usize].push(s);
             // Starters count as visited from the outset (Alg. 3 line 4):
             // the first probe that reaches a foreign starter merges the two
             // searches without that starter ever probing on its own.
             match probe {
                 Some(probe) => {
-                    let marked = self
-                        .tree
-                        .mark_visited(probe, &self.points.point_at(s), s, t);
+                    let marked = self.tree.mark_visited(probe, center, s, t);
                     debug_assert!(marked, "starter {s} missing from the index");
                 }
                 None => {
@@ -115,7 +124,7 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
         let mut out = ProbeOutcome::default();
         let mut plain_hits: Vec<PointId> = Vec::new();
 
-        let mut active: Vec<u32> = (0..k as u32).collect();
+        let mut active: Vec<u32> = (0..groups as u32).collect();
         let mut detached: Vec<Vec<PointId>> = Vec::new();
         let mut rounds = 0usize;
 
@@ -151,7 +160,7 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
                     let points = &self.points;
                     let threads_ref = &mut threads;
                     let mut is_vertex =
-                        |id: PointId| points.get(id).map(|p| p.is_core(tau)).unwrap_or(false);
+                        |id: PointId| points.meta_of(id).is_some_and(|m| m.is_core(tau));
                     let mut resolve = |o: u32| threads_ref.find(o);
                     self.tree.epoch_probe(
                         probe,
@@ -173,7 +182,7 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
                     plain_hits.clear();
                     let points = &self.points;
                     self.tree.for_each_in_ball(&center, eps, |id, _| {
-                        if points.get(id).map(|p| p.is_core(tau)).unwrap_or(false) {
+                        if points.meta_of(id).is_some_and(|m| m.is_core(tau)) {
                             plain_hits.push(id);
                         }
                     });
@@ -276,7 +285,7 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
                     out.clear();
                     let points = &self.points;
                     let mut is_vertex =
-                        |id: PointId| points.get(id).map(|p| p.is_core(tau)).unwrap_or(false);
+                        |id: PointId| points.meta_of(id).is_some_and(|m| m.is_core(tau));
                     let mut resolve = |o: u32| o;
                     self.tree.epoch_probe(
                         probe,
@@ -300,7 +309,7 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
                     plain_hits.clear();
                     let points = &self.points;
                     self.tree.for_each_in_ball(&center, eps, |id, _| {
-                        if points.get(id).map(|p| p.is_core(tau)).unwrap_or(false) {
+                        if points.meta_of(id).is_some_and(|m| m.is_core(tau)) {
                             plain_hits.push(id);
                         }
                     });
@@ -328,12 +337,82 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
     }
 }
 
+/// Groups MS-BFS starters by their direct ε-links, returning each
+/// starter's group and the number of groups. Groups are numbered in order
+/// of their first starter.
+///
+/// Two starters within ε of each other are both current cores, so they
+/// share an edge of the core graph: the merge MS-BFS's first probes would
+/// find between their threads is certain before any probe runs. The links
+/// are found by a sweep along the axis where the starters spread widest,
+/// comparing only pairs closer than ε on that axis, and linking stops as
+/// soon as one group remains.
+fn link_starters<const D: usize>(centers: &[Point<D>], eps: f64) -> (Vec<u32>, usize) {
+    let k = centers.len();
+    let spread = |axis: usize| {
+        let (lo, hi) = centers
+            .iter()
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), p| {
+                (lo.min(p[axis]), hi.max(p[axis]))
+            });
+        hi - lo
+    };
+    let axis = (0..D)
+        .max_by(|&a, &b| spread(a).total_cmp(&spread(b)))
+        .unwrap_or(0);
+    let mut order: Vec<u32> = (0..k as u32).collect();
+    order
+        .sort_unstable_by(|&a, &b| centers[a as usize][axis].total_cmp(&centers[b as usize][axis]));
+
+    let eps2 = eps * eps;
+    let mut links = Dsu::new();
+    for _ in 0..k {
+        links.alloc();
+    }
+    let mut groups = k;
+    'sweep: for (i, &a) in order.iter().enumerate() {
+        let pa = &centers[a as usize];
+        for &b in &order[i + 1..] {
+            let pb = &centers[b as usize];
+            // The squared gap on one axis never exceeds the squared
+            // distance, so past this point no pair can be within ε.
+            let gap = pb[axis] - pa[axis];
+            if gap * gap > eps2 {
+                break;
+            }
+            if pa.dist2(pb) <= eps2 && !links.same(a, b) {
+                links.union(a, b);
+                groups -= 1;
+                if groups == 1 {
+                    break 'sweep;
+                }
+            }
+        }
+    }
+
+    let mut number_of_root = vec![u32::MAX; k];
+    let mut next = 0u32;
+    let group_of = (0..k as u32)
+        .map(|s| {
+            let root = links.find(s) as usize;
+            if number_of_root[root] == u32::MAX {
+                number_of_root[root] = next;
+                next += 1;
+            }
+            number_of_root[root]
+        })
+        .collect();
+    (group_of, groups)
+}
+
 #[cfg(test)]
 mod tests {
     use crate::config::DiscConfig;
     use crate::engine::Disc;
     use disc_geom::{Point, PointId};
     use disc_window::SlideBatch;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     /// Builds an engine over a fixed point set (eps 1.2, tau 3: interior
     /// line points are cores).
@@ -531,5 +610,138 @@ mod tests {
             fast_probes * 5 < slow_probes,
             "early exit: {fast_probes} vs full traversal {slow_probes}"
         );
+    }
+
+    /// Starters within ε of each other certify their own connectivity:
+    /// both MS-BFS flavours answer without touching the index at all.
+    #[test]
+    fn linked_starters_cost_no_index_work() {
+        let c = DiscConfig::new(1.2, 3);
+        for cfg in [c, c.without_epoch_probe()] {
+            let pts: Vec<(u64, f64, f64)> = (0..9).map(|i| (i, i as f64, 0.0)).collect();
+            let mut disc = engine(cfg, &pts);
+            let before = *disc.index_stats();
+            // 2-3-4-5 form one chain of ε-links (spacing 1 < ε = 1.2).
+            let starters = vec![PointId(3), PointId(5), PointId(2), PointId(4)];
+            let conn = disc.check_connectivity(&starters);
+            assert_eq!(conn.ncc, 1, "config {cfg:?}");
+            assert_eq!(conn.rounds, 0);
+            assert_eq!(conn.survivor_rep, PointId(3));
+            assert!(conn.detached.is_empty());
+            assert_eq!(*disc.index_stats(), before, "config {cfg:?}");
+        }
+    }
+
+    /// Two groups of linked starters, joined only through cores that are
+    /// not starters: the groups' threads must still meet.
+    #[test]
+    fn linked_groups_joined_through_a_non_starter_core_are_connected() {
+        for cfg in configs() {
+            let pts: Vec<(u64, f64, f64)> = (0..10).map(|i| (i, i as f64, 0.0)).collect();
+            let mut disc = engine(cfg, &pts);
+            // {1, 2} and {6, 7} are linked within; 3, 4 and 5 join them.
+            let starters = vec![PointId(1), PointId(6), PointId(2), PointId(7)];
+            let conn = disc.check_connectivity(&starters);
+            assert_eq!(conn.ncc, 1, "config {cfg:?}");
+            assert!(conn.detached.is_empty());
+            assert!(starters.contains(&conn.survivor_rep));
+        }
+    }
+
+    /// A real split with linked starters on both sides: the detached list
+    /// holds every core of its side, and none of the other.
+    #[test]
+    fn split_between_linked_groups_detaches_a_whole_side() {
+        for cfg in configs() {
+            let pts: Vec<(u64, f64, f64)> = (0..7)
+                .map(|i| (i, i as f64, 0.0))
+                .chain((0..7).map(|i| (10 + i, 20.0 + i as f64, 0.0)))
+                .collect();
+            let mut disc = engine(cfg, &pts);
+            let left: BTreeSet<PointId> = (1..6).map(PointId).collect();
+            let right: BTreeSet<PointId> = (11..16).map(PointId).collect();
+            let starters = vec![PointId(2), PointId(12), PointId(3), PointId(13)];
+            let conn = disc.check_connectivity(&starters);
+            assert_eq!(conn.ncc, 2, "config {cfg:?}");
+            assert_eq!(conn.detached.len(), 1);
+            let detached: BTreeSet<PointId> = conn.detached[0].iter().copied().collect();
+            assert!(detached == left || detached == right, "config {cfg:?}");
+            assert!(!detached.contains(&conn.survivor_rep));
+        }
+    }
+
+    /// The starters, partitioned by the component each check put them in:
+    /// the survivor's component holds those no detached list names.
+    fn starter_partition(
+        starters: &[PointId],
+        conn: &super::Connectivity,
+    ) -> BTreeSet<BTreeSet<PointId>> {
+        let mut parts: BTreeSet<BTreeSet<PointId>> = conn
+            .detached
+            .iter()
+            .map(|comp| {
+                starters
+                    .iter()
+                    .copied()
+                    .filter(|s| comp.contains(s))
+                    .collect()
+            })
+            .collect();
+        let survivors: BTreeSet<PointId> = starters
+            .iter()
+            .copied()
+            .filter(|s| !conn.detached.iter().any(|comp| comp.contains(s)))
+            .collect();
+        assert!(survivors.contains(&conn.survivor_rep));
+        parts.insert(survivors);
+        parts
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// On random point sets and starter subsets, MS-BFS with linked
+        /// starters finds the components the exhaustive sequential BFS
+        /// finds, with and without epoch probing.
+        #[test]
+        fn linked_msbfs_matches_sequential_bfs(
+            coords in prop::collection::vec((0.0f64..12.0, 0.0f64..12.0), 20..120),
+            picks in prop::collection::vec(prop::bool::ANY, 120),
+        ) {
+            let pts: Vec<(u64, f64, f64)> = coords
+                .iter()
+                .enumerate()
+                .map(|(i, &(x, y))| (i as u64, x, y))
+                .collect();
+            let base = DiscConfig::new(1.2, 3);
+            for use_epoch in [true, false] {
+                let (fast_cfg, slow_cfg) = if use_epoch {
+                    (base, base.without_msbfs())
+                } else {
+                    (
+                        base.without_epoch_probe(),
+                        base.without_msbfs().without_epoch_probe(),
+                    )
+                };
+                let mut fast = engine(fast_cfg, &pts);
+                let mut slow = engine(slow_cfg, &pts);
+                let starters: Vec<PointId> = (0..pts.len() as u64)
+                    .map(PointId)
+                    .filter(|&id| picks[id.0 as usize] && fast.is_core(id))
+                    .collect();
+                if starters.is_empty() {
+                    continue;
+                }
+                let f = fast.check_connectivity(&starters);
+                let s = slow.check_connectivity(&starters);
+                prop_assert_eq!(f.ncc, s.ncc, "use_epoch {}", use_epoch);
+                prop_assert_eq!(
+                    starter_partition(&starters, &f),
+                    starter_partition(&starters, &s),
+                    "use_epoch {}",
+                    use_epoch
+                );
+            }
+        }
     }
 }

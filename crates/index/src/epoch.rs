@@ -96,16 +96,18 @@ impl<const D: usize> RTree<D> {
                 }
                 false
             }
-            NodeKind::Internal(_) => {
-                let candidates: Vec<NodeIdx> = match &self.nodes[idx as usize].kind {
-                    NodeKind::Internal(v) => v
-                        .iter()
-                        .filter(|b| b.mbr.contains_point(center))
-                        .map(|b| b.child)
-                        .collect(),
-                    NodeKind::Leaf(_) => unreachable!(),
-                };
-                for child in candidates {
+            NodeKind::Internal(v) => {
+                // Re-borrow per slot, as `probe_rec` does: marking runs
+                // once per starter and must not allocate per node.
+                let n = v.len();
+                for slot in 0..n {
+                    let child = match &self.nodes[idx as usize].kind {
+                        NodeKind::Internal(v) if v[slot].mbr.contains_point(center) => {
+                            v[slot].child
+                        }
+                        NodeKind::Internal(_) => continue,
+                        NodeKind::Leaf(_) => unreachable!(),
+                    };
                     if self.mark_rec(child, tick, center, id, owner) {
                         return true;
                     }
