@@ -7,48 +7,44 @@
 //!
 //! Results are printed as aligned tables and written as CSV under `out/`.
 
-use disc_bench::{compare, suites, Scale};
+use disc_bench::{ab, suites, Scale};
 
 const USAGE: &str = "usage: experiments [table2|fig4|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|graph|backend|memory|evolution|all]... [--scale X]
-       experiments compare [--baseline F.json] [--fresh F.json]
-                           [--tolerance FRACTION] [--scale X]
+       experiments ab <REF>
 
-`compare` is the perf-regression gate: it re-measures the backend suite
-(or reads --fresh) and diffs the result against the committed baseline
-(BENCH_disc.json by default), failing with exit code 1 when p50/p99 per-
-slide latency regressed beyond the tolerance (default 0.25 = 25%).";
+`ab` is the perf gate: it runs the pipeline benchmark (BENCHMARK.json) in
+10 alternating pairs on REF (checked out under .bench_build/) and on the
+working tree, prints one verdict per workload and end-to-end metric, and
+writes .bench_build/ab.json. Exit code 1 when a metric reads worse, 2 when
+a build or run failed.";
+
+/// A suite's target name and its runner.
+type Suite = (&'static str, fn(Scale));
 
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().map(String::as_str) == Some("ab") {
+        let [_, base] = args.as_slice() else {
+            eprintln!("{USAGE}");
+            std::process::exit(2);
+        };
+        std::process::exit(ab::run(base));
+    }
     let mut targets: Vec<String> = Vec::new();
     let mut scale = Scale(1.0);
-    let mut baseline: Option<String> = None;
-    let mut fresh: Option<String> = None;
-    let mut tolerance = 0.25f64;
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("flag {flag} needs a value\n{USAGE}");
-                std::process::exit(2);
-            })
-        };
         match arg.as_str() {
             "--scale" => {
-                let v = value("--scale").parse::<f64>().unwrap_or_else(|_| {
-                    eprintln!("{USAGE}");
-                    std::process::exit(2);
-                });
+                let v = args
+                    .next()
+                    .and_then(|v| v.parse::<f64>().ok())
+                    .unwrap_or_else(|| {
+                        eprintln!("{USAGE}");
+                        std::process::exit(2);
+                    });
                 assert!(v > 0.0, "--scale must be positive");
                 scale = Scale(v);
-            }
-            "--baseline" => baseline = Some(value("--baseline")),
-            "--fresh" => fresh = Some(value("--fresh")),
-            "--tolerance" => {
-                tolerance = value("--tolerance").parse::<f64>().unwrap_or_else(|_| {
-                    eprintln!("{USAGE}");
-                    std::process::exit(2);
-                });
-                assert!(tolerance > 0.0, "--tolerance must be positive");
             }
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -57,115 +53,36 @@ fn main() {
             other => targets.push(other.to_string()),
         }
     }
-    if targets.iter().any(|t| t == "compare") {
-        std::process::exit(run_compare(baseline, fresh, tolerance, scale));
+    let suites: [Suite; 14] = [
+        ("table2", |s| drop(suites::table2::run(s))),
+        ("fig4", |s| drop(suites::fig4::run(s))),
+        ("fig5", |s| drop(suites::fig5::run(s))),
+        ("fig6", |s| drop(suites::fig6::run(s))),
+        ("fig7", |s| drop(suites::fig7::run(s))),
+        ("fig8", |s| drop(suites::fig8::run(s))),
+        ("fig9", |s| drop(suites::fig9::run(s))),
+        ("fig10", |s| drop(suites::fig10::run(s))),
+        ("fig11", |s| drop(suites::fig11::run(s))),
+        ("fig12", |s| drop(suites::fig12::run(s))),
+        ("graph", |s| drop(suites::graph_ablation::run(s))),
+        ("backend", |s| drop(suites::backend_ablation::run(s))),
+        ("memory", |s| drop(suites::memory_ablation::run(s))),
+        ("evolution", |s| drop(suites::evolution_stats::run(s))),
+    ];
+    if let Some(t) = (targets.iter()).find(|t| *t != "all" && !suites.iter().any(|(n, _)| n == t)) {
+        eprintln!("unknown target {t:?}\n{USAGE}");
+        std::process::exit(2);
     }
-    if targets.is_empty() {
-        targets.push("all".to_string());
-    }
-    let all = targets.iter().any(|t| t == "all");
-    let wants = |name: &str| all || targets.iter().any(|t| t == name);
-
+    let all = targets.is_empty() || targets.iter().any(|t| t == "all");
     let t0 = std::time::Instant::now();
     println!(
         "DISC experiment harness (scale {:.2}; synthetic analogues per DESIGN.md §4)\n",
         scale.0
     );
-    if wants("table2") {
-        suites::table2::run(scale);
-    }
-    if wants("fig4") {
-        suites::fig4::run(scale);
-    }
-    if wants("fig5") {
-        suites::fig5::run(scale);
-    }
-    if wants("fig6") {
-        suites::fig6::run(scale);
-    }
-    if wants("fig7") {
-        suites::fig7::run(scale);
-    }
-    if wants("fig8") {
-        suites::fig8::run(scale);
-    }
-    if wants("fig9") {
-        suites::fig9::run(scale);
-    }
-    if wants("fig10") {
-        suites::fig10::run(scale);
-    }
-    if wants("fig11") {
-        suites::fig11::run(scale);
-    }
-    if wants("fig12") {
-        suites::fig12::run(scale);
-    }
-    if wants("graph") {
-        suites::graph_ablation::run(scale);
-    }
-    if wants("backend") {
-        suites::backend_ablation::run(scale);
-    }
-    if wants("memory") {
-        suites::memory_ablation::run(scale);
-    }
-    if wants("evolution") {
-        suites::evolution_stats::run(scale);
+    for (name, run) in suites {
+        if all || targets.iter().any(|t| t == name) {
+            run(scale);
+        }
     }
     println!("\ntotal harness time: {:?}", t0.elapsed());
-}
-
-/// The regression gate (`experiments compare`). Returns the process exit
-/// code: 0 on pass, 1 on regression/lost coverage, 2 on usage errors.
-fn run_compare(
-    baseline: Option<String>,
-    fresh: Option<String>,
-    tolerance: f64,
-    scale: Scale,
-) -> i32 {
-    let baseline_path = baseline.unwrap_or_else(|| {
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join("BENCH_disc.json")
-            .to_string_lossy()
-            .into_owned()
-    });
-    let baseline_text = match std::fs::read_to_string(&baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read baseline {baseline_path}: {e}");
-            return 2;
-        }
-    };
-    let baseline_rows = match compare::parse_rows(&baseline_text) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("baseline {baseline_path}: {e}");
-            return 2;
-        }
-    };
-    let fresh_text = match fresh {
-        Some(path) => match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read fresh summary {path}: {e}");
-                return 2;
-            }
-        },
-        None => {
-            println!("re-measuring the backend suite at scale {:.2}...", scale.0);
-            suites::backend_ablation::fresh_summary(scale)
-        }
-    };
-    let fresh_rows = match compare::parse_rows(&fresh_text) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("fresh summary: {e}");
-            return 2;
-        }
-    };
-    let report = compare::compare(&baseline_rows, &fresh_rows, tolerance);
-    print!("{}", report.render());
-    i32::from(!report.passed())
 }

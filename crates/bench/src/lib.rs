@@ -19,12 +19,15 @@
 //! | `backend` | R-tree vs uniform-grid index | [`suites::backend_ablation`] |
 //! | `memory` | DISC vs EXTRA-N peak footprint | [`suites::memory_ablation`] |
 //!
+//! `experiments ab <REF>` ([`ab`]) is the perf gate: paired runs of the
+//! pipeline benchmark (`BENCHMARK.json`) on `REF` and the working tree.
+//!
 //! Workloads are the synthetic substitutes documented in `DESIGN.md` §4,
 //! at laptop scale; `--scale` multiplies every window size. Absolute times
 //! are machine-dependent; the *shapes* (who wins, by what factor, where
 //! crossovers fall) are what reproduce the paper.
 
-pub mod compare;
+pub mod ab;
 pub mod report;
 pub mod runner;
 pub mod suites;

@@ -152,54 +152,6 @@ pub fn measure_with_window<const D: usize, M: WindowClusterer<D>>(
     (m, w)
 }
 
-/// Runs [`measure`] `reps` times with a fresh method from `factory` each
-/// repetition and aggregates: the latency distribution is the merge of
-/// every repetition's histogram (one scratch histogram, cleared between
-/// reps — no per-rep allocation), `slides` counts all measured slides,
-/// and `max_slide` is the exact worst slide across all repetitions.
-/// Single-pass tail percentiles from five slides are noise; merged
-/// distributions over `reps x slides` samples are what the report rows
-/// deserve.
-pub fn measure_repeated<const D: usize, M, F>(
-    mut factory: F,
-    records: &[Record<D>],
-    window: usize,
-    stride: usize,
-    max_slides: u32,
-    reps: u32,
-) -> Measurement
-where
-    M: WindowClusterer<D>,
-    F: FnMut() -> M,
-{
-    assert!(reps > 0, "at least one repetition");
-    let mut agg = LogHistogram::new();
-    let mut scratch = LogHistogram::new();
-    let mut combined = Pass {
-        total: Duration::ZERO,
-        max_slide: Duration::ZERO,
-        slides: 0,
-        searches: 0,
-        peak_memory: 0,
-    };
-    let mut last: Option<M> = None;
-    for _ in 0..reps {
-        let mut method = factory();
-        let mut w = SlidingWindow::new(records.to_vec(), window, stride);
-        scratch.clear();
-        let pass = drive_pass(&mut method, &mut w, max_slides, &mut scratch);
-        agg.merge(&scratch);
-        combined.total += pass.total;
-        combined.max_slide = combined.max_slide.max(pass.max_slide);
-        combined.slides += pass.slides;
-        combined.searches += pass.searches;
-        combined.peak_memory = combined.peak_memory.max(pass.peak_memory);
-        last = Some(method);
-    }
-    let method = last.expect("reps > 0");
-    finish(&method, &combined, &agg, stride)
-}
-
 /// Rounds `window` so that `stride` tiles it (EXTRA-N requirement); keeps
 /// the stride and adjusts the window to the nearest multiple.
 pub fn tile(window: usize, stride: usize) -> (usize, usize) {
@@ -255,32 +207,6 @@ mod tests {
         // read below the final resident estimate.
         assert!(m.peak_memory >= m.memory);
         assert!(m.memory > 0, "DISC accounts its bytes");
-    }
-
-    #[test]
-    fn repeated_measurement_merges_every_repetition() {
-        let recs = datasets::gaussian_blobs::<2>(2_000, 3, 0.5, 3);
-        let reps = 3u32;
-        let m = measure_repeated(
-            || Disc::new(DiscConfig::new(1.0, 5)),
-            &recs,
-            500,
-            100,
-            5,
-            reps,
-        );
-        assert_eq!(m.slides, 5 * reps, "slides accumulate across reps");
-        assert_eq!(
-            m.latency.count,
-            (5 * reps) as u64,
-            "one merged histogram sample per measured slide"
-        );
-        assert_eq!(m.assignments.len(), 500, "final window from the last rep");
-        assert!(m.max_slide.as_nanos() as u64 >= m.latency.p99);
-        assert_eq!(m.max_slide.as_nanos() as u64, m.latency.max);
-        // Same workload, same per-slide search count in every repetition.
-        let single = measure(Disc::new(DiscConfig::new(1.0, 5)), &recs, 500, 100, 5);
-        assert!((m.searches_per_slide - single.searches_per_slide).abs() < 1e-9);
     }
 
     #[test]

@@ -105,9 +105,8 @@ fn proc_cpu_time() -> Option<Duration> {
 }
 
 /// Repetitions per configuration: tail percentiles from one 5-slide pass
-/// are noise (cf. `measure_repeated`), and the committed `BENCH_disc.json`
-/// feeds a regression gate, so each row merges the latency distributions
-/// of this many fresh passes over the same stream.
+/// are noise, so each row merges the latency distributions of this many
+/// fresh passes over the same stream.
 const REPS: u32 = 3;
 
 /// Measures the stride-eviction cost in isolation: fill the index with the
@@ -278,12 +277,6 @@ fn measure_configs(scale: Scale) -> Vec<Run> {
     runs
 }
 
-/// Re-measures the suite and renders the headline summary **without**
-/// touching `BENCH_disc.json` — the regression gate's fresh side.
-pub fn fresh_summary(scale: Scale) -> String {
-    summary_string(&measure_configs(scale))
-}
-
 /// Runs the backend ablation across window/stride sizes.
 pub fn run(scale: Scale) -> Table {
     let mut t = Table::new(
@@ -318,16 +311,13 @@ pub fn run(scale: Scale) -> Table {
     t.print();
     let _ = t.write_csv("backend_ablation");
     let _ = write_json(&runs);
-    // Unit tests run this suite at tiny scale; skip the headline file so
-    // `cargo test` never clobbers the committed release-run numbers.
-    if !cfg!(test) {
-        let _ = write_bench_summary(&runs);
-    }
     t
 }
 
-/// Hand-rolled JSON report with the per-phase duration breakdown
-/// (satellite of the bench harness; no serde in the workspace).
+/// Hand-rolled JSON report with the per-phase duration breakdown, the
+/// latency tail, memory and advisory quality (no serde in the workspace).
+/// `max_slide_us` comes from the run's direct accumulator, never the
+/// latency histogram, so the reported worst case is exact.
 fn write_json(runs: &[Run]) -> std::io::Result<std::path::PathBuf> {
     let dir = std::path::Path::new("out");
     std::fs::create_dir_all(dir)?;
@@ -342,7 +332,10 @@ fn write_json(runs: &[Run]) -> std::io::Result<std::path::PathBuf> {
              \"cpu_util\": {:.2}, \"slides\": {}, \
              \"avg_slide_us\": {:.3}, \"avg_collect_us\": {:.3}, \"avg_cluster_us\": {:.3}, \
              \"avg_adoption_us\": {:.3}, \"searches_per_slide\": {:.1}, \
-             \"visits_per_slide\": {:.1}, \"evict_ns_per_point\": {:.1}}}{}",
+             \"visits_per_slide\": {:.1}, \"evict_ns_per_point\": {:.1}, \
+             \"p50_slide_us\": {:.3}, \"p99_slide_us\": {:.3}, \"max_slide_us\": {:.3}, \
+             \"peak_bytes\": {}, \"bytes_per_point\": {:.1}, \"quality_ari\": {:.4}, \
+             \"noise_frac\": {:.4}}}{}",
             r.backend,
             r.window,
             r.stride,
@@ -356,72 +349,19 @@ fn write_json(runs: &[Run]) -> std::io::Result<std::path::PathBuf> {
             r.searches_per_slide,
             r.visits_per_slide,
             r.evict_ns_per_point,
+            r.latency.p50 as f64 / 1e3,
+            r.latency.p99 as f64 / 1e3,
+            r.max_slide.as_secs_f64() * 1e6,
+            r.peak_bytes,
+            r.bytes_per_point(),
+            r.quality_ari,
+            r.noise_frac,
             sep,
         )?;
     }
     writeln!(f, "]")?;
     f.flush()?;
     Ok(path)
-}
-
-/// Machine-readable headline summary at the repo root (`BENCH_disc.json`),
-/// one record per (suite, backend, window, stride, threads) with the tail
-/// latencies.
-/// CI and regression tooling diff this file across commits; it deliberately
-/// lives next to the sources rather than under `out/` with the bulky
-/// per-suite reports.
-fn write_bench_summary(runs: &[Run]) -> std::io::Result<std::path::PathBuf> {
-    // Anchor to the workspace root so the path is independent of the
-    // working directory the harness was launched from.
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_disc.json");
-    write_bench_summary_to(runs, &path)
-}
-
-fn write_bench_summary_to(
-    runs: &[Run],
-    path: &std::path::Path,
-) -> std::io::Result<std::path::PathBuf> {
-    std::fs::write(path, summary_string(runs))?;
-    Ok(path.to_path_buf())
-}
-
-/// Renders the headline summary (`BENCH_disc.json` schema). `max_slide_us`
-/// comes from the run's direct accumulator, never the latency histogram,
-/// so the reported worst case is exact regardless of bucket resolution.
-fn summary_string(runs: &[Run]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("[\n");
-    for (i, r) in runs.iter().enumerate() {
-        let sep = if i + 1 == runs.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "  {{\"suite\": \"backend_ablation\", \"backend\": \"{}\", \"window\": {}, \
-             \"stride\": {}, \"threads\": {}, \"slides\": {}, \"p50_slide_us\": {:.3}, \
-             \"p99_slide_us\": {:.3}, \"max_slide_us\": {:.3}, \"searches_per_slide\": {:.1}, \
-             \"cpu_util\": {:.2}, \"evict_ns_per_point\": {:.1}, \"peak_bytes\": {}, \
-             \"bytes_per_point\": {:.1}, \"quality_ari\": {:.4}, \"noise_frac\": {:.4}}}{}",
-            r.backend,
-            r.window,
-            r.stride,
-            r.threads,
-            r.slides,
-            r.latency.p50 as f64 / 1e3,
-            r.latency.p99 as f64 / 1e3,
-            r.max_slide.as_secs_f64() * 1e6,
-            r.searches_per_slide,
-            r.cpu_util,
-            r.evict_ns_per_point,
-            r.peak_bytes,
-            r.bytes_per_point(),
-            r.quality_ari,
-            r.noise_frac,
-            sep,
-        );
-    }
-    out.push_str("]\n");
-    out
 }
 
 #[cfg(test)]
@@ -451,49 +391,35 @@ mod tests {
         let widths: Vec<&str> = t.rows.iter().map(|r| r[3].as_str()).collect();
         assert!(widths.contains(&"1") && widths.contains(&"2") && widths.contains(&"4"));
         let json = std::fs::read_to_string("out/backend_ablation.json").unwrap();
-        assert!(json.contains("\"avg_collect_us\""));
-        assert!(json.contains("\"threads\""));
-        assert!(json.contains("\"evict_ns_per_point\""));
-        assert!(json.trim_start().starts_with('['));
-    }
-
-    #[test]
-    fn bench_summary_has_the_headline_schema() {
-        let recs = datasets::dtg_like(900, SEED);
-        let runs = vec![
-            drive::<2, disc_index::RTree<2>>(&recs, 0.5, 4, 500, 100, 1, 4),
-            drive::<2, GridIndex<2>>(&recs, 0.5, 4, 500, 100, 2, 4),
-            drive::<2, GridIndex<2>>(&recs, 0.5, 4, 500, 100, 4, 4),
-        ];
-        let path = std::env::temp_dir().join("disc_bench_summary_test.json");
-        write_bench_summary_to(&runs, &path).unwrap();
-        let summary = std::fs::read_to_string(&path).unwrap();
-        assert!(summary.trim_start().starts_with('['));
-        assert_eq!(
-            summary.matches("\"suite\": \"backend_ablation\"").count(),
-            3
-        );
-        assert_eq!(summary.matches("\"backend\": \"rtree\"").count(), 1);
-        assert_eq!(summary.matches("\"backend\": \"grid\"").count(), 2);
-        assert_eq!(summary.matches("\"threads\": 1").count(), 1);
-        assert_eq!(summary.matches("\"threads\": 2").count(), 1);
-        assert_eq!(summary.matches("\"threads\": 4").count(), 1);
-        for key in [
-            "p50_slide_us",
-            "p99_slide_us",
-            "max_slide_us",
-            "searches_per_slide",
-            "cpu_util",
-            "evict_ns_per_point",
-            "peak_bytes",
-            "bytes_per_point",
-            "quality_ari",
-            "noise_frac",
-        ] {
-            assert!(summary.contains(&format!("\"{key}\"")), "missing {key}");
+        let rows = disc_telemetry::Json::parse(&json).unwrap();
+        let rows = rows.as_array().unwrap();
+        assert_eq!(rows.len(), 30);
+        for row in rows {
+            let num = |key: &str| {
+                row.get(key)
+                    .and_then(disc_telemetry::Json::as_f64)
+                    .unwrap_or_else(|| panic!("missing {key}"))
+            };
+            for key in [
+                "avg_collect_us",
+                "threads",
+                "searches_per_slide",
+                "cpu_util",
+                "evict_ns_per_point",
+                "quality_ari",
+                "noise_frac",
+            ] {
+                num(key);
+            }
+            // The max is the exact accumulator, never below the
+            // histogram's conservative p99.
+            assert!(num("p50_slide_us") > 0.0);
+            assert!(num("p50_slide_us") <= num("p99_slide_us") + 1e-6);
+            assert!(num("p99_slide_us") <= num("max_slide_us") + 1e-6, "{row:?}");
+            // Every backend accounts its memory, so no row may report zero.
+            assert!(num("peak_bytes") > 0.0);
+            assert!((num("bytes_per_point") - num("peak_bytes") / num("window")).abs() < 1.0);
         }
-        // Every backend accounts its memory, so no row may report zero.
-        assert!(!summary.contains("\"peak_bytes\": 0,"), "{summary}");
     }
 
     /// On Linux the CPU clock is available and a busy measurement reads a
@@ -514,27 +440,5 @@ mod tests {
         } else {
             assert_eq!(r.cpu_util, 0.0);
         }
-    }
-
-    /// The gate's fresh side round-trips through the gate's own parser,
-    /// and the reported max is the exact accumulator (never below the
-    /// histogram's conservative p99).
-    #[test]
-    fn fresh_summary_round_trips_through_the_compare_parser() {
-        let text = fresh_summary(Scale(0.05));
-        let rows = crate::compare::parse_rows(&text).unwrap();
-        assert_eq!(rows.len(), 30, "5 configs x 2 backends x 3 widths");
-        for r in &rows {
-            assert!(r.p50_us > 0.0);
-            assert!(r.p50_us <= r.p99_us + 1e-6);
-            assert!(
-                r.p99_us <= r.max_us + 1e-6,
-                "{}: p99 exceeds exact max",
-                r.key()
-            );
-            assert!(THREAD_WIDTHS.contains(&(r.threads as usize)), "{}", r.key());
-        }
-        // Identical measurements always pass their own gate.
-        assert!(crate::compare::compare(&rows, &rows, 0.25).passed());
     }
 }

@@ -32,10 +32,7 @@ pub(crate) fn effective_workers(opts: &Opts) -> usize {
 }
 
 pub(crate) fn load<const D: usize>(opts: &Opts) -> Result<Vec<Record<D>>, String> {
-    let input = opts
-        .input
-        .as_ref()
-        .ok_or("--input is required".to_string())?;
+    let input = &opts.input;
     // `--timed` outside the admission pipeline (e.g. `disc estimate`)
     // still parses the timed layout, strictly, and strips the times.
     let records = if opts.timed {
@@ -60,10 +57,9 @@ impl DimCommand for ClusterCmd {
         let index = opts.index.as_deref().unwrap_or("rtree");
         let backend = IndexBackend::parse(index)
             .ok_or_else(|| format!("unknown --index {index:?} (rtree or grid)"))?;
-        let eps = opts.eps.ok_or("--eps is required")?;
-        let tau = opts.tau.ok_or("--tau is required")?;
-        let window = opts.window.ok_or("--window is required")?;
-        let stride = opts.stride.ok_or("--stride is required")?;
+        let required = "the flag table requires --eps, --tau, --window and --stride";
+        let (eps, tau) = (opts.eps.expect(required), opts.tau.expect(required));
+        let (window, stride) = (opts.window.expect(required), opts.stride.expect(required));
         if stride == 0 || stride > window {
             return Err(format!(
                 "--stride {stride} must be in 1..=--window {window}"
@@ -96,10 +92,7 @@ impl DimCommand for ClusterCmd {
 /// `disc explain` — reconstruct the causal narrative of a run (or one
 /// slide of it) from a `--provenance-out` JSONL stream.
 pub fn explain(opts: &Opts) -> Result<(), String> {
-    let path = opts
-        .trace
-        .as_ref()
-        .ok_or("--trace is required".to_string())?;
+    let path = &opts.trace;
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     let mut events: Vec<ProvenanceEvent> = Vec::new();
     for (i, line) in text.lines().enumerate() {
@@ -305,11 +298,8 @@ impl DimCommand for EstimateCmd {
 /// `--corrupt-prob` run it through the seeded chaos transformer and write
 /// a hostile timed stream (the input format of `disc run --timed`).
 pub fn generate(opts: &Opts) -> Result<(), String> {
-    let dataset = opts
-        .dataset
-        .as_ref()
-        .ok_or("--dataset is required".to_string())?;
-    let out = opts.out.as_ref().ok_or("--out is required".to_string())?;
+    let dataset = &opts.dataset;
+    let out = opts.out.as_ref().expect("the flag table requires --out");
     let n = opts.n;
     let seed = opts.seed;
     match dataset.as_str() {

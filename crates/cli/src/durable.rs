@@ -15,10 +15,7 @@ pub struct ResumeCmd;
 
 impl DimCommand for ResumeCmd {
     fn run<const D: usize>(&self, opts: &Opts) -> Result<(), String> {
-        let dir = opts
-            .checkpoint_dir
-            .as_ref()
-            .ok_or("--checkpoint-dir is required")?;
+        let dir = (opts.checkpoint_dir.as_ref()).expect("the flag table requires --checkpoint-dir");
         let started = std::time::Instant::now();
         let seq = latest_checkpoint_seq(dir)
             .map_err(|e| format!("{}: {e}", dir.display()))?
@@ -111,8 +108,7 @@ pub struct DiffsnapCmd;
 
 impl DimCommand for DiffsnapCmd {
     fn run<const D: usize>(&self, opts: &Opts) -> Result<(), String> {
-        let a = opts.snap_a.as_ref().ok_or("--a is required")?;
-        let b = opts.snap_b.as_ref().ok_or("--b is required")?;
+        let (a, b) = (&opts.snap_a, &opts.snap_b);
         let read =
             |p: &PathBuf| csv::read_snapshot::<D>(p).map_err(|e| format!("{}: {e}", p.display()));
         let (mut ra, mut rb) = (read(a)?, read(b)?);

@@ -2,10 +2,11 @@
 //!
 //! Each [`Flag`] row names a flag, its value placeholder (or none, for a
 //! switch), the commands that take it, the setter that parses its value
-//! into [`Opts`], its default, the flags it needs or refuses, and the
-//! `--method` values it affects. [`Opts::parse`], `disc --help` and every
-//! refusal read the table and nothing else, so a flag a command would
-//! drop is an error before the command runs, never a silent no-op.
+//! into [`Opts`], the commands that cannot run without it, its default,
+//! the flags it needs or refuses, and the `--method` values it affects.
+//! [`Opts::parse`], `disc --help` and every refusal read the table and
+//! nothing else, so a flag a command would drop is an error before the
+//! command runs, never a silent no-op.
 
 use std::path::PathBuf;
 use std::str::FromStr;
@@ -14,7 +15,7 @@ use std::str::FromStr;
 /// [`FLAGS`] row. Only the fields of the running command's flags are set.
 #[derive(Default)]
 pub struct Opts {
-    pub input: Option<PathBuf>,
+    pub input: PathBuf,
     pub out: Option<PathBuf>,
     pub dim: usize,
     pub eps: Option<f64>,
@@ -61,9 +62,9 @@ pub struct Opts {
     pub ingest_journal: Option<PathBuf>,
     pub ingest_out: Option<PathBuf>,
     // `diffsnap`, `explain` and `top` inputs.
-    pub snap_a: Option<PathBuf>,
-    pub snap_b: Option<PathBuf>,
-    pub trace: Option<PathBuf>,
+    pub snap_a: PathBuf,
+    pub snap_b: PathBuf,
+    pub trace: PathBuf,
     pub slide: Option<u64>,
     pub metrics: Option<PathBuf>,
     pub health: Option<PathBuf>,
@@ -72,7 +73,7 @@ pub struct Opts {
     pub once: bool,
     // `estimate` and `generate`.
     pub sample: usize,
-    pub dataset: Option<String>,
+    pub dataset: String,
     pub n: usize,
     pub seed: u64,
     pub disorder: Option<f64>,
@@ -84,7 +85,7 @@ pub struct Opts {
 /// `COMMANDS[i]` takes the flag. `disc run` parses as `cluster`.
 #[rustfmt::skip]
 const COMMANDS: [(&str, &str); 7] = [
-    ("cluster", "cluster --input; needs --eps --tau --window --stride (alias: run)"),
+    ("cluster", "cluster --input through a sliding window (alias: run)"),
     ("resume", "continue the run in --checkpoint-dir (+ --wal) over its --input;\n  \
                 --eps, --tau, --window, --stride and --index, if given, must match it"),
     ("diffsnap", "compare the snapshots --a and --b up to cluster renaming"),
@@ -121,6 +122,8 @@ struct Flag {
     /// The value placeholder for `--help`; `None` for a switch.
     value: Option<&'static str>,
     commands: u8,
+    /// The commands that refuse to run without the flag.
+    required: u8,
     set: Set,
     default: Option<&'static str>,
     /// Given, the flag needs one of these given too.
@@ -143,8 +146,9 @@ const fn switch(name: &'static str, commands: u8, set: Set) -> Flag {
 #[rustfmt::skip]
 impl Flag {
     const fn new(name: &'static str, value: Option<&'static str>, commands: u8, set: Set) -> Flag {
-        Flag { name, value, commands, set, default: None, requires: &[], conflicts: &[], methods: &[] }
+        Flag { name, value, commands, required: 0, set, default: None, requires: &[], conflicts: &[], methods: &[] }
     }
+    const fn required(self, required: u8) -> Flag { Flag { required, ..self } }
     const fn default(self, value: &'static str) -> Flag { Flag { default: Some(value), ..self } }
     const fn requires(self, requires: &'static [&'static str]) -> Flag { Flag { requires, ..self } }
     const fn conflicts(self, conflicts: &'static [&'static str]) -> Flag { Flag { conflicts, ..self } }
@@ -152,8 +156,9 @@ impl Flag {
 }
 
 impl Flag {
-    /// The row's `--help` item: `[--flag VALUE (notes)]`.
-    fn help(&self) -> String {
+    /// The row's `--help` item for the command with bit `bit`:
+    /// `[--flag VALUE (notes)]`, without the brackets where it is required.
+    fn help(&self, bit: u8) -> String {
         let notes = [
             self.default.map(|d| format!("default {d}")),
             (!self.requires.is_empty()).then(|| format!("needs {}", self.requires.join(" or "))),
@@ -162,9 +167,13 @@ impl Flag {
         ];
         let notes: Vec<String> = notes.into_iter().flatten().collect();
         let value = self.value.map_or(String::new(), |v| format!(" {v}"));
-        match notes.is_empty() {
-            true => format!("[{}{value}]", self.name),
-            false => format!("[{}{value} ({})]", self.name, notes.join("; ")),
+        let item = match notes.is_empty() {
+            true => format!("{}{value}", self.name),
+            false => format!("{}{value} ({})", self.name, notes.join("; ")),
+        };
+        match self.required & bit {
+            0 => format!("[{item}]"),
+            _ => item,
         }
     }
 }
@@ -181,13 +190,13 @@ fn some<T: FromStr>(slot: &mut Option<T>, value: &str) -> Option<()> {
 
 #[rustfmt::skip]
 const FLAGS: &[Flag] = &[
-    flag("--input", "F", RUN | ESTIMATE, |o, v| some(&mut o.input, v)),
-    flag("--out", "F", RUN | GENERATE, |o, v| some(&mut o.out, v)),
+    flag("--input", "F", RUN | ESTIMATE, |o, v| set(&mut o.input, v)).required(RUN | ESTIMATE),
+    flag("--out", "F", RUN | GENERATE, |o, v| some(&mut o.out, v)).required(GENERATE),
     flag("--dim", "D", RUN | DIFFSNAP | ESTIMATE, |o, v| set(&mut o.dim, v)).default("2"),
-    flag("--eps", "X", RUN, |o, v| some(&mut o.eps, v)),
-    flag("--tau", "N", RUN, |o, v| some(&mut o.tau, v)),
-    flag("--window", "W", RUN, |o, v| some(&mut o.window, v)),
-    flag("--stride", "S", RUN, |o, v| some(&mut o.stride, v)),
+    flag("--eps", "X", RUN, |o, v| some(&mut o.eps, v)).required(CLUSTER),
+    flag("--tau", "N", RUN, |o, v| some(&mut o.tau, v)).required(CLUSTER),
+    flag("--window", "W", RUN, |o, v| some(&mut o.window, v)).required(CLUSTER),
+    flag("--stride", "S", RUN, |o, v| some(&mut o.stride, v)).required(CLUSTER),
     flag("--method", "disc|incdbscan|extran|dbscan|rho2", RUN, |o, v| set(&mut o.method, v))
         .default("disc"),
     flag("--index", "rtree|grid", RUN, |o, v| some(&mut o.index, v)).methods(INDEXED),
@@ -205,7 +214,8 @@ const FLAGS: &[Flag] = &[
     flag("--alerts-out", "F.jsonl", RUN, |o, v| some(&mut o.alerts_out, v)).requires(&["--alerts"]),
     switch("--alerts-fatal", RUN, |o, v| set(&mut o.alerts_fatal, v)).requires(&["--alerts"]), // exit 2 if any fired
     flag("--health-out", "F.jsonl", RUN, |o, v| some(&mut o.health_out, v)),
-    flag("--checkpoint-dir", "DIR", RUN, |o, v| some(&mut o.checkpoint_dir, v)).methods(DISC),
+    flag("--checkpoint-dir", "DIR", RUN, |o, v| some(&mut o.checkpoint_dir, v)).methods(DISC)
+        .required(RESUME),
     flag("--checkpoint-every", "N", RUN, |o, v| some(&mut o.checkpoint_every, v))
         .requires(&["--checkpoint-dir"]),
     flag("--wal", "F", RUN, |o, v| some(&mut o.wal, v)).requires(&["--checkpoint-dir"]),
@@ -220,9 +230,9 @@ const FLAGS: &[Flag] = &[
     flag("--shed", "HIGH:LOW", RUN, |o, v| some(&mut o.shed, v)).requires(TIMED), // water marks, in records
     flag("--ingest-journal", "F", RUN, |o, v| some(&mut o.ingest_journal, v)).requires(TIMED),
     flag("--ingest-out", "F.jsonl", RUN, |o, v| some(&mut o.ingest_out, v)).requires(TIMED),
-    flag("--a", "F", DIFFSNAP, |o, v| some(&mut o.snap_a, v)),
-    flag("--b", "F", DIFFSNAP, |o, v| some(&mut o.snap_b, v)),
-    flag("--trace", "F.jsonl", EXPLAIN, |o, v| some(&mut o.trace, v)),
+    flag("--a", "F", DIFFSNAP, |o, v| set(&mut o.snap_a, v)).required(DIFFSNAP),
+    flag("--b", "F", DIFFSNAP, |o, v| set(&mut o.snap_b, v)).required(DIFFSNAP),
+    flag("--trace", "F.jsonl", EXPLAIN, |o, v| set(&mut o.trace, v)).required(EXPLAIN),
     flag("--slide", "N", EXPLAIN, |o, v| some(&mut o.slide, v)),
     flag("--metrics", "F.jsonl", TOP, |o, v| some(&mut o.metrics, v)).conflicts(&["--prom-addr"]),
     flag("--health", "F.jsonl", TOP, |o, v| some(&mut o.health, v)).requires(&["--metrics"]),
@@ -231,7 +241,7 @@ const FLAGS: &[Flag] = &[
     switch("--once", TOP, |o, v| set(&mut o.once, v)),
     flag("--sample", "N", ESTIMATE, |o, v| set(&mut o.sample, v)).default("2000"),
     flag("--dataset", "maze|dtg|geolife|covid|iris|netflow|blobs|split_merge", GENERATE,
-         |o, v| some(&mut o.dataset, v)),
+         |o, v| set(&mut o.dataset, v)).required(GENERATE),
     flag("--n", "N", GENERATE, |o, v| set(&mut o.n, v)).default("10000"),
     flag("--seed", "N", GENERATE, |o, v| set(&mut o.seed, v)).default("42"),
     flag("--disorder", "SKEW", GENERATE, |o, v| some(&mut o.disorder, v)), // shuffle within this skew
@@ -248,24 +258,40 @@ fn or_list(items: &[&str]) -> String {
     }
 }
 
+/// The index into [`COMMANDS`] of `command`, `run` being `cluster`.
+fn command_index(command: &str) -> Option<usize> {
+    let name = if command == "run" { "cluster" } else { command };
+    COMMANDS.iter().position(|(c, _)| *c == name)
+}
+
+/// `disc COMMAND --help`: the command's line and the rows of the flags it
+/// takes; `None` for an unknown command.
+pub(crate) fn command_usage(command: &str) -> Option<String> {
+    let i = command_index(command)?;
+    let (name, about) = COMMANDS[i];
+    let mut out = format!("disc {name}: {about}\n");
+    let mut line = String::from(" ");
+    for f in FLAGS.iter().filter(|f| f.commands & (1 << i) != 0) {
+        let item = f.help(1 << i);
+        if line.len() + item.len() > 78 {
+            out.push_str(&format!("{line}\n"));
+            line = String::from(" ");
+        }
+        line.push_str(&format!(" {item}"));
+    }
+    Some(format!("{out}{line}\n"))
+}
+
 /// `disc --help`: each command's line and the rows of the flags it takes.
 pub(crate) fn usage() -> String {
     let mut out = String::from(
-        "usage: disc COMMAND [FLAGS] | disc --help\n\
-         A command refuses every flag not listed under it.\n",
+        "usage: disc COMMAND [FLAGS] | disc [COMMAND] --help\n\
+         A command refuses every flag not listed under it; a flag without\n\
+         brackets is required.\n",
     );
-    for (i, (name, about)) in COMMANDS.iter().enumerate() {
-        out.push_str(&format!("\ndisc {name}: {about}\n"));
-        let mut line = String::from(" ");
-        for f in FLAGS.iter().filter(|f| f.commands & (1 << i) != 0) {
-            let item = f.help();
-            if line.len() + item.len() > 78 {
-                out.push_str(&format!("{line}\n"));
-                line = String::from(" ");
-            }
-            line.push_str(&format!(" {item}"));
-        }
-        out.push_str(&format!("{line}\n"));
+    for (name, _) in COMMANDS {
+        out.push('\n');
+        out.push_str(&command_usage(name).expect("a listed command"));
     }
     out
 }
@@ -273,11 +299,11 @@ pub(crate) fn usage() -> String {
 impl Opts {
     /// Parses `command`'s flags against [`FLAGS`]. A repeated flag keeps
     /// its last value. Refuses an unknown command, a flag the command does
-    /// not take, a value that does not parse, and a given flag whose
-    /// `requires`, `conflicts` or `--method` values its row does not allow.
+    /// not take, a value that does not parse, a given flag whose
+    /// `requires`, `conflicts` or `--method` values its row does not allow,
+    /// and a missing flag the command requires.
     pub fn parse(command: &str, args: &[String]) -> Result<Opts, String> {
-        let name = if command == "run" { "cluster" } else { command };
-        let Some(i) = COMMANDS.iter().position(|(c, _)| *c == name) else {
+        let Some(i) = command_index(command) else {
             return Err(format!("unknown command {command:?}\n{}", usage()));
         };
         let bit = 1u8 << i;
@@ -325,8 +351,23 @@ impl Opts {
             };
             return Err(format!("disc {command}: {refusal}"));
         }
+        if let Some(f) = FLAGS.iter().find(|f| f.required & bit != 0 && !has(f.name)) {
+            return Err(format!("{} is required", f.name));
+        }
         Ok(opts)
     }
+}
+
+/// `disc cluster` with its required flags, then `args`, parsed: for tests
+/// of the other flags. A repeated flag keeps its last value, so `args` may
+/// override the required ones.
+#[cfg(test)]
+pub(crate) fn parse_cluster(args: &[&str]) -> Result<Opts, String> {
+    let required = [
+        "--input", "in.csv", "--eps", "1", "--tau", "4", "--window", "300", "--stride", "100",
+    ];
+    let args: Vec<String> = required.iter().chain(args).map(|s| s.to_string()).collect();
+    Opts::parse("cluster", &args)
 }
 
 #[cfg(test)]
@@ -364,6 +405,16 @@ mod tests {
             args.extend(["--method".to_string(), m.to_string()]);
         }
         args
+    }
+
+    /// The flags `command` requires, each with a value its setter accepts.
+    fn required(bit: u8) -> Vec<String> {
+        let rows = FLAGS.iter().filter(|f| f.required & bit != 0);
+        rows.flat_map(given).collect()
+    }
+
+    fn bit(command: &str) -> u8 {
+        1 << command_index(command).unwrap()
     }
 
     fn is_empty(dir: &Path) -> bool {
@@ -448,14 +499,10 @@ mod tests {
             ),
         ];
         for (command, base) in &bases {
-            let bit = if *command == "run" {
-                CLUSTER
-            } else {
-                1 << COMMANDS.iter().position(|(c, _)| c == command).unwrap()
-            };
+            let bit = bit(command);
             for f in FLAGS {
                 if f.commands & bit != 0 {
-                    let args = taken(f);
+                    let args = [required(bit), taken(f)].concat();
                     if let Err(e) = Opts::parse(command, &args) {
                         panic!("disc {command} {args:?}: {e}");
                     }
@@ -567,12 +614,7 @@ mod tests {
     /// only for DISC, `--rho` only for ρ²-DBSCAN.
     #[test]
     fn index_threads_and_rho_follow_the_method() {
-        let parse = |args: &[&str]| {
-            Opts::parse(
-                "cluster",
-                &args.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
-            )
-        };
+        let parse = parse_cluster;
         let refused = |args: &[&str], named: &[&str]| {
             let err = parse(args)
                 .err()
@@ -613,20 +655,69 @@ mod tests {
 
     #[test]
     fn repeated_flags_keep_the_last_value_and_defaults_come_from_the_table() {
-        let args: Vec<String> = ["--eps", "1", "--eps", "9"].map(String::from).to_vec();
-        assert_eq!(Opts::parse("resume", &args).unwrap().eps, Some(9.0));
-        let o = Opts::parse("generate", &[]).unwrap();
+        let args = [
+            required(RESUME),
+            ["--eps", "1", "--eps", "9"].map(String::from).to_vec(),
+        ];
+        assert_eq!(
+            Opts::parse("resume", &args.concat()).unwrap().eps,
+            Some(9.0)
+        );
+        let o = Opts::parse("generate", &required(GENERATE)).unwrap();
         assert_eq!(
             (o.n, o.seed, o.dim, o.method.as_str()),
             (10_000, 42, 2, "disc")
         );
-        let help = usage();
-        for f in FLAGS {
-            assert!(
-                help.contains(&format!("[{}", f.name)),
-                "{} missing from --help",
-                f.name
-            );
+    }
+
+    /// Each command's `--help` lists every flag it takes, the required ones
+    /// without brackets, and `disc --help` lists every command's.
+    #[test]
+    fn every_flag_appears_in_its_commands_help() {
+        let all = usage();
+        for (command, _) in COMMANDS {
+            let help = command_usage(command).unwrap();
+            assert!(all.contains(&help), "{command}");
+            let bit = bit(command);
+            for f in FLAGS.iter().filter(|f| f.commands & bit != 0) {
+                let item = f.help(bit);
+                assert!(
+                    help.contains(&item),
+                    "{} missing from {command} --help",
+                    f.name
+                );
+                assert_eq!(item.starts_with('['), f.required & bit == 0, "{item}");
+            }
+            run(&[command, "--help"]).unwrap_or_else(|e| panic!("{command} --help: {e}"));
         }
+        assert!(run(&["run", "--help"]).is_ok());
+        assert!(command_usage("bogus").is_none());
+    }
+
+    /// For every (command, required flag) pair, leaving out the flag fails
+    /// before the command runs, naming the flag; the rest of the required
+    /// set parses.
+    #[test]
+    fn a_missing_required_flag_is_refused_by_name() {
+        let mut pairs = 0;
+        for (command, _) in COMMANDS {
+            let bit = bit(command);
+            Opts::parse(command, &required(bit)).unwrap_or_else(|e| panic!("{command}: {e}"));
+            for f in FLAGS.iter().filter(|f| f.required & bit != 0) {
+                let args: Vec<String> = FLAGS
+                    .iter()
+                    .filter(|g| g.required & bit != 0 && g.name != f.name)
+                    .flat_map(given)
+                    .collect();
+                let args: Vec<&str> = [command]
+                    .into_iter()
+                    .chain(args.iter().map(String::as_str))
+                    .collect();
+                assert_eq!(run(&args).unwrap_err(), format!("{} is required", f.name));
+                pairs += 1;
+            }
+        }
+        // cluster 5, resume 2, diffsnap 2, explain 1, estimate 1, generate 2.
+        assert_eq!(pairs, 13);
     }
 }

@@ -464,7 +464,7 @@ mod tests {
 
     #[test]
     fn inactive_when_no_health_flags() {
-        let opts = crate::Opts::parse("cluster", &[]).unwrap();
+        let opts = crate::flags::parse_cluster(&[]).unwrap();
         assert!(Health::<2>::from_opts(&opts, 1.0, 4).unwrap().is_none());
     }
 
@@ -492,11 +492,8 @@ mod tests {
              op = \"ge\"\nthreshold = 0.0\n",
         )
         .unwrap();
-        let args: Vec<String> = ["--audit-every", "1", "--alerts", rules.to_str().unwrap()]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let opts = crate::Opts::parse("cluster", &args).unwrap();
+        let args = ["--audit-every", "1", "--alerts", rules.to_str().unwrap()];
+        let opts = crate::flags::parse_cluster(&args).unwrap();
         let (eps, tau) = (0.8, 4);
         let mut h = Health::<2>::from_opts(&opts, eps, tau).unwrap().unwrap();
         let registry = Registry::new();
@@ -544,8 +541,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let rules = dir.join("bad.toml");
         std::fs::write(&rules, "[[rule]]\nname = \"x\"\n").unwrap();
-        let args: Vec<String> = vec!["--alerts".into(), rules.to_str().unwrap().into()];
-        let opts = crate::Opts::parse("cluster", &args).unwrap();
+        let opts = crate::flags::parse_cluster(&["--alerts", rules.to_str().unwrap()]).unwrap();
         let err = Health::<2>::from_opts(&opts, 1.0, 4).err().unwrap();
         assert!(err.contains("bad.toml") && err.contains("metric"), "{err}");
     }

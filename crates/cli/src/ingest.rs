@@ -114,10 +114,7 @@ pub fn load_stream<const D: usize>(
     match ingest_opts(opts)? {
         None => Ok((crate::cmd::load::<D>(opts)?, None)),
         Some(io) => {
-            let input = opts
-                .input
-                .as_ref()
-                .ok_or("--input is required".to_string())?;
+            let input = &opts.input;
             let rows = csv::read_timed_records_lossy::<D>(input)
                 .map_err(|e| format!("{}: {e}", input.display()))?;
             let mut ing = Ingest::<D>::new(io.cfg);
@@ -319,8 +316,7 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> Result<Opts, String> {
-        let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-        Opts::parse("cluster", &owned)
+        crate::flags::parse_cluster(args)
     }
 
     fn opts(args: &[&str]) -> Opts {

@@ -1,5 +1,6 @@
 //! `disc` — sliding-window density clustering from the command line.
-//! `disc --help` lists each command with the flags it takes, as the flag
+//! `disc --help` lists each command with the flags it takes (`disc COMMAND
+//! --help` lists one command), as the flag
 //! table in `flags.rs` states them.
 //!
 //! Input CSV: one point per row, `dim` coordinate columns, optionally a
@@ -36,6 +37,15 @@ fn run(args: &[String]) -> Result<(), String> {
         println!("{}", flags::usage());
         return Ok(());
     }
+    if args[1..]
+        .iter()
+        .any(|a| matches!(a.as_str(), "--help" | "-h"))
+    {
+        if let Some(help) = flags::command_usage(command) {
+            println!("{help}");
+            return Ok(());
+        }
+    }
     let opts = Opts::parse(command, &args[1..])?;
     match command.as_str() {
         "cluster" | "run" => dispatch_dim(&opts, cmd::ClusterCmd),
@@ -64,7 +74,11 @@ mod tests {
     use super::*;
     use disc_telemetry::JsonlRecord;
 
+    /// `cluster` gets its required flags first.
     fn parse(command: &str, args: &[&str]) -> Result<Opts, String> {
+        if command == "cluster" {
+            return flags::parse_cluster(args);
+        }
         let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
         Opts::parse(command, &owned)
     }
@@ -77,7 +91,6 @@ mod tests {
         assert_eq!(o.index, None);
         assert_eq!(o.rho, 0.001);
         assert!(!o.quiet);
-        assert!(o.input.is_none());
     }
 
     #[test]
@@ -91,7 +104,7 @@ mod tests {
             ],
         )
         .unwrap();
-        assert_eq!(o.input.as_ref().unwrap().to_str(), Some("in.csv"));
+        assert_eq!(o.input.to_str(), Some("in.csv"));
         assert_eq!(o.dim, 3);
         assert_eq!(o.eps, Some(0.5));
         assert_eq!(o.tau, Some(7));
@@ -440,11 +453,14 @@ mod tests {
         assert_eq!(o.folded_out.as_ref().unwrap().to_str(), Some("f.txt"));
         assert_eq!(o.provenance_out.as_ref().unwrap().to_str(), Some("p.jsonl"));
         let o = parse("explain", &["--trace", "p.jsonl", "--slide", "17"]).unwrap();
-        assert_eq!(o.trace.as_ref().unwrap().to_str(), Some("p.jsonl"));
+        assert_eq!(o.trace.to_str(), Some("p.jsonl"));
         assert_eq!(o.slide, Some(17));
         let o = parse("cluster", &[]).unwrap();
         assert!(o.trace_out.is_none() && o.provenance_out.is_none());
-        assert!(parse("explain", &[]).unwrap().slide.is_none());
+        assert!(parse("explain", &["--trace", "p.jsonl"])
+            .unwrap()
+            .slide
+            .is_none());
     }
 
     /// End-to-end: `disc run --trace-out --folded-out --provenance-out`
@@ -999,8 +1015,8 @@ mod tests {
         assert_eq!(o.wal.as_ref().unwrap().to_str(), Some("slides.wal"));
         assert_eq!(o.fsync.as_deref(), Some("every=8"));
         let o = parse("diffsnap", &["--a", "a.csv", "--b", "b.csv"]).unwrap();
-        assert_eq!(o.snap_a.as_ref().unwrap().to_str(), Some("a.csv"));
-        assert_eq!(o.snap_b.as_ref().unwrap().to_str(), Some("b.csv"));
+        assert_eq!(o.snap_a.to_str(), Some("a.csv"));
+        assert_eq!(o.snap_b.to_str(), Some("b.csv"));
         let o = parse("cluster", &[]).unwrap();
         assert!(o.checkpoint_dir.is_none() && o.wal.is_none());
         assert_eq!(o.checkpoint_every, None);

@@ -56,7 +56,6 @@ pub mod record;
 pub mod state;
 pub mod stats;
 pub mod store;
-pub mod tracker;
 
 pub use config::{DiscConfig, IndexBackend};
 pub use engine::{Disc, SlideError};
@@ -64,4 +63,3 @@ pub use label::{ClusterId, PointLabel};
 pub use materialized::GraphDisc;
 pub use state::{backend_of, EngineState, PointState, StateError};
 pub use stats::SlideStats;
-pub use tracker::{ClusterTracker, Evolution};

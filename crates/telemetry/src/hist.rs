@@ -171,31 +171,6 @@ impl LogHistogram {
         self.quantile(0.99)
     }
 
-    /// Adds every sample of `other` into `self`.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += *b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        if other.count > 0 {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-    }
-
-    /// Resets the histogram to its empty state without releasing the
-    /// bucket storage — the merge/clear pair lets a driver keep one
-    /// scratch histogram per repetition and fold it into an aggregate
-    /// (see `disc-bench`'s repeated measurements) with zero allocation.
-    pub fn clear(&mut self) {
-        self.counts.fill(0);
-        self.count = 0;
-        self.sum = 0;
-        self.min = u64::MAX;
-        self.max = 0;
-    }
-
     /// Calls `f(upper_bound, cumulative_count)` for every *non-empty*
     /// bucket in ascending order — the shape Prometheus' cumulative
     /// `_bucket{le=...}` series needs. The final call always carries the
@@ -313,83 +288,6 @@ mod tests {
         let mut calls = 0;
         h.for_each_cumulative(|_, _| calls += 1);
         assert_eq!(calls, 0);
-    }
-
-    #[test]
-    fn merge_equals_combined_recording() {
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
-        let mut both = LogHistogram::new();
-        for i in 0..500u64 {
-            let v = i * 37 + 5;
-            if i % 2 == 0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-            both.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), both.count());
-        assert_eq!(a.sum(), both.sum());
-        assert_eq!(a.min(), both.min());
-        assert_eq!(a.max(), both.max());
-        assert_eq!(a.p50(), both.p50());
-        assert_eq!(a.p99(), both.p99());
-    }
-
-    #[test]
-    fn clear_resets_to_the_empty_state() {
-        let mut h = LogHistogram::new();
-        for v in [1u64, 1 << 20, u64::MAX] {
-            h.record(v);
-        }
-        h.clear();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.snapshot(), HistSnapshot::default());
-        let mut calls = 0;
-        h.for_each_cumulative(|_, _| calls += 1);
-        assert_eq!(calls, 0);
-        // The cleared histogram records again from scratch.
-        h.record(7);
-        assert_eq!(h.min(), 7);
-        assert_eq!(h.max(), 7);
-        assert_eq!(h.p50(), 7);
-    }
-
-    mod merge_properties {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(64))]
-
-            /// Merging per-chunk histograms is indistinguishable from
-            /// recording the whole stream into one histogram — the
-            /// guarantee the bench harness relies on when aggregating
-            /// repetitions via merge/clear.
-            #[test]
-            fn merged_percentiles_equal_whole_stream_percentiles(
-                samples in prop::collection::vec(0u64..u64::MAX, 1..300),
-                chunk in 1usize..50,
-            ) {
-                let mut whole = LogHistogram::new();
-                let mut merged = LogHistogram::new();
-                let mut scratch = LogHistogram::new();
-                for part in samples.chunks(chunk) {
-                    scratch.clear();
-                    for &v in part {
-                        scratch.record(v);
-                        whole.record(v);
-                    }
-                    merged.merge(&scratch);
-                }
-                prop_assert_eq!(merged.snapshot(), whole.snapshot());
-                for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
-                    prop_assert_eq!(merged.quantile(q), whole.quantile(q));
-                }
-            }
-        }
     }
 
     #[test]

@@ -53,9 +53,7 @@ pub mod prelude {
         DbStream, DbStreamConfig, Dbscan, EdmStream, EdmStreamConfig, ExtraN, IncDbscan, RhoDbscan,
         WindowClusterer,
     };
-    pub use crate::core::{
-        ClusterTracker, Disc, DiscConfig, Evolution, GraphDisc, PointLabel, SlideStats,
-    };
+    pub use crate::core::{Disc, DiscConfig, GraphDisc, PointLabel, SlideStats};
     pub use crate::geom::{Point, PointId};
     pub use crate::metrics::{ari, nmi, purity};
     pub use crate::telemetry::{

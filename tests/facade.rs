@@ -180,24 +180,6 @@ fn equivalence_oracle_accepts_disc_against_dbscan() {
 }
 
 #[test]
-fn tracker_follows_disc_events() {
-    use disc::core::{ClusterTracker, Evolution};
-    let records = datasets::maze(3_000, 8, 5);
-    let mut w = SlidingWindow::new(records, 800, 200);
-    let mut disc = Disc::new(DiscConfig::new(0.6, 5));
-    let mut tracker = ClusterTracker::new();
-    disc.apply(&w.fill());
-    let first = tracker.observe(&disc.assignments());
-    assert!(!first.is_empty());
-    assert!(first.iter().all(|e| matches!(e, Evolution::Emerged { .. })));
-    while let Some(b) = w.advance() {
-        disc.apply(&b);
-        tracker.observe(&disc.assignments());
-    }
-    assert!(tracker.slides_seen() > 5);
-}
-
-#[test]
 fn kdistance_estimate_feeds_disc() {
     use disc::core::kdistance;
     let records = datasets::geolife_like(4_000, 9);
