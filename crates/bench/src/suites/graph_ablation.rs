@@ -4,8 +4,10 @@
 //! maintenance cost. [`GraphDisc`] implements that rejected design; this
 //! suite compares it against DISC across ε on the DTG workload: the graph
 //! variant eliminates nearly all range searches, but its memory and its
-//! per-slide list-surgery cost inflate with the neighbourhood size while
-//! DISC's stay flat.
+//! per-slide list-surgery cost inflate with the neighbourhood size. Both
+//! memory columns are accounted footprints ([`MemoryFootprint`]).
+//!
+//! [`MemoryFootprint`]: disc_telemetry::MemoryFootprint
 //!
 //! [`GraphDisc`]: disc_core::GraphDisc
 
@@ -14,6 +16,7 @@ use crate::runner::{records_needed, tile};
 use crate::suites::{SEED, SLIDES};
 use crate::Scale;
 use disc_core::{Disc, DiscConfig, GraphDisc};
+use disc_telemetry::MemoryFootprint;
 use disc_window::{datasets, SlidingWindow};
 use std::time::{Duration, Instant};
 
@@ -76,7 +79,7 @@ pub fn run(scale: Scale) -> Table {
             fmt_duration(graph_time / gslides.max(1)),
             format!("{disc_searches:.0}"),
             format!("{graph_searches:.0}"),
-            fmt_bytes(disc.window_len() * 72),
+            fmt_bytes(disc.mem_bytes() as usize),
             fmt_bytes(graph.memory_bytes()),
         ]);
     }

@@ -21,6 +21,7 @@
 //! * one `HealthEvent` JSONL line per slide (`--health-out`) for
 //!   `disc top --health`.
 
+use crate::pipeline::{JsonlFile, JsonlFiles};
 use crate::Opts;
 use disc_baselines::Dbscan;
 use disc_geom::{FxHashMap, Point, PointId};
@@ -29,8 +30,6 @@ use disc_telemetry::{
     LifecycleAnalytics, ProvenanceEvent, ProvenanceSink, Recorder, Registry, Sink,
 };
 use disc_window::{SlideBatch, SlidingWindow};
-use std::io::Write;
-use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 /// Window points sampled per quality audit (the oracle pass is O(n²) in
@@ -52,34 +51,6 @@ fn stride_sample<T: Copy>(items: &[T], cap: usize) -> Vec<T> {
     }
     let step = items.len().div_ceil(cap);
     items.iter().copied().step_by(step).collect()
-}
-
-/// A buffered JSONL file sink (`--health-out`, `--alerts-out`,
-/// `--ingest-out`) whose errors name its file.
-#[derive(Debug)]
-pub(crate) struct JsonlWriter {
-    out: std::io::BufWriter<std::fs::File>,
-    pub(crate) path: std::path::PathBuf,
-}
-
-impl JsonlWriter {
-    pub(crate) fn create(path: &Path) -> Result<Self, String> {
-        let file = std::fs::File::create(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        Ok(JsonlWriter {
-            out: std::io::BufWriter::new(file),
-            path: path.to_path_buf(),
-        })
-    }
-
-    pub(crate) fn line(&mut self, line: &str) -> Result<(), String> {
-        writeln!(self.out, "{line}").map_err(|e| format!("{}: {e}", self.path.display()))
-    }
-
-    pub(crate) fn flush(&mut self) -> Result<(), String> {
-        self.out
-            .flush()
-            .map_err(|e| format!("{}: {e}", self.path.display()))
-    }
 }
 
 /// A provenance sink that feeds the lifecycle fold, forwarding to an
@@ -118,8 +89,8 @@ pub struct Health<const D: usize> {
     alerts_fatal: bool,
     quiet: bool,
     engine: Option<AlertEngine>,
-    alerts_out: Option<JsonlWriter>,
-    health_out: Option<JsonlWriter>,
+    alerts_out: Option<JsonlFile>,
+    health_out: Option<JsonlFile>,
     monitor: DriftMonitor,
     lifecycle: Arc<Mutex<LifecycleAnalytics>>,
     prev: Vec<(PointId, i64)>,
@@ -135,7 +106,13 @@ impl<const D: usize> Health<D> {
     /// Builds the driver when any health flag is on; `None` otherwise.
     /// `eps`/`tau` parameterise the audit oracle (the engine's own
     /// thresholds — on a durable resume they come from the checkpoint).
-    pub fn from_opts(opts: &Opts, eps: f64, tau: usize) -> Result<Option<Self>, String> {
+    /// `--alerts-out` and `--health-out` open through `files`.
+    pub fn from_opts(
+        opts: &Opts,
+        eps: f64,
+        tau: usize,
+        files: &mut JsonlFiles,
+    ) -> Result<Option<Self>, String> {
         let active = opts.audit_every > 0 || opts.alerts.is_some() || opts.health_out.is_some();
         if !active {
             return Ok(None);
@@ -150,7 +127,6 @@ impl<const D: usize> Health<D> {
             }
             None => None,
         };
-        let create = |p: &Option<PathBuf>| p.as_deref().map(JsonlWriter::create).transpose();
         Ok(Some(Health {
             eps,
             tau,
@@ -158,8 +134,8 @@ impl<const D: usize> Health<D> {
             alerts_fatal: opts.alerts_fatal,
             quiet: opts.quiet,
             engine,
-            alerts_out: create(&opts.alerts_out)?,
-            health_out: create(&opts.health_out)?,
+            alerts_out: files.open("--alerts-out", &opts.alerts_out)?,
+            health_out: files.open("--health-out", &opts.health_out)?,
             monitor: DriftMonitor::standard(DRIFT_WARMUP),
             lifecycle: Arc::new(Mutex::new(LifecycleAnalytics::new())),
             prev: Vec::new(),
@@ -193,7 +169,7 @@ impl<const D: usize> Health<D> {
         w: &SlidingWindow<D>,
         batch: &SlideBatch<D>,
         registry: &Registry,
-    ) -> Result<(), String> {
+    ) {
         // --- Cheap per-slide signals ----------------------------------
         let churn = disc_metrics::label_churn(&self.prev, assignments);
         let noise = disc_metrics::noise_fraction(assignments);
@@ -265,8 +241,8 @@ impl<const D: usize> Health<D> {
             active = engine.active().len() as u64;
             for ev in &events {
                 debug_assert!(AlertEvent::validate_jsonl(&ev.to_jsonl()).is_ok());
-                if let Some(out) = &mut self.alerts_out {
-                    out.line(&ev.to_jsonl())?;
+                if let Some(out) = &self.alerts_out {
+                    out.emit(ev);
                 }
                 if !self.quiet {
                     eprintln!(
@@ -279,7 +255,7 @@ impl<const D: usize> Health<D> {
 
         // --- Health event ---------------------------------------------
         self.last = (churn, noise, verdict.score);
-        if let Some(out) = &mut self.health_out {
+        if let Some(out) = &self.health_out {
             let (ari, nmi, purity) = self.quality.unwrap_or((0.0, 0.0, 0.0));
             let ev = HealthEvent {
                 slide,
@@ -295,10 +271,9 @@ impl<const D: usize> Health<D> {
                 purity_ppm: ppm(purity),
                 alerts_active: active,
             };
-            out.line(&ev.to_jsonl())?;
+            out.emit(&ev);
         }
         self.prev = assignments.to_vec();
-        Ok(())
     }
 
     /// Mean ε-neighbor count around this slide's arrivals, estimated from
@@ -400,15 +375,9 @@ impl<const D: usize> Health<D> {
         )
     }
 
-    /// Flushes the sinks, prints the lifecycle recap, and enforces
-    /// `--alerts-fatal`. Call once after the stream drains.
-    pub fn finish(&mut self, registry: &Registry) -> Result<(), String> {
-        if let Some(out) = &mut self.alerts_out {
-            out.flush()?;
-        }
-        if let Some(out) = &mut self.health_out {
-            out.flush()?;
-        }
+    /// Prints the lifecycle recap and enforces `--alerts-fatal`. Call once
+    /// after the stream drains.
+    pub fn finish(&self) -> Result<(), String> {
         let stats = self.lifecycle.lock().expect("lifecycle poisoned").stats();
         if !self.quiet {
             eprintln!(
@@ -433,7 +402,6 @@ impl<const D: usize> Health<D> {
                     active.join(", ")
                 );
             }
-            let _ = registry; // gauges already published per slide
             if self.alerts_fatal && engine.fired_total() > 0 {
                 return Err(format!(
                     "--alerts-fatal: {} alert(s) fired during the run",
@@ -465,7 +433,11 @@ mod tests {
     #[test]
     fn inactive_when_no_health_flags() {
         let opts = crate::flags::parse_cluster(&[]).unwrap();
-        assert!(Health::<2>::from_opts(&opts, 1.0, 4).unwrap().is_none());
+        assert!(
+            Health::<2>::from_opts(&opts, 1.0, 4, &mut JsonlFiles::default())
+                .unwrap()
+                .is_none()
+        );
     }
 
     #[test]
@@ -495,14 +467,16 @@ mod tests {
         let args = ["--audit-every", "1", "--alerts", rules.to_str().unwrap()];
         let opts = crate::flags::parse_cluster(&args).unwrap();
         let (eps, tau) = (0.8, 4);
-        let mut h = Health::<2>::from_opts(&opts, eps, tau).unwrap().unwrap();
+        let mut h = Health::<2>::from_opts(&opts, eps, tau, &mut JsonlFiles::default())
+            .unwrap()
+            .unwrap();
         let registry = Registry::new();
         let records = datasets::gaussian_blobs::<2>(600, 4, 0.5, 7);
         let mut w = SlidingWindow::new(records, 300, 100);
         let fill = w.fill();
         // Deliberately imperfect "engine" labels: one giant cluster.
         let assignments: Vec<(PointId, i64)> = w.current().map(|(id, _)| (id, 0)).collect();
-        h.observe(1, &assignments, &w, &fill, &registry).unwrap();
+        h.observe(1, &assignments, &w, &fill, &registry);
 
         // Offline oracle, replicating the audit's deterministic alignment.
         let mut window: Vec<(PointId, Point<2>)> = w.current().collect();
@@ -542,7 +516,9 @@ mod tests {
         let rules = dir.join("bad.toml");
         std::fs::write(&rules, "[[rule]]\nname = \"x\"\n").unwrap();
         let opts = crate::flags::parse_cluster(&["--alerts", rules.to_str().unwrap()]).unwrap();
-        let err = Health::<2>::from_opts(&opts, 1.0, 4).err().unwrap();
+        let err = Health::<2>::from_opts(&opts, 1.0, 4, &mut JsonlFiles::default())
+            .err()
+            .unwrap();
         assert!(err.contains("bad.toml") && err.contains("metric"), "{err}");
     }
 }

@@ -8,7 +8,7 @@
 //! overload shedding — DESIGN.md §16) before any clustering happens, and
 //! keeps a per-slide timeline of the admission state so the slide loops
 //! can publish evolving `disc_ingest_*` metrics, feed the alert engine,
-//! and append schema-valid [`IngestEvent`] JSONL lines.
+//! and hand out schema-valid [`IngestEvent`] lines for `--ingest-out`.
 //!
 //! Admission is deterministic (a pure function of the raw byte stream and
 //! the [`AdmissionConfig`]), so running it eagerly up front yields
@@ -20,12 +20,12 @@
 //! journaled prefix with [`disc_persist::verify_replay`] before extending
 //! it.
 
-use crate::health::JsonlWriter;
 use crate::Opts;
 use disc_persist::{FsyncPolicy, IngestJournalWriter};
-use disc_telemetry::{lag_ppm, IngestEvent, JsonlRecord, Recorder, Registry};
-use disc_window::reorder::IngestStats;
-use disc_window::{csv, AdmissionConfig, Decision, Ingest, LatePolicy, Record};
+use disc_telemetry::{IngestEvent, Registry};
+use disc_window::{
+    csv, AdmissionConfig, Decision, Ingest, IngestSnapshot, IngestStats, LatePolicy, Record,
+};
 use std::path::PathBuf;
 
 /// The parsed ingest flag family.
@@ -36,8 +36,6 @@ pub struct IngestOpts {
     pub cfg: AdmissionConfig,
     /// Admission-decision journal (`--ingest-journal`).
     pub journal: Option<PathBuf>,
-    /// Per-slide ingest JSONL sink (`--ingest-out`).
-    pub out: Option<PathBuf>,
 }
 
 /// Parses the ingest flags; `Ok(None)` without `--timed` (the flag table
@@ -73,33 +71,7 @@ pub fn ingest_opts(opts: &Opts) -> Result<Option<IngestOpts>, String> {
     Ok(Some(IngestOpts {
         cfg,
         journal: opts.ingest_journal.clone(),
-        out: opts.ingest_out.clone(),
     }))
-}
-
-/// One point on the admission timeline: the buffer state at the instant a
-/// slide's worth of admitted records became available.
-#[derive(Clone, Copy, Debug)]
-struct Snap {
-    stats: IngestStats,
-    buffered: u64,
-    ready: u64,
-    lag: f64,
-    shedding: bool,
-    watermark: f64,
-}
-
-impl Snap {
-    fn of<const D: usize>(ing: &Ingest<D>) -> Snap {
-        Snap {
-            stats: *ing.stats(),
-            buffered: ing.buffered_len() as u64,
-            ready: ing.ready_len() as u64,
-            lag: ing.watermark_lag(),
-            shedding: ing.shedding(),
-            watermark: ing.watermark(),
-        }
-    }
 }
 
 /// Loads the stream for a run: plain CSV normally, the full admission
@@ -120,20 +92,21 @@ pub fn load_stream<const D: usize>(
             let mut ing = Ingest::<D>::new(io.cfg);
             let mut admitted: Vec<Record<D>> = Vec::new();
             let mut decisions: Vec<Decision> = Vec::new();
-            let mut snaps: Vec<Snap> = Vec::new();
+            let mut snaps: Vec<IngestSnapshot> = Vec::new();
             // Slide k's data is complete when `window + (k-1)*stride`
             // records have been admitted; snapshot the buffer there.
             let mut next_boundary = window;
-            let mut drain =
-                |ing: &mut Ingest<D>, admitted: &mut Vec<Record<D>>, snaps: &mut Vec<Snap>| {
-                    while let Some(tr) = ing.pop() {
-                        admitted.push(tr.record);
-                        if admitted.len() == next_boundary {
-                            snaps.push(Snap::of(ing));
-                            next_boundary += stride;
-                        }
+            let mut drain = |ing: &mut Ingest<D>,
+                             admitted: &mut Vec<Record<D>>,
+                             snaps: &mut Vec<IngestSnapshot>| {
+                while let Some(tr) = ing.pop() {
+                    admitted.push(tr.record);
+                    if admitted.len() == next_boundary {
+                        snaps.push(ing.snapshot());
+                        next_boundary += stride;
                     }
-                };
+                }
+            };
             for row in rows {
                 let d = match row {
                     Ok(tr) => ing.push(tr),
@@ -144,7 +117,7 @@ pub fn load_stream<const D: usize>(
             }
             ing.finish();
             drain(&mut ing, &mut admitted, &mut snaps);
-            let final_snap = Snap::of(&ing);
+            let final_snap = ing.snapshot();
 
             if admitted.is_empty() {
                 return Err("no records survived admission (is the stream all \
@@ -159,12 +132,10 @@ pub fn load_stream<const D: usize>(
                 }
                 None => None,
             };
-            let out = io.out.as_deref().map(JsonlWriter::create).transpose()?;
             let pipeline = IngestPipeline {
                 snaps,
                 final_snap,
                 published: IngestStats::default(),
-                out,
                 dead: ing.dead_letters().len(),
                 journal,
                 decisions: decisions.len() as u64,
@@ -202,85 +173,30 @@ fn write_journal(
 
 /// The admission timeline handed to the slide loops: publishes cumulative
 /// `disc_ingest_*` metrics per slide (so alert rules and `disc top` see
-/// them evolve) and appends one [`IngestEvent`] JSONL line per slide.
+/// them evolve) and gives each slide's [`IngestEvent`] line.
 #[derive(Debug)]
 pub struct IngestPipeline {
-    snaps: Vec<Snap>,
-    final_snap: Snap,
+    snaps: Vec<IngestSnapshot>,
+    final_snap: IngestSnapshot,
     published: IngestStats,
-    out: Option<JsonlWriter>,
     dead: usize,
     journal: Option<(PathBuf, u64)>,
     decisions: u64,
 }
 
 impl IngestPipeline {
-    fn snap_for(&self, slide: u64) -> Snap {
+    /// Publishes slide `slide`'s admission state, counters as deltas so
+    /// registry totals stay monotone across slides, and returns its line.
+    pub fn on_slide(&mut self, slide: u64, registry: &Registry) -> IngestEvent {
         let idx = (slide.max(1) - 1) as usize;
-        self.snaps.get(idx).copied().unwrap_or(self.final_snap)
-    }
-
-    /// Publishes slide `slide`'s admission state: counter deltas (keeping
-    /// registry totals monotone across slides), the buffer gauges, and the
-    /// JSONL event.
-    pub fn on_slide(&mut self, slide: u64, registry: &Registry) -> Result<(), String> {
-        let snap = self.snap_for(slide);
-        let (s, p) = (&snap.stats, &self.published);
-        registry.counter_add("disc_ingest_records_total", s.pushed - p.pushed);
-        registry.counter_add("disc_ingest_admitted_total", s.admitted - p.admitted);
-        registry.counter_add("disc_ingest_reordered_total", s.reordered - p.reordered);
-        registry.counter_add(
-            "disc_ingest_late_dropped_total",
-            s.late_dropped - p.late_dropped,
-        );
-        registry.counter_add(
-            "disc_ingest_dead_lettered_total",
-            s.dead_lettered - p.dead_lettered,
-        );
-        registry.counter_add(
-            "disc_ingest_late_upserts_total",
-            s.late_upserts - p.late_upserts,
-        );
-        registry.counter_add("disc_ingest_deduped_total", s.deduped - p.deduped);
-        registry.counter_add("disc_ingest_shed_total", s.shed - p.shed);
-        registry.counter_add("disc_ingest_malformed_total", s.malformed - p.malformed);
+        let snap = self.snaps.get(idx).copied().unwrap_or(self.final_snap);
+        snap.publish(&self.published, registry);
         self.published = snap.stats;
-        registry.gauge_set("disc_ingest_buffered", snap.buffered as f64);
-        registry.gauge_set("disc_ingest_ready", snap.ready as f64);
-        registry.gauge_set("disc_ingest_watermark_lag", snap.lag);
-        registry.gauge_set("disc_ingest_shedding", snap.shedding as u64 as f64);
-        if snap.watermark.is_finite() {
-            registry.gauge_set("disc_ingest_watermark", snap.watermark);
-        }
-        if let Some(out) = &mut self.out {
-            let ev = IngestEvent {
-                slide,
-                records: s.pushed,
-                admitted: s.admitted,
-                reordered: s.reordered,
-                late_dropped: s.late_dropped,
-                dead_lettered: s.dead_lettered,
-                late_upserts: s.late_upserts,
-                deduped: s.deduped,
-                shed: s.shed,
-                malformed: s.malformed,
-                buffered: snap.buffered,
-                watermark_lag_ppm: lag_ppm(snap.lag),
-                shedding: snap.shedding as u64,
-            };
-            out.line(&ev.to_jsonl())?;
-        }
-        Ok(())
+        snap.event(slide)
     }
 
-    /// Flushes the JSONL sink and prints the admission summary.
-    pub fn finish(&mut self, quiet: bool) -> Result<(), String> {
-        if let Some(out) = &mut self.out {
-            out.flush()?;
-        }
-        if quiet {
-            return Ok(());
-        }
+    /// Prints the admission summary.
+    pub fn summary(&self) {
         let s = self.final_snap.stats;
         println!(
             "ingest: {} records -> {} admitted ({} reordered), {} late-dropped, \
@@ -304,10 +220,6 @@ impl IngestPipeline {
                 appended
             );
         }
-        if let Some(out) = &self.out {
-            println!("wrote per-slide ingest events to {}", out.path.display());
-        }
-        Ok(())
     }
 }
 
@@ -359,7 +271,6 @@ mod tests {
         assert_eq!(io.cfg.dedup, 64);
         assert_eq!((io.cfg.shed_high, io.cfg.shed_low), (1000, 200));
         assert_eq!(io.journal.as_ref().unwrap().to_str(), Some("adm.ingj"));
-        assert_eq!(io.out.as_ref().unwrap().to_str(), Some("ing.jsonl"));
     }
 
     #[test]
@@ -377,12 +288,11 @@ mod tests {
     /// The timeline must snapshot once per slide boundary and publish
     /// monotone counters across slides.
     #[test]
-    fn timeline_publishes_per_slide_and_emits_jsonl() {
+    fn timeline_publishes_per_slide_and_gives_its_events() {
         let dir = std::env::temp_dir().join("disc_cli_ingest_timeline_test");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let input = dir.join("timed.csv");
-        let out = dir.join("ing.jsonl");
         // 12 in-order timed records, one malformed line in the middle.
         let mut text = String::new();
         for t in 0..6 {
@@ -393,13 +303,7 @@ mod tests {
             text.push_str(&format!("{t}.0,{t}.0,0.0\n"));
         }
         std::fs::write(&input, text).unwrap();
-        let o = opts(&[
-            "--input",
-            input.to_str().unwrap(),
-            "--timed",
-            "--ingest-out",
-            out.to_str().unwrap(),
-        ]);
+        let o = opts(&["--input", input.to_str().unwrap(), "--timed"]);
         // window 6, stride 3 → slides complete at 6, 9, 12 admitted.
         let (records, pipeline) = load_stream::<2>(&o, 6, 3, false).unwrap();
         let mut pipeline = pipeline.unwrap();
@@ -407,21 +311,13 @@ mod tests {
         assert_eq!(pipeline.snaps.len(), 3);
         let registry = Registry::new();
         for slide in 1..=3 {
-            pipeline.on_slide(slide, &registry).unwrap();
+            let ev = pipeline.on_slide(slide, &registry);
+            assert_eq!(ev.slide, slide);
+            assert_eq!(ev.admitted, 3 + 3 * slide);
         }
-        pipeline.finish(true).unwrap();
         assert_eq!(registry.counter_value("disc_ingest_records_total"), 13);
         assert_eq!(registry.counter_value("disc_ingest_admitted_total"), 12);
         assert_eq!(registry.counter_value("disc_ingest_malformed_total"), 1);
-        let text = std::fs::read_to_string(&out).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
-        for (i, line) in lines.iter().enumerate() {
-            IngestEvent::assert_valid_jsonl(line);
-            let ev = IngestEvent::from_jsonl(line).unwrap();
-            assert_eq!(ev.slide, i as u64 + 1);
-            assert_eq!(ev.admitted, 6 + 3 * i as u64);
-        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -34,16 +34,14 @@ fn run(args: &[String]) -> Result<(), String> {
         return Err(format!("missing command\n{}", flags::usage()));
     };
     if matches!(command.as_str(), "--help" | "-h" | "help") {
-        println!("{}", flags::usage());
-        return Ok(());
+        return print_help(&flags::usage());
     }
     if args[1..]
         .iter()
         .any(|a| matches!(a.as_str(), "--help" | "-h"))
     {
         if let Some(help) = flags::command_usage(command) {
-            println!("{help}");
-            return Ok(());
+            return print_help(&help);
         }
     }
     let opts = Opts::parse(command, &args[1..])?;
@@ -56,6 +54,16 @@ fn run(args: &[String]) -> Result<(), String> {
         "estimate" => dispatch_dim(&opts, cmd::EstimateCmd),
         "generate" => cmd::generate(&opts),
         _ => unreachable!("Opts::parse refuses unknown commands"),
+    }
+}
+
+/// Prints help text. A reader that stops early (`disc --help | head -1`)
+/// closes the pipe, which is not an error.
+fn print_help(text: &str) -> Result<(), String> {
+    use std::io::Write;
+    match writeln!(std::io::stdout().lock(), "{text}") {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => Err(format!("stdout: {e}")),
+        _ => Ok(()),
     }
 }
 

@@ -21,7 +21,7 @@ use disc_persist::{
 };
 use disc_telemetry::{
     chrome_trace_json, folded_stacks, JsonlSink, MemoryFootprint, PromServer, ProvenanceSink,
-    Recorder, Registry,
+    Recorder, Registry, Sink,
 };
 use disc_window::{csv, SlidingWindow};
 use std::path::{Path, PathBuf};
@@ -167,26 +167,62 @@ pub(crate) struct Run<const D: usize> {
     pub workers: usize,
 }
 
+/// A `--*-out` JSONL file's sink, shared by whoever emits its events and
+/// the [`JsonlFiles`] that checks it.
+pub(crate) type JsonlFile = Arc<JsonlSink<std::fs::File>>;
+
+/// Every JSONL file a run opened, under the flag that named it. A sink
+/// keeps its first I/O error; [`drive`] checks them all after every slide
+/// and at the final flush, and fails the run as `--flag path: error`.
+#[derive(Default)]
+pub(crate) struct JsonlFiles(Vec<(&'static str, PathBuf, JsonlFile)>);
+
+impl JsonlFiles {
+    /// Creates (truncating) `flag`'s file; `None` without a path.
+    pub(crate) fn open(
+        &mut self,
+        flag: &'static str,
+        path: &Option<PathBuf>,
+    ) -> Result<Option<JsonlFile>, String> {
+        let Some(path) = path else {
+            return Ok(None);
+        };
+        let sink =
+            JsonlSink::create(path).map_err(|e| format!("{flag} {}: {e}", path.display()))?;
+        let sink = Arc::new(sink);
+        self.0.push((flag, path.clone(), sink.clone()));
+        Ok(Some(sink))
+    }
+
+    /// The first sink's error, if any; `flush` writes each buffer out
+    /// first.
+    fn check(&self, flush: bool) -> Result<(), String> {
+        for (flag, path, sink) in &self.0 {
+            if flush {
+                JsonlSink::flush(sink);
+            }
+            if let Some(e) = sink.error() {
+                return Err(format!("{flag} {}: {e}", path.display()));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// The registry every sink shares: the `--metrics-out` JSONL stream, and
 /// the provenance stream, teed through the health driver's lifecycle fold
 /// (when health is on) before the optional `--provenance-out` export.
-fn registry<const D: usize>(opts: &Opts, health: Option<&Health<D>>) -> Result<Registry, String> {
-    let mut registry = match &opts.metrics_out {
-        Some(path) => {
-            let sink = JsonlSink::create(path)
-                .map_err(|e| format!("--metrics-out {}: {e}", path.display()))?;
-            Registry::with_sink(Box::new(sink))
-        }
+fn registry<const D: usize>(
+    opts: &Opts,
+    health: Option<&Health<D>>,
+    files: &mut JsonlFiles,
+) -> Result<Registry, String> {
+    let mut registry = match files.open("--metrics-out", &opts.metrics_out)? {
+        Some(sink) => Registry::with_sink(Box::new(sink)),
         None => Registry::new(),
     };
-    let export: Option<Box<dyn ProvenanceSink>> = match &opts.provenance_out {
-        Some(path) => {
-            Some(Box::new(JsonlSink::create(path).map_err(|e| {
-                format!("--provenance-out {}: {e}", path.display())
-            })?))
-        }
-        None => None,
-    };
+    let export = files.open("--provenance-out", &opts.provenance_out)?;
+    let export = export.map(|sink| Box::new(sink) as Box<dyn ProvenanceSink>);
     let provenance = match health {
         Some(h) => Some(h.provenance_tee(export)),
         None => export,
@@ -205,8 +241,10 @@ fn registry<const D: usize>(opts: &Opts, health: Option<&Health<D>>) -> Result<R
 pub(crate) fn drive<const D: usize>(opts: &Opts, run: Run<D>) -> Result<(), String> {
     let (mut engine, mut w, mut durable, mut ingest) =
         (run.engine, run.window, run.durable, run.ingest);
-    let mut health = Health::<D>::from_opts(opts, run.eps, run.tau)?;
-    let registry = Arc::new(registry(opts, health.as_ref())?);
+    let mut files = JsonlFiles::default();
+    let mut health = Health::<D>::from_opts(opts, run.eps, run.tau, &mut files)?;
+    let registry = Arc::new(registry(opts, health.as_ref(), &mut files)?);
+    let ingest_out = files.open("--ingest-out", &opts.ingest_out)?;
     let prom = match &opts.prom_addr {
         Some(addr) => {
             let server = PromServer::spawn(addr, registry.clone())
@@ -266,7 +304,10 @@ pub(crate) fn drive<const D: usize>(opts: &Opts, run: Run<D>) -> Result<(), Stri
             }
         }
         if let Some(ing) = &mut ingest {
-            ing.on_slide(seq, &registry)?;
+            let event = ing.on_slide(seq, &registry);
+            if let Some(out) = &ingest_out {
+                out.emit(&event);
+            }
         }
         let assignments = if health.is_some() || !opts.quiet {
             engine.assignments()
@@ -274,7 +315,7 @@ pub(crate) fn drive<const D: usize>(opts: &Opts, run: Run<D>) -> Result<(), Stri
             Vec::new()
         };
         if let Some(h) = &mut health {
-            h.observe(seq, &assignments, &w, &batch, &registry)?;
+            h.observe(seq, &assignments, &w, &batch, &registry);
         }
         if opts.stats_every > 0 && seq.is_multiple_of(opts.stats_every) {
             stats_summary(
@@ -290,6 +331,7 @@ pub(crate) fn drive<const D: usize>(opts: &Opts, run: Run<D>) -> Result<(), Stri
                 disc_metrics::cluster_count(&assignments)
             );
         }
+        files.check(false)?;
     }
     if let Some(d) = &mut durable {
         d.checkpoint(&*engine, &w, seq, &registry)?;
@@ -298,7 +340,8 @@ pub(crate) fn drive<const D: usize>(opts: &Opts, run: Run<D>) -> Result<(), Stri
         }
     }
     let elapsed = start.elapsed();
-    registry.flush();
+    // Every sink the registry holds is one of `files`.
+    files.check(true)?;
     if let Some(server) = &prom {
         server.shutdown();
     }
@@ -327,7 +370,7 @@ pub(crate) fn drive<const D: usize>(opts: &Opts, run: Run<D>) -> Result<(), Stri
             w.current().collect();
         let rows: Vec<(disc_geom::Point<D>, i64)> =
             assignments.iter().map(|(id, l)| (pos[id], *l)).collect();
-        csv::write_snapshot(out, &rows).map_err(|e| format!("{}: {e}", out.display()))?;
+        csv::write_snapshot(out, &rows).map_err(|e| format!("--out {}: {e}", out.display()))?;
         println!("wrote {}", out.display());
     }
     if let Some(path) = &opts.metrics_out {
@@ -354,13 +397,16 @@ pub(crate) fn drive<const D: usize>(opts: &Opts, run: Run<D>) -> Result<(), Stri
             path.display()
         );
     }
-    if let Some(ing) = &mut ingest {
-        ing.finish(opts.quiet)?;
+    if let (Some(ing), false) = (&ingest, opts.quiet) {
+        ing.summary();
+        if let Some(path) = &opts.ingest_out {
+            println!("wrote per-slide ingest events to {}", path.display());
+        }
     }
     // Last, so a fatal alert still leaves every output (snapshot,
     // checkpoints, traces, JSONL streams) complete on disk for CI.
-    if let Some(h) = &mut health {
-        h.finish(&registry)?;
+    if let Some(h) = &health {
+        h.finish()?;
     }
     Ok(())
 }
@@ -600,6 +646,48 @@ mod tests {
                 };
                 // Every cell is supported, so a refusal here is a failure too.
                 outcome.unwrap_or_else(|e| panic!("{mode} {flag}: {e}"));
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every output flag pointed at a full device, on every run path,
+    /// stops the run with an error that names the flag and the path: no
+    /// write error is dropped.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn flag_matrix_every_output_fails_loudly_on_a_full_device() {
+        let dir = std::env::temp_dir().join("disc_cli_flag_matrix_full");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        stream(&dir, "blobs", 600, 400, false);
+        stream(&dir, "blobs_timed", 600, 400, true);
+        let rules = dir.join("rules.toml");
+        std::fs::write(
+            &rules,
+            "[[rule]]\nname = \"any\"\nmetric = \"disc_cluster_count\"\nop = \"gt\"\n\
+             threshold = 0.5\n",
+        )
+        .unwrap();
+        for mode in ["plain", "durable", "resume"] {
+            for flag in OUTPUTS.iter().filter(|&&f| f != "--prom-addr") {
+                let cell = dir.join(format!("{mode}{flag}"));
+                let mut extra = vec![*flag, "/dev/full"];
+                if *flag == "--alerts-out" {
+                    extra.extend(["--alerts", p(&rules)]);
+                }
+                let name = if *flag == "--ingest-out" {
+                    "blobs_timed"
+                } else {
+                    "blobs"
+                };
+                let err = run_mode(&dir, &cell, mode, name, &extra)
+                    .err()
+                    .unwrap_or_else(|| panic!("{mode} {flag}: the run succeeded"));
+                assert!(
+                    err.starts_with(&format!("{flag} /dev/full: ")),
+                    "{mode} {flag}: {err}"
+                );
             }
         }
         let _ = std::fs::remove_dir_all(&dir);

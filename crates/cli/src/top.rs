@@ -34,13 +34,7 @@ const SCRAPE_BACKOFF: std::time::Duration = std::time::Duration::from_millis(200
 pub fn top(opts: &Opts) -> Result<(), String> {
     let refresh = std::time::Duration::from_millis(opts.refresh.max(50));
     match (&opts.metrics, &opts.prom_addr) {
-        (Some(path), _) => tail_jsonl(
-            path,
-            opts.health.as_deref(),
-            opts.ingest.as_deref(),
-            refresh,
-            opts.once,
-        ),
+        (Some(path), _) => tail_jsonl(opts, path, refresh),
         (None, Some(addr)) => watch_prom(addr, refresh, opts.once),
         (None, None) => Err("disc top needs --metrics F.jsonl or --prom-addr HOST:PORT".into()),
     }
@@ -50,84 +44,86 @@ pub fn top(opts: &Opts) -> Result<(), String> {
 /// `--health-out` / `--ingest-out` streams when `--health` / `--ingest`
 /// name them.
 fn tail_jsonl(
+    opts: &Opts,
     path: &std::path::Path,
-    health_path: Option<&std::path::Path>,
-    ingest_path: Option<&std::path::Path>,
     refresh: std::time::Duration,
-    once: bool,
 ) -> Result<(), String> {
-    let mut file = std::fs::File::open(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let mut offset = 0u64;
-    let mut partial = String::new();
-    let mut events: Vec<SlideEvent> = Vec::new();
-    // The health/ingest streams may appear after the run's first slide;
-    // reopen each frame (cheap at refresh cadence) and tolerate absence.
-    let mut health_offset = 0u64;
-    let mut health_partial = String::new();
-    let mut health: Vec<HealthEvent> = Vec::new();
-    let mut ingest_offset = 0u64;
-    let mut ingest_partial = String::new();
-    let mut ingest: Vec<IngestEvent> = Vec::new();
+    let mut events = Tail::<SlideEvent>::new(path);
+    // The health/ingest streams may appear after the run's first slide,
+    // so their absence is no error.
+    let mut health = opts.health.as_deref().map(Tail::<HealthEvent>::new);
+    let mut ingest = opts.ingest.as_deref().map(Tail::<IngestEvent>::new);
     loop {
-        offset = drain_new_lines(&mut file, offset, &mut partial, &mut events, path)?;
-        events.drain(..events.len().saturating_sub(ROLLING));
-        if let Some(hp) = health_path {
-            if let Ok(mut hf) = std::fs::File::open(hp) {
-                health_offset =
-                    drain_new_lines(&mut hf, health_offset, &mut health_partial, &mut health, hp)?;
-                health.drain(..health.len().saturating_sub(ROLLING));
-            }
+        events.poll(true)?;
+        if let Some(tail) = &mut health {
+            tail.poll(false)?;
         }
-        if let Some(ip) = ingest_path {
-            if let Ok(mut inf) = std::fs::File::open(ip) {
-                ingest_offset = drain_new_lines(
-                    &mut inf,
-                    ingest_offset,
-                    &mut ingest_partial,
-                    &mut ingest,
-                    ip,
-                )?;
-                ingest.drain(..ingest.len().saturating_sub(ROLLING));
-            }
+        if let Some(tail) = &mut ingest {
+            tail.poll(false)?;
         }
-        emit_frame(
-            &render_events(&events, &health, &ingest, &path.display().to_string()),
-            once,
+        let frame = render_events(
+            &events.events,
+            health.as_ref().map_or(&[], |t| &t.events),
+            ingest.as_ref().map_or(&[], |t| &t.events),
+            &path.display().to_string(),
         );
-        if once {
+        emit_frame(&frame, opts.once);
+        if opts.once {
             return Ok(());
         }
         std::thread::sleep(refresh);
     }
 }
 
-/// Reads everything appended since `offset`, parsing complete lines into
-/// `events` and carrying an unterminated tail over in `partial`.
-fn drain_new_lines<T: JsonlRecord>(
-    file: &mut std::fs::File,
+/// A JSONL file being followed: how far it has been read, the
+/// unterminated line at its end, and the last [`ROLLING`] records.
+struct Tail<T> {
+    path: std::path::PathBuf,
     offset: u64,
-    partial: &mut String,
-    events: &mut Vec<T>,
-    path: &std::path::Path,
-) -> Result<u64, String> {
-    file.seek(SeekFrom::Start(offset))
-        .map_err(|e| format!("{}: {e}", path.display()))?;
-    let mut chunk = String::new();
-    file.read_to_string(&mut chunk)
-        .map_err(|e| format!("{}: {e}", path.display()))?;
-    let next = offset + chunk.len() as u64;
-    partial.push_str(&chunk);
-    // Only consume terminated lines; the writer may be mid-append.
-    while let Some(nl) = partial.find('\n') {
-        let line: String = partial.drain(..=nl).collect();
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
+    partial: String,
+    events: Vec<T>,
+}
+
+impl<T: JsonlRecord> Tail<T> {
+    fn new(path: &std::path::Path) -> Self {
+        Tail {
+            path: path.to_path_buf(),
+            offset: 0,
+            partial: String::new(),
+            events: Vec::new(),
         }
-        let ev = T::from_jsonl(line).map_err(|e| format!("{}: {e}", path.display()))?;
-        events.push(ev);
     }
-    Ok(next)
+
+    /// Parses every line completed since the last poll. The file is
+    /// reopened each time (cheap at refresh cadence); a missing one is an
+    /// error only when `required`.
+    fn poll(&mut self, required: bool) -> Result<(), String> {
+        let path = self.path.display();
+        let mut file = match std::fs::File::open(&self.path) {
+            Ok(file) => file,
+            Err(_) if !required => return Ok(()),
+            Err(e) => return Err(format!("{path}: {e}")),
+        };
+        file.seek(SeekFrom::Start(self.offset))
+            .map_err(|e| format!("{path}: {e}"))?;
+        let mut chunk = String::new();
+        file.read_to_string(&mut chunk)
+            .map_err(|e| format!("{path}: {e}"))?;
+        self.offset += chunk.len() as u64;
+        self.partial.push_str(&chunk);
+        // Only consume terminated lines; the writer may be mid-append.
+        while let Some(nl) = self.partial.find('\n') {
+            let line: String = self.partial.drain(..=nl).collect();
+            let line = line.trim();
+            if !line.is_empty() {
+                self.events
+                    .push(T::from_jsonl(line).map_err(|e| format!("{path}: {e}"))?);
+            }
+        }
+        self.events
+            .drain(..self.events.len().saturating_sub(ROLLING));
+        Ok(())
+    }
 }
 
 /// One frame of the JSONL view.
@@ -762,23 +758,21 @@ mod tests {
         let line = ev(1, 1000, 500).to_jsonl();
         // First write: one full line plus the head of a second.
         let second = ev(2, 2000, 600).to_jsonl();
-        let (head, tail) = second.split_at(20);
+        let (head, rest) = second.split_at(20);
         std::fs::write(&path, format!("{line}\n{head}")).unwrap();
-        let mut file = std::fs::File::open(&path).unwrap();
-        let mut partial = String::new();
-        let mut events: Vec<SlideEvent> = Vec::new();
-        let off = drain_new_lines(&mut file, 0, &mut partial, &mut events, &path).unwrap();
-        assert_eq!(events.len(), 1, "partial line must not parse yet");
+        let mut tail = Tail::<SlideEvent>::new(&path);
+        tail.poll(true).unwrap();
+        assert_eq!(tail.events.len(), 1, "partial line must not parse yet");
         // The writer finishes the second line; the tail picks it up.
         use std::io::Write as _;
         let mut f = std::fs::OpenOptions::new()
             .append(true)
             .open(&path)
             .unwrap();
-        writeln!(f, "{tail}").unwrap();
+        writeln!(f, "{rest}").unwrap();
         drop(f);
-        let mut file = std::fs::File::open(&path).unwrap();
-        drain_new_lines(&mut file, off, &mut partial, &mut events, &path).unwrap();
+        tail.poll(true).unwrap();
+        let events = tail.events;
         assert_eq!(events.len(), 2);
         assert_eq!(events[1].seq, 2);
         std::fs::remove_dir_all(&dir).ok();

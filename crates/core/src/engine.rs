@@ -576,24 +576,12 @@ impl<const D: usize, B: SpatialBackend<D>> Disc<D, B> {
 
     /// Number of distinct clusters in the current window.
     pub fn num_clusters(&self) -> usize {
-        let mut roots: FxHashSet<u32> = FxHashSet::default();
-        self.for_each_label(|_, label| {
-            if let PointLabel::Core(c) = label {
-                roots.insert(c.0);
-            }
-        });
-        roots.len()
+        self.census_and_clusters().1
     }
 
     /// Number of core / border / noise points (diagnostics).
     pub fn census(&self) -> (usize, usize, usize) {
-        let (mut core, mut border, mut noise) = (0, 0, 0);
-        self.for_each_label(|_, label| match label {
-            PointLabel::Core(_) => core += 1,
-            PointLabel::Border(_) => border += 1,
-            PointLabel::Noise => noise += 1,
-        });
-        (core, border, noise)
+        self.census_and_clusters().0
     }
 
     /// [`census`](Disc::census) and [`num_clusters`](Disc::num_clusters)
@@ -1219,12 +1207,30 @@ mod tests {
             let mut batch = Some(w.fill());
             while let Some(b) = batch {
                 disc.apply(&b);
-                let (core, border, noise) = disc.census();
+                // From scratch: the gauges, `census()` and `num_clusters()`
+                // share one walk, so none of them can check another.
+                let mut census = (0, 0, 0);
+                let mut roots: FxHashSet<ClusterId> = FxHashSet::default();
+                for (_, label) in reference_labels(&disc) {
+                    match label {
+                        PointLabel::Core(c) => {
+                            census.0 += 1;
+                            roots.insert(c);
+                        }
+                        PointLabel::Border(_) => census.1 += 1,
+                        PointLabel::Noise => census.2 += 1,
+                    }
+                }
                 let gauge = |name: &str| reg.gauge_value(name).unwrap() as usize;
-                assert_eq!(gauge("disc_core_points"), core);
-                assert_eq!(gauge("disc_border_points"), border);
-                assert_eq!(gauge("disc_noise_points"), noise);
-                assert_eq!(gauge("disc_cluster_count"), disc.num_clusters());
+                let gauges = (
+                    gauge("disc_core_points"),
+                    gauge("disc_border_points"),
+                    gauge("disc_noise_points"),
+                );
+                assert_eq!(gauges, census);
+                assert_eq!(gauge("disc_cluster_count"), roots.len());
+                assert_eq!(disc.census(), census);
+                assert_eq!(disc.num_clusters(), roots.len());
                 batch = w.advance();
             }
         }

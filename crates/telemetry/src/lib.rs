@@ -19,8 +19,9 @@
 //! * [`JsonlRecord`] — the one JSONL codec: each event stream (slide,
 //!   health, ingest, alert, provenance) is a field table, and the trait
 //!   renders, validates and parses every line from it.
-//! * [`JsonlSink`] — one JSON line per event for offline analysis (the
-//!   CLI's `--metrics-out` and `--provenance-out`).
+//! * [`JsonlSink`] — one JSON line per event for offline analysis (all
+//!   five of the CLI's `--*-out` streams). It never fails the engine: it
+//!   keeps its first I/O error for its opener (the CLI), which fails the run.
 //! * `http` feature — [`PromServer`], a tiny std-only scrape endpoint.
 //!
 //! # Conventions

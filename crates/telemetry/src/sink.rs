@@ -1,5 +1,9 @@
 //! Pluggable sinks for the structured event streams: one trait, one JSONL
 //! writer and one in-memory buffer, each generic over the event it carries.
+//!
+//! A sink never returns an error to the emitter. [`JsonlSink`] records
+//! its first I/O error instead; whoever opened the file checks
+//! [`JsonlSink::error`] and fails the run.
 
 use crate::event::SlideEvent;
 use crate::provenance::ProvenanceEvent;
@@ -39,11 +43,13 @@ impl<E, S: Sink<E> + ?Sized> Sink<E> for Arc<S> {
     }
 }
 
-/// Writes one JSON line per event to any `Write` target — the
-/// `--metrics-out` and `--provenance-out` sink. An I/O error drops the
-/// line: telemetry must never take the engine down.
+/// Writes one JSON line per event to any `Write` target — the CLI's five
+/// `--*-out` streams. An I/O error never reaches the emitter (telemetry
+/// must not take the engine down): the sink keeps the first one, writes
+/// nothing after it, and reports it through [`JsonlSink::error`], so a
+/// caller can fail the run that asked for the file.
 pub struct JsonlSink<W: Write + Send> {
-    out: Mutex<std::io::BufWriter<W>>,
+    out: Mutex<(std::io::BufWriter<W>, Option<std::io::Error>)>,
 }
 
 impl JsonlSink<std::fs::File> {
@@ -57,19 +63,41 @@ impl<W: Write + Send> JsonlSink<W> {
     /// Wraps an arbitrary writer.
     pub fn new(out: W) -> Self {
         JsonlSink {
-            out: Mutex::new(std::io::BufWriter::new(out)),
+            out: Mutex::new((std::io::BufWriter::new(out), None)),
+        }
+    }
+
+    /// The first I/O error a write or flush hit, if any (a copy: the sink
+    /// keeps it).
+    pub fn error(&self) -> Option<std::io::Error> {
+        let (_, error) = &*self.out.lock().expect("jsonl sink poisoned");
+        error
+            .as_ref()
+            .map(|e| std::io::Error::new(e.kind(), e.to_string()))
+    }
+
+    /// Writes the buffer out, keeping the error if that fails.
+    pub fn flush(&self) {
+        self.write(|out| out.flush());
+    }
+
+    /// Runs `op` on the writer unless an earlier one failed, keeping its
+    /// error.
+    fn write(&self, op: impl FnOnce(&mut std::io::BufWriter<W>) -> std::io::Result<()>) {
+        let (out, error) = &mut *self.out.lock().expect("jsonl sink poisoned");
+        if error.is_none() {
+            *error = op(out).err();
         }
     }
 }
 
 impl<W: Write + Send, R: JsonlRecord> Sink<R> for JsonlSink<W> {
     fn emit(&self, event: &R) {
-        let mut out = self.out.lock().expect("jsonl sink poisoned");
-        let _ = writeln!(out, "{}", event.to_jsonl());
+        self.write(|out| writeln!(out, "{}", event.to_jsonl()));
     }
 
     fn flush(&self) {
-        let _ = self.out.lock().expect("jsonl sink poisoned").flush();
+        JsonlSink::flush(self);
     }
 }
 
@@ -134,13 +162,55 @@ mod tests {
         };
         sink.emit(&ev);
         sink.emit(&ev);
-        let out = sink.out.into_inner().unwrap().into_inner().unwrap();
+        let out = sink.out.into_inner().unwrap().0.into_inner().unwrap();
         let text = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         for line in lines {
             SlideEvent::validate_jsonl(line).unwrap();
         }
+    }
+
+    /// A writer that takes `room` bytes, then fails every write.
+    struct Full {
+        room: usize,
+        writes: usize,
+    }
+
+    impl Write for Full {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            if buf.len() > self.room {
+                return Err(std::io::Error::new(std::io::ErrorKind::StorageFull, "full"));
+            }
+            self.room -= buf.len();
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn jsonl_sink_keeps_its_first_io_error_and_stops_writing() {
+        let sink = JsonlSink::new(Full {
+            room: 10,
+            writes: 0,
+        });
+        let ev = SlideEvent::default();
+        sink.emit(&ev);
+        assert!(sink.error().is_none(), "the line is still buffered");
+        sink.flush();
+        let err = sink.error().expect("the flush hit the full writer");
+        assert_eq!(err.kind(), std::io::ErrorKind::StorageFull);
+        assert_eq!(err.to_string(), "full");
+        // Nothing is attempted after the first error, and it stays put.
+        sink.emit(&ev);
+        Sink::<SlideEvent>::flush(&sink);
+        assert_eq!(sink.error().unwrap().to_string(), "full");
+        let (out, _) = sink.out.into_inner().unwrap();
+        assert_eq!(out.get_ref().writes, 1);
     }
 
     #[test]

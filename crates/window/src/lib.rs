@@ -28,7 +28,7 @@ pub mod timewindow;
 pub mod window;
 
 pub use disorder::{disorder, DisorderConfig, HostileRecord};
-pub use reorder::{AdmissionConfig, Decision, Ingest, IngestStats, LatePolicy};
+pub use reorder::{AdmissionConfig, Decision, Ingest, IngestSnapshot, IngestStats, LatePolicy};
 pub use stream::Record;
 pub use timewindow::{TimeWindow, TimeWindowError, TimedRecord};
 pub use window::{SlideBatch, SlidingWindow};

@@ -41,7 +41,9 @@
 
 use crate::timewindow::TimedRecord;
 use disc_geom::FxHashSet;
-use disc_telemetry::{map_bytes, FootprintNode, MemoryFootprint, Recorder, Registry};
+use disc_telemetry::{
+    lag_ppm, map_bytes, FootprintNode, IngestEvent, MemoryFootprint, Recorder, Registry,
+};
 use std::collections::{BTreeMap, VecDeque};
 
 /// What to do with a record that arrives behind the watermark.
@@ -218,7 +220,7 @@ impl Decision {
 }
 
 /// Cumulative admission counters, mirrored to `disc_ingest_*` metrics by
-/// [`Ingest::publish`].
+/// [`IngestSnapshot::publish`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IngestStats {
     /// Records pushed (well-formed or not).
@@ -331,44 +333,14 @@ impl<const D: usize> Ingest<D> {
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &AdmissionConfig {
-        &self.cfg
-    }
-
     /// The current watermark, `NEG_INFINITY` before the first record.
     pub fn watermark(&self) -> f64 {
         self.max_time - self.cfg.lateness
     }
 
-    /// Newest observed event time, `NEG_INFINITY` before the first record.
-    pub fn max_time(&self) -> f64 {
-        self.max_time
-    }
-
-    /// Time depth of the reorder buffer: how far behind the newest event
-    /// the oldest unreleased record is. `0` when the buffer is empty —
-    /// the stream is keeping up.
-    pub fn watermark_lag(&self) -> f64 {
-        match self.buf.first_key_value() {
-            Some((&(TimeKey(t), _), _)) => (self.max_time - t).max(0.0),
-            None => 0.0,
-        }
-    }
-
     /// Records currently held in the reorder buffer.
     pub fn buffered_len(&self) -> usize {
         self.buf.len()
-    }
-
-    /// Released records not yet popped by the consumer.
-    pub fn ready_len(&self) -> usize {
-        self.ready.len()
-    }
-
-    /// Whether overload shedding is currently engaged.
-    pub fn shedding(&self) -> bool {
-        self.shedding
     }
 
     /// Cumulative decision counters.
@@ -513,12 +485,54 @@ impl<const D: usize> Ingest<D> {
         self.ready.pop_front()
     }
 
+    /// The admission state now: counters and buffer gauges.
+    pub fn snapshot(&self) -> IngestSnapshot {
+        let oldest = self.buf.first_key_value().map(|(&(TimeKey(t), _), _)| t);
+        IngestSnapshot {
+            stats: self.stats,
+            buffered: self.buf.len() as u64,
+            ready: self.ready.len() as u64,
+            lag: oldest.map_or(0.0, |t| (self.max_time - t).max(0.0)),
+            shedding: self.shedding,
+            watermark: self.watermark(),
+        }
+    }
+
     /// Mirrors the counters and gauges to `disc_ingest_*` metrics.
     /// Counters are published as deltas since the previous call, so the
     /// registry sees monotone totals.
     pub fn publish(&mut self, registry: &Registry) {
-        let s = &self.stats;
-        let p = &self.published;
+        self.snapshot().publish(&self.published, registry);
+        self.published = self.stats;
+    }
+}
+
+/// The admission state at one instant, as [`Ingest::snapshot`] takes it:
+/// what publishes the `disc_ingest_*` series and builds the
+/// [`IngestEvent`] line, whether live or replayed from a timeline.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct IngestSnapshot {
+    /// Cumulative decision counters.
+    pub stats: IngestStats,
+    /// Records held in the reorder buffer.
+    pub buffered: u64,
+    /// Released records not yet popped.
+    pub ready: u64,
+    /// Time depth of the reorder buffer: how far behind the newest event
+    /// the oldest unreleased record is; `0` while the stream keeps up.
+    pub lag: f64,
+    /// Whether overload shedding is engaged.
+    pub shedding: bool,
+    /// [`Ingest::watermark`], `NEG_INFINITY` before the first record.
+    pub watermark: f64,
+}
+
+impl IngestSnapshot {
+    /// Publishes the nine `disc_ingest_*_total` counters as deltas over
+    /// `published` (the stats the registry already holds) and the five
+    /// gauges; the watermark gauge waits for the first record.
+    pub fn publish(&self, published: &IngestStats, registry: &Registry) {
+        let (s, p) = (&self.stats, published);
         registry.counter_add("disc_ingest_records_total", s.pushed - p.pushed);
         registry.counter_add("disc_ingest_admitted_total", s.admitted - p.admitted);
         registry.counter_add("disc_ingest_reordered_total", s.reordered - p.reordered);
@@ -537,13 +551,32 @@ impl<const D: usize> Ingest<D> {
         registry.counter_add("disc_ingest_deduped_total", s.deduped - p.deduped);
         registry.counter_add("disc_ingest_shed_total", s.shed - p.shed);
         registry.counter_add("disc_ingest_malformed_total", s.malformed - p.malformed);
-        self.published = self.stats;
-        registry.gauge_set("disc_ingest_buffered", self.buf.len() as f64);
-        registry.gauge_set("disc_ingest_ready", self.ready.len() as f64);
-        registry.gauge_set("disc_ingest_watermark_lag", self.watermark_lag());
+        registry.gauge_set("disc_ingest_buffered", self.buffered as f64);
+        registry.gauge_set("disc_ingest_ready", self.ready as f64);
+        registry.gauge_set("disc_ingest_watermark_lag", self.lag);
         registry.gauge_set("disc_ingest_shedding", self.shedding as u64 as f64);
-        if self.max_time.is_finite() {
-            registry.gauge_set("disc_ingest_watermark", self.watermark());
+        if self.watermark.is_finite() {
+            registry.gauge_set("disc_ingest_watermark", self.watermark);
+        }
+    }
+
+    /// Slide `slide`'s `--ingest-out` line.
+    pub fn event(&self, slide: u64) -> IngestEvent {
+        let s = &self.stats;
+        IngestEvent {
+            slide,
+            records: s.pushed,
+            admitted: s.admitted,
+            reordered: s.reordered,
+            late_dropped: s.late_dropped,
+            dead_lettered: s.dead_lettered,
+            late_upserts: s.late_upserts,
+            deduped: s.deduped,
+            shed: s.shed,
+            malformed: s.malformed,
+            buffered: self.buffered,
+            watermark_lag_ppm: lag_ppm(self.lag),
+            shedding: self.shedding as u64,
         }
     }
 }
@@ -851,14 +884,14 @@ mod tests {
         }
         assert_eq!(ing.buffered_len(), 3);
         assert_eq!(ing.push(rec(5.3, 0.0)), Decision::Shed);
-        assert!(ing.shedding());
+        assert!(ing.snapshot().shedding);
         // Shed records still advance the clock: a record far enough in
         // the future drains the buffer below the low-water mark...
         assert_eq!(ing.push(rec(30.0, 0.0)), Decision::Shed);
         assert_eq!(ing.buffered_len(), 0);
         // ...and the next push is admitted again.
         assert_eq!(ing.push(rec(31.0, 0.0)), Decision::Admit);
-        assert!(!ing.shedding());
+        assert!(!ing.snapshot().shedding);
         assert_eq!(ing.stats().shed, 2);
     }
 
@@ -939,6 +972,42 @@ mod tests {
         assert_eq!(registry.counter_value("disc_ingest_records_total"), 3);
         assert_eq!(registry.counter_value("disc_ingest_admitted_total"), 2);
         assert!(registry.gauge_value("disc_ingest_watermark").is_some());
+    }
+
+    /// A timeline of snapshots, published later in order, leaves the
+    /// registry exactly where live publishing does, and each snapshot's
+    /// event carries the counters and gauges it published.
+    #[test]
+    fn replayed_snapshots_publish_what_live_publishing_does() {
+        let cfg = AdmissionConfig {
+            lateness: 1.0,
+            ..AdmissionConfig::default()
+        };
+        let (live, replay) = (Registry::new(), Registry::new());
+        let mut ing = Ingest::new(cfg);
+        ing.publish(&live);
+        let mut snaps = vec![ing.snapshot()];
+        for t in [10.0, 5.0, 9.5, 11.0, 11.0, 14.0] {
+            ing.push(rec(t, 0.0));
+            ing.publish(&live);
+            snaps.push(ing.snapshot());
+        }
+        let mut published = IngestStats::default();
+        for snap in &snaps {
+            snap.publish(&published, &replay);
+            published = snap.stats;
+        }
+        assert_eq!(live.render_prometheus(), replay.render_prometheus());
+        let last = snaps.last().unwrap();
+        let ev = last.event(7);
+        assert_eq!((ev.slide, ev.records, ev.admitted), (7, 6, 5));
+        assert_eq!(ev.late_dropped, 1);
+        assert_eq!(ev.buffered, last.buffered);
+        assert_eq!(ev.watermark_lag_ppm, disc_telemetry::lag_ppm(last.lag));
+        // No watermark gauge before the first record.
+        let empty = Registry::new();
+        snaps[0].publish(&IngestStats::default(), &empty);
+        assert!(empty.gauge_value("disc_ingest_watermark").is_none());
     }
 
     #[test]
