@@ -109,8 +109,7 @@ pub fn explain(opts: &Opts) -> Result<(), String> {
                 path.display()
             ));
         }
-        println!("{}: 0 provenance events", path.display());
-        return Ok(());
+        return say!("{}: 0 provenance events", path.display());
     }
     match opts.slide {
         Some(slide) => {
@@ -123,9 +122,9 @@ pub fn explain(opts: &Opts) -> Result<(), String> {
                     path.display()
                 ));
             }
-            println!("slide {slide}: {} structural events", picked.len());
+            say!("slide {slide}: {} structural events", picked.len())?;
             for ev in picked {
-                println!("  {}", narrate(&ev.kind));
+                say!("  {}", narrate(&ev.kind))?;
             }
         }
         None => {
@@ -141,7 +140,7 @@ pub fn explain(opts: &Opts) -> Result<(), String> {
                         .filter(|e| e.slide == slide && pred(&e.kind))
                         .count()
                 };
-                println!(
+                say!(
                     "slide {slide}: {n} events ({} ex-cores, {} neo-cores, \
                      {} splits, {} merges, {} emerged, {} died, {} adoptions)",
                     c(&|k| matches!(k, ProvenanceKind::ExCoreDetected { .. })),
@@ -151,9 +150,9 @@ pub fn explain(opts: &Opts) -> Result<(), String> {
                     c(&|k| matches!(k, ProvenanceKind::ClusterEmerged { .. })),
                     c(&|k| matches!(k, ProvenanceKind::ClusterDied { .. })),
                     c(&|k| matches!(k, ProvenanceKind::Adoption { .. })),
-                );
+                )?;
             }
-            println!("(re-run with --slide N for the per-event narrative)");
+            say!("(re-run with --slide N for the per-event narrative)")?;
         }
     }
     Ok(())
@@ -285,10 +284,12 @@ impl DimCommand for EstimateCmd {
     fn run<const D: usize>(&self, opts: &Opts) -> Result<(), String> {
         let records = load::<D>(opts)?;
         let est = kdistance::estimate(&records, opts.sample);
-        println!(
+        say!(
             "suggested parameters (K-distance, k = {}): --eps {:.6} --tau {}",
-            est.k, est.eps, est.tau
-        );
+            est.k,
+            est.eps,
+            est.tau
+        )?;
         Ok(())
     }
 }
@@ -342,19 +343,19 @@ fn write<const D: usize>(opts: &Opts, out: &Path, records: Vec<Record<D>>) -> Re
         let timed = disc_window::disorder::stamp_unit(records);
         let lines = disc_window::disorder::disorder(&timed, &cfg);
         csv::write_hostile_records(out, &lines).map_err(|e| format!("{}: {e}", out.display()))?;
-        println!(
+        say!(
             "wrote {} hostile timed lines ({} clean records) to {}",
             lines.len(),
             timed.len(),
             out.display()
-        );
+        )?;
     } else if opts.timed {
         let timed = disc_window::disorder::stamp_unit(records);
         csv::write_timed_records(out, &timed).map_err(|e| format!("{}: {e}", out.display()))?;
-        println!("wrote {} timed records to {}", timed.len(), out.display());
+        say!("wrote {} timed records to {}", timed.len(), out.display())?;
     } else {
         csv::write_records(out, &records).map_err(|e| format!("{}: {e}", out.display()))?;
-        println!("wrote {} records to {}", records.len(), out.display());
+        say!("wrote {} records to {}", records.len(), out.display())?;
     }
     Ok(())
 }

@@ -42,7 +42,7 @@ impl DimCommand for ResumeCmd {
         let recovered = Origin::Recovered(dir, opts.wal.as_deref());
         let (engine, report) = build_engine::<D>(cfg.backend, recovered, opts, workers)?;
         let report = report.expect("recovery reports");
-        println!(
+        say!(
             "recovered slide {}: checkpoint {} + {} WAL slide(s){} in {:?}",
             report.checkpoint_seq + report.replayed,
             report.checkpoint_seq,
@@ -53,7 +53,7 @@ impl DimCommand for ResumeCmd {
                 ""
             },
             started.elapsed()
-        );
+        )?;
 
         // Under `--timed`, admission is re-derived over the raw stream and
         // the journal prefix is verified bit-for-bit before the admitted
@@ -163,12 +163,12 @@ impl DimCommand for DiffsnapCmd {
             .filter(|&l| l >= 0)
             .max()
             .map_or(0, |m| m + 1);
-        println!(
+        say!(
             "snapshots agree: {} points, {} clusters, {} noise",
             ca.len(),
             clusters,
             ca.iter().filter(|&&(_, l)| l < 0).count()
-        );
+        )?;
         Ok(())
     }
 }

@@ -196,9 +196,9 @@ impl IngestPipeline {
     }
 
     /// Prints the admission summary.
-    pub fn summary(&self) {
+    pub fn summary(&self) -> Result<(), String> {
         let s = self.final_snap.stats;
-        println!(
+        say!(
             "ingest: {} records -> {} admitted ({} reordered), {} late-dropped, \
              {} dead-lettered, {} late-upserts, {} duplicates, {} shed, {} malformed",
             s.pushed,
@@ -210,16 +210,17 @@ impl IngestPipeline {
             s.deduped,
             s.shed,
             s.malformed
-        );
+        )?;
         if let Some((path, appended)) = &self.journal {
-            println!(
+            say!(
                 "ingest journal {}: {} decision(s) total, {} appended this run \
                  (prefix verified bit-for-bit)",
                 path.display(),
                 self.decisions,
                 appended
-            );
+            )?;
         }
+        Ok(())
     }
 }
 

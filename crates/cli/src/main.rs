@@ -10,6 +10,13 @@
 use flags::Opts;
 use std::process::ExitCode;
 
+/// `println!` through [`write_stdout`]; evaluates to `Result<(), String>`.
+macro_rules! say {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*))).map(|_| ())
+    };
+}
+
 mod cmd;
 mod durable;
 mod flags;
@@ -34,14 +41,14 @@ fn run(args: &[String]) -> Result<(), String> {
         return Err(format!("missing command\n{}", flags::usage()));
     };
     if matches!(command.as_str(), "--help" | "-h" | "help") {
-        return print_help(&flags::usage());
+        return say!("{}", flags::usage());
     }
     if args[1..]
         .iter()
         .any(|a| matches!(a.as_str(), "--help" | "-h"))
     {
         if let Some(help) = flags::command_usage(command) {
-            return print_help(&help);
+            return say!("{help}");
         }
     }
     let opts = Opts::parse(command, &args[1..])?;
@@ -57,13 +64,17 @@ fn run(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// Prints help text. A reader that stops early (`disc --help | head -1`)
-/// closes the pipe, which is not an error.
-fn print_help(text: &str) -> Result<(), String> {
+/// Writes to stdout: every line the CLI prints goes through here. A reader
+/// that stops early (`disc --help | head -1`) closes the pipe, which is not
+/// an error: the write returns `Ok(false)`, so the command carries on (its
+/// files still get written) or, if it only prints, can stop.
+fn write_stdout(args: std::fmt::Arguments) -> Result<bool, String> {
     use std::io::Write;
-    match writeln!(std::io::stdout().lock(), "{text}") {
-        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => Err(format!("stdout: {e}")),
-        _ => Ok(()),
+    let mut out = std::io::stdout().lock();
+    match out.write_fmt(args).and_then(|()| out.flush()) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(false),
+        Err(e) => Err(format!("stdout: {e}")),
     }
 }
 

@@ -109,7 +109,7 @@ impl<const D: usize> Durable<D> {
             Some(path) => {
                 let policy = fsync_policy(opts)?;
                 let wal = if resume {
-                    WalWriter::<D>::open_append(path, policy).map(|(w, _)| w)
+                    WalWriter::<D>::open_append(path, policy)
                 } else {
                     WalWriter::<D>::create(path, policy)
                 };
@@ -347,7 +347,24 @@ pub(crate) fn drive<const D: usize>(opts: &Opts, run: Run<D>) -> Result<(), Stri
     }
 
     let assignments = engine.assignments();
-    println!(
+    // Files first: a reader that closes stdout early must not cost one.
+    if let Some(out) = &opts.out {
+        let pos: disc_geom::FxHashMap<disc_geom::PointId, disc_geom::Point<D>> =
+            w.current().collect();
+        let rows: Vec<(disc_geom::Point<D>, i64)> =
+            assignments.iter().map(|(id, l)| (pos[id], *l)).collect();
+        csv::write_snapshot(out, &rows).map_err(|e| format!("--out {}: {e}", out.display()))?;
+    }
+    if let Some(path) = &opts.trace_out {
+        std::fs::write(path, chrome_trace_json(&spans))
+            .map_err(|e| format!("--trace-out {}: {e}", path.display()))?;
+    }
+    if let Some(path) = &opts.folded_out {
+        std::fs::write(path, folded_stacks(&spans))
+            .map_err(|e| format!("--folded-out {}: {e}", path.display()))?;
+    }
+
+    say!(
         "{}",
         summary_line(
             engine.name(),
@@ -357,50 +374,41 @@ pub(crate) fn drive<const D: usize>(opts: &Opts, run: Run<D>) -> Result<(), Stri
             engine.range_searches(),
             run.recovery,
         )
-    );
+    )?;
     if let Some(d) = &durable {
-        println!(
+        say!(
             "checkpoints in {} (latest: slide {seq}), {} checkpoint bytes total",
             d.dir.display(),
             registry.counter_value("disc_checkpoint_bytes_total"),
-        );
+        )?;
     }
     if let Some(out) = &opts.out {
-        let pos: disc_geom::FxHashMap<disc_geom::PointId, disc_geom::Point<D>> =
-            w.current().collect();
-        let rows: Vec<(disc_geom::Point<D>, i64)> =
-            assignments.iter().map(|(id, l)| (pos[id], *l)).collect();
-        csv::write_snapshot(out, &rows).map_err(|e| format!("--out {}: {e}", out.display()))?;
-        println!("wrote {}", out.display());
+        say!("wrote {}", out.display())?;
     }
     if let Some(path) = &opts.metrics_out {
-        println!("wrote per-slide metrics to {}", path.display());
+        say!("wrote per-slide metrics to {}", path.display())?;
     }
     if let Some(path) = &opts.trace_out {
-        std::fs::write(path, chrome_trace_json(&spans))
-            .map_err(|e| format!("--trace-out {}: {e}", path.display()))?;
-        println!(
+        say!(
             "wrote {} spans to {} (load in chrome://tracing)",
             spans.len(),
             path.display()
-        );
+        )?;
     }
     if let Some(path) = &opts.folded_out {
-        std::fs::write(path, folded_stacks(&spans))
-            .map_err(|e| format!("--folded-out {}: {e}", path.display()))?;
-        println!("wrote folded stacks to {}", path.display());
+        say!("wrote folded stacks to {}", path.display())?;
     }
     if let Some(path) = &opts.provenance_out {
-        println!(
+        say!(
             "wrote {} provenance events to {}",
             registry.provenance_emitted(),
             path.display()
-        );
+        )?;
     }
     if let (Some(ing), false) = (&ingest, opts.quiet) {
-        ing.summary();
+        ing.summary()?;
         if let Some(path) = &opts.ingest_out {
-            println!("wrote per-slide ingest events to {}", path.display());
+            say!("wrote per-slide ingest events to {}", path.display())?;
         }
     }
     // Last, so a fatal alert still leaves every output (snapshot,

@@ -67,8 +67,7 @@ fn tail_jsonl(
             ingest.as_ref().map_or(&[], |t| &t.events),
             &path.display().to_string(),
         );
-        emit_frame(&frame, opts.once);
-        if opts.once {
+        if !emit_frame(&frame, opts.once)? || opts.once {
             return Ok(());
         }
         std::thread::sleep(refresh);
@@ -248,8 +247,7 @@ fn watch_prom(addr: &str, refresh: std::time::Duration, once: bool) -> Result<()
         let body = scrape_with_retry(addr, SCRAPE_ATTEMPTS, SCRAPE_TIMEOUT, SCRAPE_BACKOFF)?;
         let samples =
             parse_prometheus(&body).map_err(|e| format!("{addr}: bad exposition: {e}"))?;
-        emit_frame(&render_prom(&samples, addr), once);
-        if once {
+        if !emit_frame(&render_prom(&samples, addr), once)? || once {
             return Ok(());
         }
         std::thread::sleep(refresh);
@@ -514,14 +512,11 @@ fn fmt_ns(ns: u64) -> String {
 }
 
 /// Prints one frame: clear-and-home ANSI in live mode, plain in `--once`
-/// mode so piped/captured output stays readable.
-fn emit_frame(frame: &str, once: bool) {
-    if once {
-        print!("{frame}");
-    } else {
-        print!("\x1b[2J\x1b[H{frame}");
-    }
-    let _ = std::io::stdout().flush();
+/// mode so piped/captured output stays readable. `Ok(false)` means the
+/// reader has gone, and watching can stop.
+fn emit_frame(frame: &str, once: bool) -> Result<bool, String> {
+    let clear = if once { "" } else { "\x1b[2J\x1b[H" };
+    crate::write_stdout(format_args!("{clear}{frame}"))
 }
 
 #[cfg(test)]

@@ -116,44 +116,39 @@ impl<const D: usize> RTree<D> {
         self.height += 1;
     }
 
-    /// Recursive insert; returns the new sibling `(mbr, node)` when the
-    /// visited node split.
-    fn insert_rec(
+    /// Recursive insert of a leaf entry (a new point, or one re-inserted
+    /// with its id, point and epoch mark); returns the new sibling
+    /// `(mbr, node)` when the visited node split.
+    pub(crate) fn insert_rec_entry(
         &mut self,
         idx: NodeIdx,
         level: usize,
-        id: PointId,
-        point: Point<D>,
+        entry: LeafEntry<D>,
     ) -> Option<(Aabb<D>, NodeIdx)> {
+        let point = entry.point;
         if level == 1 {
-            // Leaf level.
             if let NodeKind::Leaf(entries) = &mut self.nodes[idx as usize].kind {
-                entries.push(LeafEntry {
-                    point,
-                    id,
-                    epoch: Epoch::CLEAR,
-                });
+                entries.push(entry);
                 if entries.len() > MAX_ENTRIES {
                     return Some(self.split_leaf(idx));
                 }
             } else {
-                unreachable!("level 1 node must be a leaf");
+                unreachable!();
             }
             return None;
         }
-
         let chosen = self.choose_subtree(idx, &point);
         let child = match &self.nodes[idx as usize].kind {
             NodeKind::Internal(v) => v[chosen].child,
-            NodeKind::Leaf(_) => unreachable!("internal level node must be internal"),
+            NodeKind::Leaf(_) => unreachable!(),
         };
-        let child_split = self.insert_rec(child, level - 1, id, point);
+        let child_split = self.insert_rec_entry(child, level - 1, entry);
 
         // Refresh the chosen branch's box to cover the new point.
         if let NodeKind::Internal(v) = &mut self.nodes[idx as usize].kind {
             v[chosen].mbr.extend_point(&point);
-            // The child gained an unvisited entry: its subtree can no longer
-            // be considered fully visited by any live MS-BFS instance.
+            // The child gained an entry: its subtree can no longer be
+            // considered fully visited by any live MS-BFS instance.
             v[chosen].epoch = Epoch::CLEAR;
         }
 
@@ -260,53 +255,6 @@ impl<const D: usize> RTree<D> {
     // ------------------------------------------------------------------
     // Delete
     // ------------------------------------------------------------------
-
-    /// Like `insert_rec` but re-inserting an existing leaf entry (keeps id,
-    /// point, and epoch mark).
-    pub(crate) fn insert_rec_entry(
-        &mut self,
-        idx: NodeIdx,
-        level: usize,
-        entry: LeafEntry<D>,
-    ) -> Option<(Aabb<D>, NodeIdx)> {
-        let point = entry.point;
-        if level == 1 {
-            if let NodeKind::Leaf(entries) = &mut self.nodes[idx as usize].kind {
-                entries.push(entry);
-                if entries.len() > MAX_ENTRIES {
-                    return Some(self.split_leaf(idx));
-                }
-            } else {
-                unreachable!();
-            }
-            return None;
-        }
-        let chosen = self.choose_subtree(idx, &point);
-        let child = match &self.nodes[idx as usize].kind {
-            NodeKind::Internal(v) => v[chosen].child,
-            NodeKind::Leaf(_) => unreachable!(),
-        };
-        let child_split = self.insert_rec_entry(child, level - 1, entry);
-        if let NodeKind::Internal(v) = &mut self.nodes[idx as usize].kind {
-            v[chosen].mbr.extend_point(&point);
-            v[chosen].epoch = Epoch::CLEAR;
-        }
-        if let Some((sib_mbr, sib)) = child_split {
-            let new_child_mbr = self.node(child).mbr();
-            if let NodeKind::Internal(v) = &mut self.nodes[idx as usize].kind {
-                v[chosen].mbr = new_child_mbr;
-                v.push(Branch {
-                    mbr: sib_mbr,
-                    child: sib,
-                    epoch: Epoch::CLEAR,
-                });
-                if v.len() > MAX_ENTRIES {
-                    return Some(self.split_internal(idx));
-                }
-            }
-        }
-        None
-    }
 
     fn remove_rec(
         &mut self,
@@ -515,7 +463,12 @@ impl<const D: usize> SpatialBackend<D> for RTree<D> {
     fn insert(&mut self, id: PointId, point: Point<D>) {
         debug_assert!(point.is_finite(), "refusing to index a non-finite point");
         self.stats.inserts += 1;
-        let split = self.insert_rec(self.root, self.height, id, point);
+        let entry = LeafEntry {
+            point,
+            id,
+            epoch: Epoch::CLEAR,
+        };
+        let split = self.insert_rec_entry(self.root, self.height, entry);
         if let Some((sib_mbr, sib)) = split {
             self.grow_root(sib_mbr, sib);
         }

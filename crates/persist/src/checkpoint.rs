@@ -25,6 +25,7 @@
 use crate::codec::{Dec, Enc};
 use crate::crc::crc32;
 use crate::error::PersistError;
+use crate::log::Header;
 use disc_core::{DiscConfig, EngineState, IndexBackend, PointState};
 use disc_geom::{Point, PointId};
 use std::io::Write;
@@ -34,6 +35,15 @@ use std::path::Path;
 pub const MAGIC: &[u8; 8] = b"DISCKPT\0";
 /// Current checkpoint format version.
 pub const VERSION: u32 = 1;
+
+fn header<const D: usize>() -> Header {
+    Header {
+        kind: "checkpoint",
+        magic: MAGIC,
+        version: VERSION,
+        dim: Some(D),
+    }
+}
 
 /// The sliding-window driver's position, carried alongside the engine
 /// state so `disc resume` can fast-forward the stream.
@@ -252,10 +262,7 @@ fn push_section(out: &mut Vec<u8>, name: &str, payload: &[u8]) {
 
 /// Encodes a checkpoint into its on-disk byte image.
 pub fn encode_checkpoint<const D: usize>(ckpt: &Checkpoint<D>) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&(D as u32).to_le_bytes());
+    let mut out = header::<D>().encode();
     let sections = if ckpt.driver.is_some() { 5u32 } else { 4 };
     out.extend_from_slice(&sections.to_le_bytes());
     push_section(&mut out, "config", &encode_config(&ckpt.state.config));
@@ -277,33 +284,8 @@ pub fn encode_checkpoint<const D: usize>(ckpt: &Checkpoint<D>) -> Vec<u8> {
 /// Decodes a checkpoint byte image, verifying magic, version, dimension,
 /// and every section CRC.
 pub fn decode_checkpoint<const D: usize>(bytes: &[u8]) -> Result<Checkpoint<D>, PersistError> {
-    let mut d = Dec::new(bytes, "header");
-    if d.remaining() < MAGIC.len() {
-        return Err(PersistError::Truncated {
-            section: "header".into(),
-        });
-    }
-    let mut magic = [0u8; 8];
-    for b in magic.iter_mut() {
-        *b = d.u8()?;
-    }
-    if &magic != MAGIC {
-        return Err(PersistError::BadMagic { kind: "checkpoint" });
-    }
-    let version = d.u32()?;
-    if version != VERSION {
-        return Err(PersistError::UnsupportedVersion {
-            kind: "checkpoint",
-            found: version,
-        });
-    }
-    let dim = d.u32()? as usize;
-    if dim != D {
-        return Err(PersistError::DimensionMismatch {
-            expected: D,
-            found: dim,
-        });
-    }
+    let at = header::<D>().check(bytes)?;
+    let mut d = Dec::new(&bytes[at..], "header");
     let sections = d.u32()?;
     if sections > 16 {
         return Err(PersistError::Corrupt {
@@ -319,30 +301,23 @@ pub fn decode_checkpoint<const D: usize>(bytes: &[u8]) -> Result<Checkpoint<D>, 
     let mut driver = None;
     for _ in 0..sections {
         let name_len = d.u8()? as usize;
-        let mut name = String::with_capacity(name_len);
-        for _ in 0..name_len {
-            name.push(d.u8()? as char);
-        }
+        let name: String = d.bytes(name_len)?.iter().map(|&b| b as char).collect();
         let raw_len = d.u64()?;
         let len = d.checked_count(raw_len, 1)?;
-        let mut payload = Vec::with_capacity(len);
-        for _ in 0..len {
-            payload.push(d.u8()?);
-        }
-        let stored_crc = d.u32()?;
-        if crc32(&payload) != stored_crc {
+        let payload = d.bytes(len)?;
+        if crc32(payload) != d.u32()? {
             return Err(PersistError::ChecksumMismatch { section: name });
         }
         match name.as_str() {
-            "config" => config = Some(decode_config(&payload)?),
+            "config" => config = Some(decode_config(payload)?),
             "engine" => {
-                let mut ed = Dec::new(&payload, "engine");
+                let mut ed = Dec::new(payload, "engine");
                 slide_seq = Some(ed.u64()?);
                 ed.finish()?;
             }
-            "points" => points = Some(decode_points::<D>(&payload)?),
-            "dsu" => dsu = Some(decode_dsu(&payload)?),
-            "driver" => driver = Some(decode_driver(&payload)?),
+            "points" => points = Some(decode_points::<D>(payload)?),
+            "dsu" => dsu = Some(decode_dsu(payload)?),
+            "driver" => driver = Some(decode_driver(payload)?),
             other => {
                 return Err(PersistError::Corrupt {
                     section: other.to_string(),
@@ -393,12 +368,10 @@ pub fn save_checkpoint<const D: usize>(
     ckpt: &Checkpoint<D>,
 ) -> Result<u64, PersistError> {
     let tmp = path.with_extension("tmp");
-    let bytes = encode_checkpoint(ckpt);
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-    }
+    let mut f = std::fs::File::create(&tmp)?;
+    let len = write_checkpoint_to(&mut f, ckpt)?;
+    f.sync_all()?;
+    drop(f);
     std::fs::rename(&tmp, path)?;
     // Best-effort directory sync so the rename itself is durable.
     if let Some(dir) = path.parent() {
@@ -406,7 +379,7 @@ pub fn save_checkpoint<const D: usize>(
             let _ = d.sync_all();
         }
     }
-    Ok(bytes.len() as u64)
+    Ok(len)
 }
 
 /// Loads and fully verifies a checkpoint from `path`.

@@ -72,7 +72,8 @@ impl<'a> Dec<'a> {
         self.buf.len() - self.pos
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
+    /// Reads `n` raw bytes.
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
         if self.remaining() < n {
             return Err(PersistError::Truncated {
                 section: self.section.to_string(),
@@ -85,22 +86,22 @@ impl<'a> Dec<'a> {
 
     /// Reads one byte.
     pub fn u8(&mut self) -> Result<u8, PersistError> {
-        Ok(self.take(1)?[0])
+        Ok(self.bytes(1)?[0])
     }
 
     /// Reads a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, PersistError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().unwrap()))
     }
 
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, PersistError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
     }
 
     /// Reads a little-endian `f64` bit pattern.
     pub fn f64(&mut self) -> Result<f64, PersistError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(f64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
     }
 
     /// Reads a bool byte, rejecting values other than 0/1.

@@ -18,7 +18,8 @@ pub enum PersistError {
     /// The file does not start with the expected magic bytes — it is not a
     /// DISC checkpoint / WAL at all (or its first sector was destroyed).
     BadMagic {
-        /// Which artifact was being read (`"checkpoint"`, `"wal"`).
+        /// Which artifact was being read (`"checkpoint"`, `"wal"`,
+        /// `"ingest journal"`).
         kind: &'static str,
     },
     /// The format version is newer than this build understands.
@@ -56,9 +57,13 @@ pub enum PersistError {
     /// The checkpoint decoded cleanly but the engine refused the image
     /// (see [`StateError`]).
     State(StateError),
-    /// A complete WAL record failed its CRC — unlike a torn tail, this is
-    /// mid-log damage and recovery must not proceed past it silently.
+    /// A complete record of an append-only log (the WAL or the ingest
+    /// journal) failed its CRC, broke the log's record rules, or has a
+    /// length field no record can have. Unlike a torn tail, this is damage
+    /// and recovery must not proceed past it silently.
     WalCorrupt {
+        /// Which log (`"wal"`, `"ingest journal"`).
+        kind: &'static str,
         /// Byte offset of the broken record.
         offset: u64,
         /// What was wrong.
@@ -113,9 +118,11 @@ impl std::fmt::Display for PersistError {
                 write!(f, "corrupt section {section:?}: {detail}")
             }
             PersistError::State(e) => write!(f, "checkpoint rejected by the engine: {e}"),
-            PersistError::WalCorrupt { offset, detail } => {
-                write!(f, "corrupt WAL record at byte {offset}: {detail}")
-            }
+            PersistError::WalCorrupt {
+                kind,
+                offset,
+                detail,
+            } => write!(f, "corrupt {kind} record at byte {offset}: {detail}"),
             PersistError::WalGap { expected, found } => {
                 write!(
                     f,
@@ -194,10 +201,11 @@ mod tests {
             ),
             (
                 PersistError::WalCorrupt {
+                    kind: "wal",
                     offset: 17,
                     detail: "crc".into(),
                 },
-                "byte 17",
+                "corrupt wal record at byte 17",
             ),
             (
                 PersistError::WalGap {

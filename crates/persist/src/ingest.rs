@@ -3,65 +3,87 @@
 //! When a durable run ingests a hostile stream, every admission verdict
 //! ([`Decision`]) is journaled here **before** its effects reach the
 //! engine, under the same discipline as the slide WAL: append-then-apply,
-//! CRC per record, torn tail tolerated and truncated on reopen, mid-log
-//! damage loud. Because admission is a pure function of the raw record
+//! CRC per record, torn tail tolerated and truncated on reopen, damage
+//! loud. Because admission is a pure function of the raw record
 //! prefix (see `disc_window::reorder`), crash recovery re-runs the
 //! pipeline over the raw stream and [`verify_replay`] checks the derived
 //! decisions against the journal bit-for-bit — a diverged stream, config,
 //! or journal surfaces as [`PersistError::IngestMismatch`] instead of a
 //! silently different clustering.
 //!
-//! # File format (version 1)
+//! # File format (version 2)
+//!
+//! A codec over the crate's one append-only log (`log.rs`), the WAL's:
 //!
 //! ```text
-//! header := magic "DISCINGJ" (8 bytes) | version u32
-//! record := arrival u64 | code u8 | crc32(arrival | code) u32
+//! header  := magic "DISCINGJ" (8 bytes) | version u32
+//! frame   := len u32 (= 9) | payload | crc32(payload) u32
+//! payload := arrival u64 | code u8
 //! ```
 //!
-//! Records are fixed-size (13 bytes of payload, 17 on disk) and arrivals
+//! Every frame is 17 bytes, and a complete length field other than 9 is
+//! damage, so every single bit flip in a committed frame is loud. Arrivals
 //! are 1-based and contiguous; a sequence break in a CRC-clean record is
-//! corruption, not a torn tail.
+//! corruption, not a torn tail. Version 1 journals (a 13-byte payload of
+//! `arrival | code | 4 zero bytes` and its CRC, no length) are refused.
 
-use crate::crc::crc32;
+use crate::codec::Dec;
 use crate::error::PersistError;
-use crate::wal::FsyncPolicy;
+use crate::log::{self, Format, FsyncPolicy, Header, LogWriter};
 use disc_window::Decision;
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
 /// Ingest journal file magic.
 pub const MAGIC: &[u8; 8] = b"DISCINGJ";
 /// Current journal format version.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
-const HEADER_LEN: usize = 12;
-const RECORD_LEN: usize = 13 + 4;
+const KIND: &str = "ingest journal";
+const PAYLOAD_LEN: usize = 9;
+const FORMAT: Format = Format {
+    header: Header {
+        kind: KIND,
+        magic: MAGIC,
+        version: VERSION,
+        dim: None,
+    },
+    len_ok: |len| len == PAYLOAD_LEN,
+};
+
+/// Decodes one CRC-clean payload as the verdict on arrival
+/// `decisions.len() + 1` and pushes it.
+fn decode_into(decisions: &mut Vec<Decision>, at: u64, payload: &[u8]) -> Result<(), PersistError> {
+    let mut d = Dec::new(payload, "ingest journal record");
+    let (arrival, code) = (d.u64()?, d.u8()?);
+    let corrupt = |detail| PersistError::WalCorrupt {
+        kind: KIND,
+        offset: at,
+        detail,
+    };
+    let expected = decisions.len() as u64 + 1;
+    if arrival != expected {
+        let break_ = format!("arrival sequence break: expected {expected}, found {arrival}");
+        return Err(corrupt(break_));
+    }
+    let unknown = || corrupt(format!("unknown decision code {code}"));
+    decisions.push(Decision::from_code(code).ok_or_else(unknown)?);
+    Ok(())
+}
 
 /// Appends admission decisions to a journal file.
 pub struct IngestJournalWriter {
-    file: BufWriter<File>,
-    policy: FsyncPolicy,
-    appended_since_sync: u64,
+    log: LogWriter,
     /// Next arrival index to be journaled (1-based).
     next_arrival: u64,
-    /// On-disk size, maintained incrementally.
-    len_bytes: u64,
 }
 
 impl IngestJournalWriter {
     /// Creates a fresh journal at `path` (truncating any existing file).
     pub fn create(path: &Path, policy: FsyncPolicy) -> Result<Self, PersistError> {
-        let mut file = File::create(path)?;
-        file.write_all(MAGIC)?;
-        file.write_all(&VERSION.to_le_bytes())?;
-        file.sync_all()?;
+        let log = LogWriter::create(path, &FORMAT.header, policy)?;
         Ok(IngestJournalWriter {
-            file: BufWriter::new(file),
-            policy,
-            appended_since_sync: 0,
+            log,
             next_arrival: 1,
-            len_bytes: HEADER_LEN as u64,
         })
     }
 
@@ -73,66 +95,25 @@ impl IngestJournalWriter {
         policy: FsyncPolicy,
     ) -> Result<(Self, IngestScan), PersistError> {
         let scan = read_ingest_journal(path)?;
-        let file = OpenOptions::new().write(true).open(path)?;
-        let clean_len = (HEADER_LEN + scan.decisions.len() * RECORD_LEN) as u64;
-        if scan.torn_tail_at.is_some() {
-            file.set_len(clean_len)?;
-            file.sync_all()?;
-        }
-        let mut file = file;
-        use std::io::Seek;
-        file.seek(std::io::SeekFrom::Start(clean_len))?;
-        Ok((
-            IngestJournalWriter {
-                file: BufWriter::new(file),
-                policy,
-                appended_since_sync: 0,
-                next_arrival: scan.decisions.len() as u64 + 1,
-                len_bytes: clean_len,
-            },
-            scan,
-        ))
+        let log = LogWriter::reopen(path, scan.torn_tail_at, policy)?;
+        let next_arrival = scan.decisions.len() as u64 + 1;
+        Ok((IngestJournalWriter { log, next_arrival }, scan))
     }
 
     /// Journals the verdict for the next raw arrival. Call **before**
     /// letting the decision's effects reach the engine.
     pub fn append(&mut self, decision: Decision) -> Result<(), PersistError> {
-        let mut payload = [0u8; 13];
+        let mut payload = [0u8; PAYLOAD_LEN];
         payload[..8].copy_from_slice(&self.next_arrival.to_le_bytes());
         payload[8] = decision.code();
-        self.file.write_all(&payload)?;
-        self.file.write_all(&crc32(&payload).to_le_bytes())?;
-        self.file.flush()?;
+        self.log.append(&payload)?;
         self.next_arrival += 1;
-        self.len_bytes += RECORD_LEN as u64;
-        self.appended_since_sync += 1;
-        let due = match self.policy {
-            FsyncPolicy::Always => true,
-            FsyncPolicy::EveryN(k) => self.appended_since_sync >= k,
-            FsyncPolicy::Never => false,
-        };
-        if due {
-            self.sync()?;
-        }
         Ok(())
     }
 
     /// Forces an fsync regardless of policy.
     pub fn sync(&mut self) -> Result<(), PersistError> {
-        self.file.flush()?;
-        self.file.get_ref().sync_all()?;
-        self.appended_since_sync = 0;
-        Ok(())
-    }
-
-    /// Decisions journaled so far (including inherited ones).
-    pub fn journaled(&self) -> u64 {
-        self.next_arrival - 1
-    }
-
-    /// Current on-disk size in bytes.
-    pub fn len_bytes(&self) -> u64 {
-        self.len_bytes
+        self.log.sync()
     }
 }
 
@@ -146,64 +127,17 @@ pub struct IngestScan {
 }
 
 /// Reads and verifies an entire ingest journal. A torn tail is tolerated
-/// and reported; a complete record with a bad CRC, an unknown decision
-/// code, or an arrival-sequence break is an error.
+/// and reported; a complete record with a bad CRC or length, an unknown
+/// decision code, or an arrival-sequence break is an error.
 pub fn read_ingest_journal(path: &Path) -> Result<IngestScan, PersistError> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    if bytes.len() < HEADER_LEN {
-        return Err(PersistError::Truncated {
-            section: "ingest journal header".into(),
-        });
-    }
-    if &bytes[..8] != MAGIC {
-        return Err(PersistError::BadMagic {
-            kind: "ingest journal",
-        });
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if version != VERSION {
-        return Err(PersistError::UnsupportedVersion {
-            kind: "ingest journal",
-            found: version,
-        });
-    }
     let mut decisions = Vec::new();
-    let mut pos = HEADER_LEN;
-    loop {
-        if pos == bytes.len() {
-            return Ok(IngestScan {
-                decisions,
-                torn_tail_at: None,
-            });
-        }
-        if bytes.len() - pos < RECORD_LEN {
-            return Ok(IngestScan {
-                decisions,
-                torn_tail_at: Some(pos as u64),
-            });
-        }
-        let payload = &bytes[pos..pos + 13];
-        let stored = u32::from_le_bytes(bytes[pos + 13..pos + RECORD_LEN].try_into().unwrap());
-        let corrupt = |detail: String| PersistError::WalCorrupt {
-            offset: pos as u64,
-            detail,
-        };
-        if crc32(payload) != stored {
-            return Err(corrupt("checksum mismatch on a complete record".into()));
-        }
-        let arrival = u64::from_le_bytes(payload[..8].try_into().unwrap());
-        if arrival != decisions.len() as u64 + 1 {
-            return Err(corrupt(format!(
-                "arrival sequence break: expected {}, found {arrival}",
-                decisions.len() + 1
-            )));
-        }
-        let decision = Decision::from_code(payload[8])
-            .ok_or_else(|| corrupt(format!("unknown decision code {}", payload[8])))?;
-        decisions.push(decision);
-        pos += RECORD_LEN;
-    }
+    let torn_tail_at = log::scan(&std::fs::read(path)?, &FORMAT, |at, payload| {
+        decode_into(&mut decisions, at, payload)
+    })?;
+    Ok(IngestScan {
+        decisions,
+        torn_tail_at,
+    })
 }
 
 /// Checks that re-derived admission decisions reproduce the journaled
@@ -227,6 +161,9 @@ pub fn verify_replay(journaled: &[Decision], derived: &[Decision]) -> Result<(),
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const HEADER_LEN: usize = 12;
+    const RECORD_LEN: usize = 17;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("disc_persist_ingest_test");
@@ -252,8 +189,8 @@ mod tests {
         for &d in SAMPLE {
             w.append(d).unwrap();
         }
-        assert_eq!(w.journaled(), SAMPLE.len() as u64);
-        assert_eq!(w.len_bytes(), std::fs::metadata(&path).unwrap().len());
+        let on_disk = std::fs::metadata(&path).unwrap().len() as usize;
+        assert_eq!(on_disk, HEADER_LEN + SAMPLE.len() * RECORD_LEN);
         drop(w);
         let scan = read_ingest_journal(&path).unwrap();
         assert_eq!(scan.torn_tail_at, None);
@@ -301,7 +238,7 @@ mod tests {
         w.sync().unwrap();
         drop(w);
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes[HEADER_LEN + 2] ^= 0x10; // inside record 1's arrival field
+        bytes[HEADER_LEN + 4 + 2] ^= 0x10; // inside record 1's arrival field
         std::fs::write(&path, &bytes).unwrap();
         match read_ingest_journal(&path) {
             Err(PersistError::WalCorrupt { offset, .. }) => {
@@ -309,6 +246,71 @@ mod tests {
             }
             other => panic!("expected WalCorrupt, got {other:?}"),
         }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn damage_names_the_journal() {
+        let path = tmp("named.ingj");
+        let mut w = IngestJournalWriter::create(&path, FsyncPolicy::Never).unwrap();
+        for &d in SAMPLE {
+            w.append(d).unwrap();
+        }
+        drop(w);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[HEADER_LEN + RECORD_LEN + 12] ^= 0x01; // record 2's code byte
+        std::fs::write(&path, &bytes).unwrap();
+        let err = read_ingest_journal(&path).unwrap_err().to_string();
+        assert_eq!(
+            err,
+            "corrupt ingest journal record at byte 29: checksum mismatch on a complete record"
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// One frame's bytes, pinned: the header, then arrival 1 judged
+    /// `late-drop` (code 2).
+    #[test]
+    fn one_frame_has_the_pinned_bytes() {
+        #[rustfmt::skip]
+        const GOLDEN: &[u8] = &[
+            b'D', b'I', b'S', b'C', b'I', b'N', b'G', b'J', // magic
+            2, 0, 0, 0, // version
+            9, 0, 0, 0, // len
+            1, 0, 0, 0, 0, 0, 0, 0, // arrival
+            2, // code
+            0xc1, 0x61, 0x7c, 0x1f, // crc32(payload)
+        ];
+        let path = tmp("golden.ingj");
+        let mut w = IngestJournalWriter::create(&path, FsyncPolicy::Never).unwrap();
+        w.append(Decision::LateDrop).unwrap();
+        drop(w);
+        assert_eq!(std::fs::read(&path).unwrap(), GOLDEN);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_version_1_journal_is_refused_by_name() {
+        let path = tmp("v1.ingj");
+        let mut v1 = MAGIC.to_vec();
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        let mut record = [0u8; 13];
+        record[0] = 1; // arrival 1, code 0 (admit), 4 zero bytes
+        v1.extend_from_slice(&record);
+        v1.extend_from_slice(&crate::crc::crc32(&record).to_le_bytes());
+        std::fs::write(&path, &v1).unwrap();
+        let err = read_ingest_journal(&path).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                PersistError::UnsupportedVersion {
+                    kind: "ingest journal",
+                    found: 1
+                }
+            ),
+            "{err:?}"
+        );
+        assert!(IngestJournalWriter::open_append(&path, FsyncPolicy::Never).is_err());
         std::fs::remove_file(&path).unwrap();
     }
 

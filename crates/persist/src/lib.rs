@@ -7,7 +7,7 @@
 //! - [`checkpoint`] — a versioned, per-section-checksummed binary image
 //!   of the full engine state ([`save_checkpoint`] / [`load_checkpoint`]),
 //!   written atomically (temp file + fsync + rename).
-//! - [`wal`] — an append-only log of committed slide batches
+//! - [`wal`] — the slide write-ahead log of committed slide batches
 //!   ([`WalWriter`] / [`read_wal`]), appended *before* each batch is
 //!   applied, with a configurable [`FsyncPolicy`].
 //! - [`recover`] — [`recover_engine`] loads the newest checkpoint in a
@@ -18,12 +18,14 @@
 //!   every admit/drop/reorder choice from the raw stream and checks it
 //!   against the journal bit-for-bit (DESIGN.md §16).
 //!
-//! Corruption is never silent: a truncated or bit-flipped checkpoint, a
-//! mid-log damaged WAL record, or a WAL that does not continue its
-//! checkpoint each fail with a distinct [`PersistError`] variant. The one
-//! tolerated anomaly is a *torn WAL tail* — an incomplete final record
-//! left by a crash mid-append — which by write-ahead ordering was never
-//! applied to the engine and is safely discarded.
+//! The WAL and the ingest journal are codecs over one append-only log:
+//! frames of `len u32 | payload | crc32(payload) u32` behind a header whose
+//! check checkpoints share. Corruption is never silent: a truncated or
+//! bit-flipped checkpoint, a damaged frame (a failed CRC, or a length no
+//! record can have), or a WAL that does not continue its checkpoint each
+//! fail with a distinct [`PersistError`] variant. The one tolerated anomaly
+//! is a *torn tail*, an incomplete final frame left by a crash mid-append,
+//! which by write-ahead ordering was never applied and is safely discarded.
 //!
 //! ```no_run
 //! use disc_core::{Disc, DiscConfig};
@@ -51,6 +53,7 @@
 
 mod codec;
 mod crc;
+mod log;
 
 pub mod checkpoint;
 pub mod error;
@@ -65,5 +68,6 @@ pub use checkpoint::{
 };
 pub use error::PersistError;
 pub use ingest::{read_ingest_journal, verify_replay, IngestJournalWriter, IngestScan};
+pub use log::FsyncPolicy;
 pub use recover::{checkpoint_path, latest_checkpoint_seq, recover_engine, RecoveryReport};
-pub use wal::{read_wal, FsyncPolicy, WalScan, WalWriter};
+pub use wal::{read_wal, WalScan, WalWriter};

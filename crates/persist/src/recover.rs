@@ -113,7 +113,7 @@ pub fn recover_engine<const D: usize, B: SpatialBackend<D>>(
 mod tests {
     use super::*;
     use crate::checkpoint::save_checkpoint;
-    use crate::wal::{FsyncPolicy, WalWriter};
+    use crate::{FsyncPolicy, WalWriter};
     use disc_core::DiscConfig;
     use disc_geom::{Point, PointId};
     use disc_index::RTree;

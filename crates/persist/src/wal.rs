@@ -1,31 +1,27 @@
-//! The slide write-ahead log.
+//! The slide write-ahead log, a codec over the crate's one append-only log
+//! (`log.rs`).
 //!
 //! # File format (version 1)
 //!
 //! ```text
-//! header := magic "DISCWAL\0" (8 bytes) | version u32 | dim u32
-//! record := len u32 | payload | crc32(payload) u32
+//! header  := magic "DISCWAL\0" (8 bytes) | version u32 | dim u32
+//! frame   := len u32 | payload | crc32(payload) u32
 //! payload := seq u64 | n_in u32 | n_out u32
 //!          | n_in × (id u64, D × f64)      incoming
 //!          | n_out × (id u64, D × f64)     outgoing
 //! ```
 //!
-//! A slide batch is appended (and optionally fsynced, per
-//! [`FsyncPolicy`]) **before** it is applied to the engine, so every
-//! committed slide is either in the log or was never applied. On read,
-//! an incomplete final record — the process died mid-append — is a *torn
-//! tail*: it is reported, tolerated, and truncated away on the next
-//! [`WalWriter::open_append`]. A *complete* record whose CRC fails is
-//! mid-log damage and surfaces as [`PersistError::WalCorrupt`]; recovery
-//! must not skip over it silently.
+//! A payload is `16 + k·(8 + 8D)` bytes for `k = n_in + n_out`. A batch is
+//! appended **before** it is applied to the engine, so every committed
+//! slide is in the log or was never applied. A torn tail is tolerated and
+//! cut off by [`WalWriter::open_append`]; damage is
+//! [`PersistError::WalCorrupt`] and stops recovery.
 
 use crate::codec::{Dec, Enc};
-use crate::crc::crc32;
 use crate::error::PersistError;
+use crate::log::{self, Format, FsyncPolicy, Header, LogWriter};
 use disc_geom::{Point, PointId};
 use disc_window::SlideBatch;
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
 /// WAL file magic.
@@ -33,35 +29,22 @@ pub const MAGIC: &[u8; 8] = b"DISCWAL\0";
 /// Current WAL format version.
 pub const VERSION: u32 = 1;
 
-/// When the WAL writer calls `fsync` after an append.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FsyncPolicy {
-    /// Fsync after every record: no committed slide can be lost, at the
-    /// cost of one disk flush per slide.
-    Always,
-    /// Fsync after every `k`-th record: bounds loss to at most `k` slides.
-    EveryN(u64),
-    /// Never fsync explicitly; the OS flushes on its own schedule.
-    /// Fastest, loses up to the page-cache window on power failure.
-    Never,
+const KIND: &str = "wal";
+
+fn format<const D: usize>() -> Format {
+    let header = Header {
+        kind: KIND,
+        magic: MAGIC,
+        version: VERSION,
+        dim: Some(D),
+    };
+    let len_ok = payload_len_ok::<D>;
+    Format { header, len_ok }
 }
 
-impl FsyncPolicy {
-    /// Parses the CLI spelling: `always`, `never`, or `every=N`.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "always" => Some(FsyncPolicy::Always),
-            "never" => Some(FsyncPolicy::Never),
-            _ => {
-                let n: u64 = s.strip_prefix("every=")?.parse().ok()?;
-                if n == 0 {
-                    None
-                } else {
-                    Some(FsyncPolicy::EveryN(n))
-                }
-            }
-        }
-    }
+/// The payload lengths a `D`-dimensional record can have: `16 + k·(8 + 8D)`.
+fn payload_len_ok<const D: usize>(len: usize) -> bool {
+    len >= 16 && (len - 16).is_multiple_of(8 + 8 * D)
 }
 
 fn encode_record<const D: usize>(seq: u64, batch: &SlideBatch<D>) -> Vec<u8> {
@@ -78,29 +61,30 @@ fn encode_record<const D: usize>(seq: u64, batch: &SlideBatch<D>) -> Vec<u8> {
     e.into_bytes()
 }
 
+/// Decodes a CRC-clean payload whose length `payload_len_ok` accepted, so
+/// no read below runs short once the entry counts fit the length.
 fn decode_record<const D: usize>(
     payload: &[u8],
     offset: u64,
 ) -> Result<(u64, SlideBatch<D>), PersistError> {
-    let corrupt = |detail: String| PersistError::WalCorrupt { offset, detail };
     let mut d = Dec::new(payload, "wal record");
-    let seq = d.u64().map_err(|_| corrupt("payload too short".into()))?;
-    let n_in = d.u32().map_err(|_| corrupt("payload too short".into()))? as usize;
-    let n_out = d.u32().map_err(|_| corrupt("payload too short".into()))? as usize;
-    let entry_bytes = 8 + 8 * D;
-    if payload.len() != 16 + (n_in + n_out) * entry_bytes {
-        return Err(corrupt(format!(
-            "payload of {} bytes does not fit {n_in}+{n_out} entries",
-            payload.len()
-        )));
+    let (seq, n_in, n_out) = (d.u64()?, d.u32()? as usize, d.u32()? as usize);
+    let len = payload.len();
+    if len != 16 + (n_in + n_out) * (8 + 8 * D) {
+        let detail = format!("payload of {len} bytes does not fit {n_in}+{n_out} entries");
+        return Err(PersistError::WalCorrupt {
+            kind: KIND,
+            offset,
+            detail,
+        });
     }
     let mut read_entries = |n: usize| -> Result<Vec<(PointId, Point<D>)>, PersistError> {
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
-            let id = PointId(d.u64().map_err(|_| corrupt("entry cut short".into()))?);
+            let id = PointId(d.u64()?);
             let mut coords = [0.0f64; D];
             for c in coords.iter_mut() {
-                *c = d.f64().map_err(|_| corrupt("entry cut short".into()))?;
+                *c = d.f64()?;
             }
             out.push((id, Point::new(coords)));
         }
@@ -113,117 +97,41 @@ fn decode_record<const D: usize>(
 
 /// Appends slide records to a WAL file.
 pub struct WalWriter<const D: usize> {
-    file: BufWriter<File>,
-    policy: FsyncPolicy,
-    appended_since_sync: u64,
-    /// Total records appended through this writer.
-    appended: u64,
-    /// Current on-disk size: header plus every record written or inherited
-    /// (maintained incrementally; feeds the `disc_wal_bytes` gauge).
-    len_bytes: u64,
+    log: LogWriter,
 }
 
 impl<const D: usize> WalWriter<D> {
     /// Creates a fresh WAL at `path` (truncating any existing file) and
     /// writes the header.
     pub fn create(path: &Path, policy: FsyncPolicy) -> Result<Self, PersistError> {
-        let mut file = File::create(path)?;
-        file.write_all(MAGIC)?;
-        file.write_all(&VERSION.to_le_bytes())?;
-        file.write_all(&(D as u32).to_le_bytes())?;
-        file.sync_all()?;
-        Ok(WalWriter {
-            file: BufWriter::new(file),
-            policy,
-            appended_since_sync: 0,
-            appended: 0,
-            len_bytes: (MAGIC.len() + 8) as u64,
-        })
+        let log = LogWriter::create(path, &format::<D>().header, policy)?;
+        Ok(WalWriter { log })
     }
 
-    /// Opens an existing WAL for appending, validating its header and
-    /// truncating a torn tail left by a crash mid-append. Returns the
-    /// writer plus the records that survive (for replay).
-    pub fn open_append(
-        path: &Path,
-        policy: FsyncPolicy,
-    ) -> Result<(Self, WalScan<D>), PersistError> {
-        let scan = read_wal::<D>(path)?;
-        let file = OpenOptions::new().write(true).open(path)?;
-        if let Some(offset) = scan.torn_tail_at {
-            file.set_len(offset)?;
-            file.sync_all()?;
-        }
-        let mut file = file;
-        use std::io::Seek;
-        let len_bytes = file.seek(std::io::SeekFrom::End(0))?;
-        Ok((
-            WalWriter {
-                file: BufWriter::new(file),
-                policy,
-                appended_since_sync: 0,
-                appended: 0,
-                len_bytes,
-            },
-            scan,
-        ))
+    /// Opens an existing WAL for appending: checks its header and every
+    /// frame's CRC, and truncates a torn tail left by a crash mid-append.
+    /// Records are not decoded; [`read_wal`] does that for replay.
+    pub fn open_append(path: &Path, policy: FsyncPolicy) -> Result<Self, PersistError> {
+        let torn_tail_at = log::scan(&std::fs::read(path)?, &format::<D>(), |_, _| Ok(()))?;
+        let log = LogWriter::reopen(path, torn_tail_at, policy)?;
+        Ok(WalWriter { log })
     }
 
     /// Appends one committed slide. Call **before** applying the batch to
     /// the engine. Returns the record's size in bytes.
     pub fn append(&mut self, seq: u64, batch: &SlideBatch<D>) -> Result<u64, PersistError> {
-        let payload = encode_record(seq, batch);
-        self.file.write_all(&(payload.len() as u32).to_le_bytes())?;
-        self.file.write_all(&payload)?;
-        self.file.write_all(&crc32(&payload).to_le_bytes())?;
-        self.file.flush()?;
-        self.appended += 1;
-        self.appended_since_sync += 1;
-        let due = match self.policy {
-            FsyncPolicy::Always => true,
-            FsyncPolicy::EveryN(k) => self.appended_since_sync >= k,
-            FsyncPolicy::Never => false,
-        };
-        if due {
-            self.sync()?;
-        }
-        self.len_bytes += payload.len() as u64 + 8;
-        Ok(payload.len() as u64 + 8)
+        self.log.append(&encode_record(seq, batch))
     }
 
     /// Forces an fsync regardless of policy.
     pub fn sync(&mut self) -> Result<(), PersistError> {
-        self.file.flush()?;
-        self.file.get_ref().sync_all()?;
-        self.appended_since_sync = 0;
-        Ok(())
-    }
-
-    /// Records appended through this writer (excludes pre-existing ones).
-    pub fn appended(&self) -> u64 {
-        self.appended
+        self.log.sync()
     }
 
     /// Current WAL on-disk size in bytes (header + every record, including
     /// ones inherited through [`open_append`](WalWriter::open_append)).
     pub fn len_bytes(&self) -> u64 {
-        self.len_bytes
-    }
-}
-
-impl<const D: usize> disc_telemetry::MemoryFootprint for WalWriter<D> {
-    /// The writer's resident state is one `BufWriter` buffer; the on-disk
-    /// length rides along as a child so a full-system footprint tree shows
-    /// durable bytes next to heap bytes.
-    fn footprint(&self) -> disc_telemetry::FootprintNode {
-        use disc_telemetry::FootprintNode;
-        FootprintNode::branch(
-            "wal",
-            vec![
-                FootprintNode::leaf("buffer", self.file.capacity()),
-                FootprintNode::leaf("disk", self.len_bytes as usize),
-            ],
-        )
+        self.log.len_bytes()
     }
 }
 
@@ -241,68 +149,18 @@ pub struct WalScan<const D: usize> {
 /// Reads and verifies an entire WAL file.
 ///
 /// A torn tail (EOF before the last record is complete) is tolerated and
-/// reported via [`WalScan::torn_tail_at`]; any *complete* record with a
-/// bad CRC, or a header problem, is an error.
+/// reported via [`WalScan::torn_tail_at`]; a header problem, a complete
+/// record with a bad CRC, or a length no record can have is an error.
 pub fn read_wal<const D: usize>(path: &Path) -> Result<WalScan<D>, PersistError> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    let header_len = MAGIC.len() + 8;
-    if bytes.len() < header_len {
-        return Err(PersistError::Truncated {
-            section: "wal header".into(),
-        });
-    }
-    if &bytes[..8] != MAGIC {
-        return Err(PersistError::BadMagic { kind: "wal" });
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if version != VERSION {
-        return Err(PersistError::UnsupportedVersion {
-            kind: "wal",
-            found: version,
-        });
-    }
-    let dim = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-    if dim != D {
-        return Err(PersistError::DimensionMismatch {
-            expected: D,
-            found: dim,
-        });
-    }
-
     let mut records = Vec::new();
-    let mut pos = header_len;
-    loop {
-        if pos == bytes.len() {
-            return Ok(WalScan {
-                records,
-                torn_tail_at: None,
-            });
-        }
-        if bytes.len() - pos < 4 {
-            return Ok(WalScan {
-                records,
-                torn_tail_at: Some(pos as u64),
-            });
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        if bytes.len() - pos - 4 < len + 4 {
-            return Ok(WalScan {
-                records,
-                torn_tail_at: Some(pos as u64),
-            });
-        }
-        let payload = &bytes[pos + 4..pos + 4 + len];
-        let stored = u32::from_le_bytes(bytes[pos + 4 + len..pos + 8 + len].try_into().unwrap());
-        if crc32(payload) != stored {
-            return Err(PersistError::WalCorrupt {
-                offset: pos as u64,
-                detail: "checksum mismatch on a complete record".into(),
-            });
-        }
-        records.push(decode_record::<D>(payload, pos as u64)?);
-        pos += 8 + len;
-    }
+    let torn_tail_at = log::scan(&std::fs::read(path)?, &format::<D>(), |offset, payload| {
+        records.push(decode_record::<D>(payload, offset)?);
+        Ok(())
+    })?;
+    Ok(WalScan {
+        records,
+        torn_tail_at,
+    })
 }
 
 #[cfg(test)]
@@ -336,7 +194,6 @@ mod tests {
         for seq in 1..=5 {
             w.append(seq, &batch(seq)).unwrap();
         }
-        assert_eq!(w.appended(), 5);
         drop(w);
         let scan = read_wal::<2>(&path).unwrap();
         assert_eq!(scan.torn_tail_at, None);
@@ -414,9 +271,10 @@ mod tests {
         // Tear the last record: drop its final 5 bytes.
         std::fs::write(&path, &full[..full.len() - 5]).unwrap();
 
-        let (mut w, scan) = WalWriter::<2>::open_append(&path, FsyncPolicy::Always).unwrap();
-        assert_eq!(scan.records.len(), 2);
-        assert!(scan.torn_tail_at.is_some());
+        let mut w = WalWriter::<2>::open_append(&path, FsyncPolicy::Always).unwrap();
+        let two_records = (MAGIC.len() + 8) as u64 + 2 * (16 + 3 * 24 + 8);
+        assert_eq!(w.len_bytes(), two_records);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), two_records);
         w.append(3, &batch(3)).unwrap();
         w.append(4, &batch(4)).unwrap();
         drop(w);
@@ -468,7 +326,6 @@ mod tests {
 
     #[test]
     fn len_bytes_tracks_the_real_file_size() {
-        use disc_telemetry::MemoryFootprint;
         let path = tmp("lenbytes.wal");
         let mut w = WalWriter::<2>::create(&path, FsyncPolicy::Always).unwrap();
         assert_eq!(w.len_bytes(), (MAGIC.len() + 8) as u64);
@@ -477,24 +334,91 @@ mod tests {
             let on_disk = std::fs::metadata(&path).unwrap().len();
             assert_eq!(w.len_bytes(), on_disk, "after append {seq}");
         }
-        // The footprint tree exposes the on-disk length as wal/disk.
-        let disk = w
-            .footprint()
-            .flatten()
-            .into_iter()
-            .find(|(p, _)| p == "wal/disk")
-            .unwrap()
-            .1;
-        assert_eq!(disk, w.len_bytes());
         drop(w);
         // Reopening inherits the existing length.
-        let (mut w, _) = WalWriter::<2>::open_append(&path, FsyncPolicy::Always).unwrap();
+        let mut w = WalWriter::<2>::open_append(&path, FsyncPolicy::Always).unwrap();
         let before = w.len_bytes();
         assert_eq!(before, std::fs::metadata(&path).unwrap().len());
         w.append(5, &batch(5)).unwrap();
         assert_eq!(w.len_bytes(), std::fs::metadata(&path).unwrap().len());
         assert!(w.len_bytes() > before);
         drop(w);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// One record's bytes, pinned: the header, then a frame around
+    /// `seq 1 | n_in 1 | n_out 1 | (7, [1.5, -2.0]) | (2, [0.25, 4.0])`.
+    #[test]
+    fn one_record_has_the_pinned_bytes() {
+        #[rustfmt::skip]
+        const GOLDEN: &[u8] = &[
+            b'D', b'I', b'S', b'C', b'W', b'A', b'L', 0, // magic
+            1, 0, 0, 0, // version
+            2, 0, 0, 0, // dim
+            64, 0, 0, 0, // len
+            1, 0, 0, 0, 0, 0, 0, 0, // seq
+            1, 0, 0, 0, // n_in
+            1, 0, 0, 0, // n_out
+            7, 0, 0, 0, 0, 0, 0, 0, // id
+            0, 0, 0, 0, 0, 0, 0xf8, 0x3f, // 1.5
+            0, 0, 0, 0, 0, 0, 0, 0xc0, // -2.0
+            2, 0, 0, 0, 0, 0, 0, 0, // id
+            0, 0, 0, 0, 0, 0, 0xd0, 0x3f, // 0.25
+            0, 0, 0, 0, 0, 0, 0x10, 0x40, // 4.0
+            0xf5, 0xeb, 0xfb, 0xcf, // crc32(payload)
+        ];
+        let path = tmp("golden.wal");
+        let mut w = WalWriter::<2>::create(&path, FsyncPolicy::Never).unwrap();
+        let one = SlideBatch {
+            incoming: vec![(PointId(7), Point::new([1.5, -2.0]))],
+            outgoing: vec![(PointId(2), Point::new([0.25, 4.0]))],
+        };
+        assert_eq!(w.append(1, &one).unwrap(), 72);
+        drop(w);
+        assert_eq!(std::fs::read(&path).unwrap(), GOLDEN);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A record length `16 + k·(8 + 8D)` with one bit flipped is never
+    /// another such length when D is 2 or 4, so the flip is loud.
+    #[test]
+    fn no_single_bit_flip_turns_a_record_length_into_another() {
+        fn check<const D: usize>() {
+            for k in 0..4096 {
+                let len = 16 + k * (8 + 8 * D);
+                for bit in 0..32 {
+                    let flipped = (len as u32 ^ (1 << bit)) as usize;
+                    assert!(!payload_len_ok::<D>(flipped), "D={D} k={k} bit {bit}");
+                }
+            }
+        }
+        check::<2>();
+        check::<4>();
+    }
+
+    /// A flipped length bit in the last complete record must not read as
+    /// a torn tail: that would silently drop a committed slide.
+    #[test]
+    fn a_flipped_length_bit_in_the_last_record_is_loud() {
+        let path = tmp("lenflip.wal");
+        let mut w = WalWriter::<2>::create(&path, FsyncPolicy::Never).unwrap();
+        for seq in 1..=3 {
+            w.append(seq, &batch(seq)).unwrap();
+        }
+        drop(w);
+        let full = std::fs::read(&path).unwrap();
+        let last = MAGIC.len() + 8 + 2 * (16 + 3 * 24 + 8);
+        for bit in 0..32 {
+            let mut bytes = full.clone();
+            bytes[last + bit / 8] ^= 1 << (bit % 8);
+            std::fs::write(&path, &bytes).unwrap();
+            match read_wal::<2>(&path) {
+                Err(PersistError::WalCorrupt { kind, offset, .. }) => {
+                    assert_eq!((kind, offset), ("wal", last as u64), "bit {bit}")
+                }
+                other => panic!("bit {bit}: expected WalCorrupt, got {other:?}"),
+            }
+        }
         std::fs::remove_file(&path).unwrap();
     }
 
